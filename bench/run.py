@@ -36,9 +36,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".bench_out"
 
-# Stop starting repetitions once the next one would overrun --seconds. One
-# learn_static repetition takes 12-28 s, so a run may time only one.
-MIN_REPS = 1
+# Stop starting repetitions once the next one would overrun --seconds, but
+# not before MIN_REPS: every time reported is a median over repetitions.
+MIN_REPS = 3
 MIN_SETUPS = 15
 SETUP_PROBE = ("interp", "objects")   # set-up imports modules and builds objects
 

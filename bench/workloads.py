@@ -173,10 +173,19 @@ class LearnStatic(_Scenario):
     probe = ("scalars", "vectors")
 
     SLOTS = 3
+    # A coarser grid than the paper's 21x21x11 over the same area, and 1000
+    # instead of 5000 episodes, so that a repetition takes a few seconds and a
+    # run holds several. Each slot's learner explores nearly every one of the
+    # 324 states, so the QoS-table fills (about 950 over the 3 slots) hardly
+    # depend on the seed; on the paper grid they range 3000-4400.
+    GRID = {"n_x": 9, "n_y": 9, "n_h": 4}
+    EPISODES = 1000
 
     def _overrides(self):
-        o = {"sim_duration": 10.0 * self.SLOTS, "mobility": {"c_max": 0.0}}
+        o = {"sim_duration": 10.0 * self.SLOTS, "mobility": {"c_max": 0.0},
+             "grid": self.GRID, "learning": {"max_episodes": self.EPISODES}}
         if self.small:
+            o.pop("grid")
             o["learning"] = {"max_episodes": 50, "max_steps": 20}
         return o
 
@@ -187,7 +196,7 @@ class LearnStatic(_Scenario):
         threshold taken from the full ground network at t=0. Users are static,
         so when even the oracle optimum of the t=0 snapshot is below that
         threshold, each of the SLOTS slots learns and the learning work does
-        not depend on the seed. About a third of the drops qualify.
+        not depend on the seed. A third to a half of the drops qualify.
         """
         from aerialsim.radio import aggregate_qos
         preset = "desk" if self.small else "paper"
@@ -209,9 +218,9 @@ class LearnStatic(_Scenario):
 
     # Final-slot QoS per scenario seed, recorded when this benchmark was added.
     RECORDED = {
-        3141116543: 446.71454044651523,  # --seed 0
-        1596810411: 402.77973724989374,  # --seed 1
-        2108521801: 365.9440840487111,   # --seed 2
+        3141116543: 446.95408624632404,  # --seed 0
+        1189033389: 422.8210945697306,   # --seed 1
+        2: 463.91445937733874,           # --seed 2
     }
 
     def check(self, inputs, ref, run, out_dir):
@@ -260,7 +269,7 @@ class WalkGround(_Scenario):
             return Inputs(seed, {"baseline_mode": "ground19", "n_users": 40,
                                  "sim_duration": 50.0}, "desk")
         return Inputs(seed, {"baseline_mode": "ground19", "n_users": 600,
-                             "sim_duration": 1800.0})
+                             "sim_duration": 900.0})
 
     def setup(self, inputs):
         cfg = build_config(inputs)
@@ -293,14 +302,26 @@ class OraclePaper(Workload):
     probe = ("vectors", "objects", "scalars")
 
     SAMPLES = 8  # states recomputed with aggregate_qos per check
+    # 11x11x11 instead of the paper's 21x21x11 over the same box, so that a
+    # repetition takes seconds and a run holds many: the oracle's cost is the
+    # same per state, and on the paper grid a run held only 3-4 repetitions.
+    GRID = {"n_x": 11, "n_y": 11, "n_h": 11}
 
     def make_inputs(self, seed):
-        return Inputs(seed, {}, "desk" if self.small else "paper")
+        if self.small:
+            return Inputs(seed, {}, "desk")
+        return Inputs(seed, {"grid": self.GRID}, "paper")
 
     def run(self, inputs, out_dir):
+        import yaml
         from aerialsim.cli import main
         argv = ["oracle", "--preset", inputs.preset, "--seed", str(inputs.scenario_seed),
                 "--out-dir", str(out_dir)]
+        if inputs.overrides:  # the CLI takes config changes as a YAML file
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            config = Path(out_dir) / "oracle.yaml"
+            config.write_text(yaml.safe_dump(inputs.overrides), encoding="utf-8")
+            argv += ["--config", str(config)]
         with contextlib.redirect_stderr(io.StringIO()) as err:
             code = main(argv)
         if code != 0:
