@@ -1,5 +1,7 @@
 """Downlink cellular simulator with Q-learning 3D aerial-BS placement."""
 
+from __future__ import annotations
+
 from .channel import (AtgEnvironment, RadioParams, URBAN, atg_pathloss,
                       elevation_angle, ground_pathloss, p_los, received_power)
 from .deployment import (GroundBS, PlacementGrid, drop_users_ppp,

@@ -5,6 +5,8 @@ the single-link operations and the vectorized network evaluation share one
 code path.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 

@@ -1,5 +1,7 @@
 """Command-line entry point: run / oracle / compare subcommands."""
 
+from __future__ import annotations
+
 import argparse
 import csv
 import sys
@@ -13,8 +15,8 @@ import numpy as np
 from .geometry import ConfigurationError
 from .oracle import exhaustive_search, export_qos_csv
 from .scenario import (BASELINE_AERIAL, BASELINE_GROUND, build_config,
-                       default_out_dir, emit_outputs, per_user_mean_sinr_db,
-                       run_scenario)
+                       default_out_dir, disable_site, emit_outputs,
+                       per_user_mean_sinr_db, run_scenario)
 
 ORACLE_STATE_LIMIT = 200_000
 
@@ -60,8 +62,7 @@ def cmd_oracle(args) -> int:
     area = cfg.service_area()
     streams = np.random.SeedSequence(cfg.seed).spawn(3)
     bss = hex_layout(cfg.n_rings, area, cfg.antenna_height, cfg.ground_tx_power)
-    off = cfg.disabled_bs if cfg.disabled_bs is not None else 0
-    bss = [replace(b, active=False) if b.id == off else b for b in bss]
+    bss = disable_site(bss, cfg)
     users = init_users(
         drop_users_ppp(cfg.n_users, area, np.random.default_rng(streams[0])),
         cfg.mobility, np.random.default_rng(streams[1]))
@@ -102,6 +103,8 @@ def _compare_one(payload):
 
 
 def cmd_compare(args) -> int:
+    if args.n_seeds < 1:
+        raise ConfigurationError(f"--n-seeds must be at least 1, got {args.n_seeds}")
     seeds = [args.seed + k if args.seed is not None else k
              for k in range(args.n_seeds)]
     payloads = [(s, args.preset, args.config) for s in seeds]

@@ -1,7 +1,9 @@
 """Ground network geometry, user drops, and the aerial placement grid."""
 
+from __future__ import annotations
+
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np

@@ -1,5 +1,7 @@
 """Geometric primitives and the service-area box."""
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 

@@ -1,7 +1,9 @@
 """Random walk user mobility with hold intervals."""
 
+from __future__ import annotations
+
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np

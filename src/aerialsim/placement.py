@@ -1,14 +1,18 @@
 """Tabular Q-learning placement of the aerial station on the 3D grid."""
 
-from dataclasses import dataclass, field, replace
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
 from enum import IntEnum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from .deployment import PlacementGrid, grid_index_to_position
+from .deployment import PlacementGrid
 from .geometry import ConfigurationError
-from .radio import NetworkState, aggregate_qos
+# aggregate_qos is not called here; it stays a module attribute because
+# bench/tracing.py wraps it.
+from .radio import NetworkState, aggregate_qos, qos_map  # noqa: F401
 
 N_ACTIONS = 6
 
@@ -140,20 +144,12 @@ def greedy_rollout(q: QTable, s: int, grid: PlacementGrid,
 
 
 def make_qos_table(snapshot: NetworkState, grid: PlacementGrid) -> Callable[[int], float]:
-    """Memoized QoS(state): aggregate QoS with the aerial at that grid point.
+    """QoS(state): aggregate QoS with the aerial at that grid point.
 
-    The cache stores plain aggregate_qos outputs, so cached reads are
-    bit-identical to recomputation.
+    The whole table is one radio.qos_map call, so every read is bit-identical
+    to aggregate_qos at that state.
     """
-    cache: Dict[int, float] = {}
-
-    def qos(s: int) -> float:
-        if s not in cache:
-            st = replace(snapshot, aerial_pos=grid_index_to_position(grid, s))
-            cache[s] = aggregate_qos(st)
-        return cache[s]
-
-    return qos
+    return qos_map(snapshot, grid).tolist().__getitem__
 
 
 @dataclass
@@ -203,11 +199,16 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
 
 
 def save_qtable(path, q: QTable) -> None:
-    """Persist a Q-table (versioned .npz) for warm starts across processes."""
-    np.savez(path, format_version=QTABLE_FORMAT_VERSION, values=q.values,
-             visit_counts=q.visit_counts, gamma=q.gamma, epsilon=q.epsilon,
-             alpha_mode=q.alpha_mode, alpha=q.alpha,
-             literal_update=q.literal_update)
+    """Persist a Q-table (versioned .npz) for warm starts across processes.
+
+    The file is written at exactly ``path``; np.savez given a name would
+    append ``.npz`` to one without that suffix, where no warm start looks.
+    """
+    with open(path, "wb") as f:
+        np.savez(f, format_version=QTABLE_FORMAT_VERSION, values=q.values,
+                 visit_counts=q.visit_counts, gamma=q.gamma, epsilon=q.epsilon,
+                 alpha_mode=q.alpha_mode, alpha=q.alpha,
+                 literal_update=q.literal_update)
 
 
 def load_qtable(path) -> QTable:

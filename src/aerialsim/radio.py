@@ -1,13 +1,15 @@
 """SINR, max-SINR association, throughput, and the aggregate QoS objective."""
 
-from dataclasses import dataclass, field
+from __future__ import annotations
+
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .channel import (AtgEnvironment, RadioParams, atg_pathloss_hl, dbm_to_mw,
                       ground_pathloss_d)
-from .deployment import GroundBS
+from .deployment import GroundBS, PlacementGrid
 from .geometry import Position3D
 
 AERIAL_ID = -1  # BS identifier reserved for the aerial station
@@ -54,28 +56,42 @@ def active_bs_ids(state: NetworkState) -> List[int]:
     return ids
 
 
+def _ground_columns(state: NetworkState, xy: np.ndarray) -> List[np.ndarray]:
+    """Linear received power (mW) from each active ground BS, one array each."""
+    cols = []
+    for bs in state.ground_bs:
+        if not bs.active:
+            continue
+        d = np.sqrt((xy[:, 0] - bs.pos.x) ** 2 + (xy[:, 1] - bs.pos.y) ** 2
+                    + bs.pos.h ** 2)
+        cols.append(dbm_to_mw(bs.tx_power - ground_pathloss_d(d, state.radio)))
+    return cols
+
+
+def _aerial_column(state: NetworkState, xy: np.ndarray, x, y, h) -> np.ndarray:
+    """Linear received power (mW) from the aerial at (x, y, h).
+
+    x, y and h are scalars, or (n_states, 1) arrays that give one row of
+    users per aerial position.
+    """
+    l = np.hypot(xy[:, 0] - x, xy[:, 1] - y)
+    pl = atg_pathloss_hl(h, l, state.env, state.radio)
+    return dbm_to_mw(state.aerial_tx_power - pl)
+
+
 def received_power_matrix(state: NetworkState) -> np.ndarray:
     """Linear received power (mW), shape (n_users, n_active_bs).
 
     Column order matches active_bs_ids: active ground BSs first, aerial last.
     """
     xy = user_xy(state)
-    n = xy.shape[0]
-    cols = []
-    for bs in state.ground_bs:
-        if not bs.active:
-            continue
-        d = np.sqrt((xy[:, 0] - bs.pos.x) ** 2 + (xy[:, 1] - bs.pos.y) ** 2
-                    + bs.pos.h ** 2) if n else np.empty(0)
-        cols.append(dbm_to_mw(bs.tx_power - ground_pathloss_d(d, state.radio)))
+    cols = _ground_columns(state, xy)
     if state.aerial_pos is not None:
         ap = state.aerial_pos
-        l = np.hypot(xy[:, 0] - ap.x, xy[:, 1] - ap.y) if n else np.empty(0)
-        pl = atg_pathloss_hl(ap.h, l, state.env, state.radio)
-        cols.append(dbm_to_mw(state.aerial_tx_power - pl))
+        cols.append(_aerial_column(state, xy, ap.x, ap.y, ap.h))
     if not cols:
         raise ValueError("network has no active base station")
-    return np.column_stack(cols) if n else np.empty((0, len(cols)))
+    return np.column_stack(cols)
 
 
 def sinr_matrix(state: NetworkState) -> np.ndarray:
@@ -129,3 +145,51 @@ def aggregate_qos(state: NetworkState) -> float:
     if not state.users:
         return 0.0
     return float(link_report(state).throughput.sum())
+
+
+# Bytes of the (states, users, servers) received-power block that qos_map
+# holds per chunk of grid states; a few such blocks stay in cache.
+QOS_MAP_CHUNK_BYTES = 256 * 1024
+
+
+def qos_map_chunk(n_users: int, n_servers: int) -> int:
+    """Grid states per qos_map chunk (at least one)."""
+    return max(1, QOS_MAP_CHUNK_BYTES // (8 * n_users * n_servers))
+
+
+def qos_map(snapshot: NetworkState, grid: PlacementGrid) -> np.ndarray:
+    """Aggregate QoS with the aerial at every grid state, indexed by state.
+
+    Each value is bit-identical to aggregate_qos with the aerial at that
+    state (snapshot.aerial_pos is ignored). The ground columns are computed
+    once; per chunk of states the aerial column goes last in a
+    (states, users, servers) power block, and the block goes through the
+    same reductions as in aggregate_qos, each along a contiguous last axis
+    of the same length, so numpy sums in the same order. The max SINR value
+    is the one the max-SINR association picks; ties do not change it.
+    """
+    xy = user_xy(snapshot)
+    n_users = xy.shape[0]
+    out = np.zeros(grid.n_states)
+    if n_users == 0:
+        return out
+    ground = _ground_columns(snapshot, xy)
+    n_ground = len(ground)
+    noise_mw = dbm_to_mw(snapshot.radio.noise_power)
+    ix, iy, ih = np.unravel_index(np.arange(grid.n_states),
+                                  (grid.n_x, grid.n_y, grid.n_h))
+    xs, ys, hs = grid.xs[ix, None], grid.ys[iy, None], grid.hs[ih, None]
+
+    chunk = qos_map_chunk(n_users, n_ground + 1)
+    power = np.empty((min(chunk, grid.n_states), n_users, n_ground + 1))
+    if ground:
+        power[:, :, :n_ground] = np.column_stack(ground)
+    for lo in range(0, grid.n_states, chunk):
+        hi = min(lo + chunk, grid.n_states)
+        p = power[:hi - lo]
+        p[:, :, n_ground] = _aerial_column(snapshot, xy, xs[lo:hi], ys[lo:hi],
+                                           hs[lo:hi])
+        total = p.sum(axis=-1, keepdims=True)
+        s = p / (noise_mw + total - p)
+        out[lo:hi] = throughput(s.max(axis=-1)).sum(axis=-1)
+    return out

@@ -1,5 +1,7 @@
 """Scenario driver: outer control loop, metrics, and output files."""
 
+from __future__ import annotations
+
 import csv
 import dataclasses
 import math
@@ -13,8 +15,8 @@ import yaml
 
 from .channel import AtgEnvironment, RadioParams
 from .deployment import (DEFAULT_ANTENNA_HEIGHT, DEFAULT_GROUND_TX_DBM,
-                         PlacementGrid, drop_users_ppp, grid_index_to_position,
-                         hex_layout)
+                         GroundBS, PlacementGrid, drop_users_ppp,
+                         grid_index_to_position, hex_layout)
 from .geometry import ConfigurationError, Position3D, ServiceArea, square_area
 from .mobility import MobilityParams, init_users, step
 from .placement import (LearningConfig, QTable, learn_placement, load_qtable,
@@ -92,6 +94,14 @@ class ScenarioRun:
     qtable: Optional[QTable]
 
 
+def disable_site(bss: Sequence[GroundBS], cfg: ScenarioConfig) -> List[GroundBS]:
+    """The ground sites with cfg.disabled_bs (default: the center site, id 0) off."""
+    off = cfg.disabled_bs if cfg.disabled_bs is not None else 0
+    if off not in {b.id for b in bss}:
+        raise ConfigurationError(f"disabled_bs {off} is not a ground BS id")
+    return [replace(b, active=False) if b.id == off else b for b in bss]
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     """Execute one scenario: threshold snapshot, then slot-by-slot control loop."""
     area = cfg.service_area()
@@ -123,10 +133,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
 
     aerial_mode = cfg.baseline_mode == BASELINE_AERIAL
     if aerial_mode:
-        off = cfg.disabled_bs if cfg.disabled_bs is not None else 0
-        if off not in {b.id for b in bss}:
-            raise ConfigurationError(f"disabled_bs {off} is not a ground BS id")
-        ground = [replace(b, active=False) if b.id == off else b for b in bss]
+        ground = disable_site(bss, cfg)
         aerial_state: Optional[int] = grid.center_state()
         if cfg.qtable_path and Path(cfg.qtable_path).exists():
             qtable = load_qtable(cfg.qtable_path)

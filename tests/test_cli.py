@@ -58,6 +58,26 @@ def test_compare_subcommand(tmp_path, fast_config):
     assert {"seed", "qos_base_mean", "qos_aerial_mean"} <= set(rows[0])
 
 
+def test_compare_rejects_zero_seeds(tmp_path, capsys):
+    rc = main(["compare", "--preset", "desk", "--n-seeds", "0",
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "o" / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_invalid_disabled_bs_exits_nonzero(tmp_path, capsys, command):
+    cfg = tmp_path / "off.yaml"
+    cfg.write_text("disabled_bs: 99\n")
+    rc = main([command, "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: disabled_bs 99 is not a ground BS id"]
+
+
 def test_bad_config_exits_nonzero(tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("bogus_key: 1\n")

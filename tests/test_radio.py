@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from aerialsim.channel import RadioParams
-from aerialsim.deployment import GroundBS
-from aerialsim.geometry import Position2D, Position3D
+from aerialsim.deployment import (GroundBS, PlacementGrid,
+                                  grid_index_to_position)
+from aerialsim.geometry import Position2D, Position3D, square_area
 from aerialsim.radio import (AERIAL_ID, NetworkState, aggregate_qos,
-                             associate_max_sinr, link_report, sinr,
-                             sinr_matrix, throughput)
+                             associate_max_sinr, link_report, qos_map,
+                             qos_map_chunk, sinr, sinr_matrix, throughput)
+from tests.conftest import make_snapshot
 
 
 def make_state(bss, users, urban, radio, aerial=None, aerial_tx=36.0):
@@ -173,3 +175,56 @@ class TestAggregateQos:
         assert assoc.assign == [AERIAL_ID]
         rep = link_report(state)
         assert rep.throughput[0] == pytest.approx(math.log2(1 + rep.sinr[0]))
+
+
+class TestQosMap:
+    """qos_map must equal an independent aggregate_qos call at every state."""
+
+    @staticmethod
+    def assert_equals_reference(snap, grid):
+        got = qos_map(snap, grid)
+        assert got.shape == (grid.n_states,)
+        for s in range(grid.n_states):
+            want = aggregate_qos(replace(
+                snap, aerial_pos=grid_index_to_position(grid, s)))
+            assert got[s] == want, f"state {s}"
+
+    # With 1, 7 or 19 sites and the aerial, the aerial's power column sits
+    # before, inside or after numpy's 8-wide pairwise-sum block.
+    @pytest.mark.parametrize("n_rings", [0, 1, 2])
+    @pytest.mark.parametrize("disabled", [None, 0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hex_layouts(self, desk_area, n_rings, disabled, seed):
+        snap, _ = make_snapshot(seed, desk_area, n_users=40, n_rings=n_rings,
+                                disabled=disabled)
+        self.assert_equals_reference(snap, PlacementGrid(desk_area, 3, 3, 2))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_ground_sites(self, desk_area, seed):
+        snap, _ = make_snapshot(seed, desk_area, n_users=30)
+        self.assert_equals_reference(replace(snap, ground_bs=[]),
+                                     PlacementGrid(desk_area, 3, 3, 2))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_user(self, desk_area, seed):
+        snap, _ = make_snapshot(seed, desk_area, n_users=1)
+        self.assert_equals_reference(snap, PlacementGrid(desk_area, 4, 3, 2))
+
+    def test_zero_users(self, desk_area, desk_grid):
+        snap, _ = make_snapshot(0, desk_area, n_users=0)
+        assert np.array_equal(qos_map(snap, desk_grid), np.zeros(desk_grid.n_states))
+        self.assert_equals_reference(snap, desk_grid)
+
+    def test_ignores_the_snapshot_aerial(self, desk_area, desk_grid):
+        snap, _ = make_snapshot(4, desk_area, n_users=25)
+        placed = replace(snap, aerial_pos=grid_index_to_position(desk_grid, 7))
+        assert np.array_equal(qos_map(placed, desk_grid), qos_map(snap, desk_grid))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_several_chunks_with_a_partial_last_one(self, seed):
+        area = square_area(2000.0)
+        snap, _ = make_snapshot(seed, area, n_users=150, n_rings=2)
+        grid = PlacementGrid(area, 5, 5, 3)
+        chunk = qos_map_chunk(150, 19 + 1)
+        assert grid.n_states > chunk and grid.n_states % chunk
+        self.assert_equals_reference(snap, grid)

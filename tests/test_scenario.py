@@ -75,6 +75,16 @@ class TestRunScenario:
         run2 = run_scenario(cfg)  # loads the persisted table
         assert len(run2.records) == 7
 
+    def test_warm_start_from_path_without_npz_suffix(self, tmp_path):
+        path = tmp_path / "qt"
+        cfg = desk_config(sim_duration=60.0, qtable_path=str(path), seed=5)
+        first = run_scenario(cfg)
+        assert path.exists() and not (tmp_path / "qt.npz").exists()
+        second = run_scenario(cfg)  # must continue from the persisted table
+        n_first = first.qtable.visit_counts.sum()
+        assert n_first > 0
+        assert second.qtable.visit_counts.sum() > n_first
+
     def test_invalid_disabled_bs(self):
         with pytest.raises(ConfigurationError):
             run_scenario(desk_config(disabled_bs=99, sim_duration=20.0))
