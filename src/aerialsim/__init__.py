@@ -9,7 +9,7 @@ from .deployment import (GroundBS, PlacementGrid, drop_users_ppp,
                          position_to_grid_index)
 from .geometry import (ConfigurationError, DegenerateGeometryError, Position2D,
                        Position3D, ServiceArea, square_area)
-from .mobility import MobilityParams, User, init_users, step
+from .mobility import MobilityParams, User, Users, init_users, step
 from .oracle import OracleResult, exhaustive_search, export_qos_csv
 from .placement import (Action, LearnResult, LearningConfig, QTable,
                         apply_action, greedy_rollout, learn_placement,

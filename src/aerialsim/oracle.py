@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deployment import PlacementGrid, grid_index_to_position
+from .deployment import PlacementGrid
 from .geometry import ConfigurationError
 # aggregate_qos is not called here; it stays a module attribute because
 # bench/tracing.py wraps it.
@@ -37,9 +37,12 @@ def exhaustive_search(snapshot: NetworkState, grid: PlacementGrid) -> OracleResu
 
 
 def export_qos_csv(result: OracleResult, grid: PlacementGrid, path) -> None:
+    """One row per state: its grid position (as grid_index_to_position) and QoS."""
+    ix, iy, ih = np.unravel_index(np.arange(grid.n_states),
+                                  (grid.n_x, grid.n_y, grid.n_h))
+    rows = zip(range(grid.n_states), grid.xs[ix].tolist(), grid.ys[iy].tolist(),
+               grid.hs[ih].tolist(), result.qos_per_state.tolist())
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["state", "x", "y", "h", "qos"])
-        for s, q in enumerate(result.qos_per_state):
-            p = grid_index_to_position(grid, s)
-            w.writerow([s, repr(p.x), repr(p.y), repr(p.h), repr(float(q))])
+        w.writerows((s, repr(x), repr(y), repr(h), repr(q)) for s, x, y, h, q in rows)

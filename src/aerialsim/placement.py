@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import zipfile
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from pathlib import Path
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -16,7 +19,7 @@ from .radio import NetworkState, aggregate_qos, qos_map  # noqa: F401
 
 N_ACTIONS = 6
 
-QTABLE_FORMAT_VERSION = 1
+QTABLE_FORMAT_VERSION = 2  # 2: bound to its grid's counts and area
 
 
 class Action(IntEnum):
@@ -198,25 +201,56 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
                        rewards=np.array(rewards), episode_greedy_qos=episode_qos)
 
 
-def save_qtable(path, q: QTable) -> None:
-    """Persist a Q-table (versioned .npz) for warm starts across processes.
+def _grid_record(grid: PlacementGrid):
+    """The grid a Q-table belongs to: its counts and its area box."""
+    a = grid.area
+    return (np.array([grid.n_x, grid.n_y, grid.n_h]),
+            np.array([a.x_min, a.x_max, a.y_min, a.y_max, a.h_min, a.h_max]))
+
+
+def save_qtable(path, q: QTable, grid: PlacementGrid) -> None:
+    """Persist a Q-table learned on grid (versioned .npz) for warm starts.
 
     The file is written at exactly ``path``; np.savez given a name would
     append ``.npz`` to one without that suffix, where no warm start looks.
+    It is written to a temporary file beside ``path`` and then moved over
+    it, so a failed write leaves any previous table whole.
     """
-    with open(path, "wb") as f:
-        np.savez(f, format_version=QTABLE_FORMAT_VERSION, values=q.values,
-                 visit_counts=q.visit_counts, gamma=q.gamma, epsilon=q.epsilon,
-                 alpha_mode=q.alpha_mode, alpha=q.alpha,
-                 literal_update=q.literal_update)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    counts, box = _grid_record(grid)
+    try:
+        with open(tmp, "wb") as f:
+            np.savez(f, format_version=QTABLE_FORMAT_VERSION, grid_counts=counts,
+                     grid_area=box, values=q.values,
+                     visit_counts=q.visit_counts, gamma=q.gamma, epsilon=q.epsilon,
+                     alpha_mode=q.alpha_mode, alpha=q.alpha,
+                     literal_update=q.literal_update)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def load_qtable(path) -> QTable:
-    with np.load(path, allow_pickle=False) as f:
-        version = int(f["format_version"])
-        if version != QTABLE_FORMAT_VERSION:
-            raise ConfigurationError(f"unsupported Q-table format version {version}")
-        return QTable(values=f["values"], visit_counts=f["visit_counts"],
-                      gamma=float(f["gamma"]), epsilon=float(f["epsilon"]),
-                      alpha_mode=str(f["alpha_mode"]), alpha=float(f["alpha"]),
-                      literal_update=bool(f["literal_update"]))
+def load_qtable(path, grid: PlacementGrid) -> QTable:
+    """Load a Q-table saved by save_qtable; it must have been learned on grid."""
+    try:
+        with np.load(path, allow_pickle=False) as f:
+            d = dict(f)
+        version = int(d["format_version"])
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as e:
+        raise ConfigurationError(f"cannot read Q-table {path}: {e!r}") from e
+    if version != QTABLE_FORMAT_VERSION:
+        raise ConfigurationError(f"Q-table {path} has format version {version}, "
+                                 f"expected {QTABLE_FORMAT_VERSION}")
+    counts, box = _grid_record(grid)
+    if not (np.array_equal(d["grid_counts"], counts)
+            and np.array_equal(d["grid_area"], box)):
+        got = "x".join(map(str, d["grid_counts"].tolist()))
+        raise ConfigurationError(
+            f"Q-table {path} was learned on a {got} grid over area "
+            f"{d['grid_area'].tolist()}, not this run's "
+            f"{grid.n_x}x{grid.n_y}x{grid.n_h} grid over {box.tolist()}")
+    return QTable(values=d["values"], visit_counts=d["visit_counts"],
+                  gamma=float(d["gamma"]), epsilon=float(d["epsilon"]),
+                  alpha_mode=str(d["alpha_mode"]), alpha=float(d["alpha"]),
+                  literal_update=bool(d["literal_update"]))

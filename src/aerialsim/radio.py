@@ -11,6 +11,7 @@ from .channel import (AtgEnvironment, RadioParams, atg_pathloss_hl, dbm_to_mw,
                       ground_pathloss_d)
 from .deployment import GroundBS, PlacementGrid
 from .geometry import Position3D
+from .mobility import Users
 
 AERIAL_ID = -1  # BS identifier reserved for the aerial station
 DEFAULT_AERIAL_TX_DBM = 36.0
@@ -21,7 +22,7 @@ class NetworkState:
     """One instant of the network: sites, users, and radio parameters."""
 
     ground_bs: Sequence[GroundBS]
-    users: Sequence  # mobility.User or bare Position2D
+    users: Sequence  # mobility.Users, or a sequence of User or bare Position2D
     env: AtgEnvironment
     radio: RadioParams
     aerial_pos: Optional[Position3D] = None
@@ -43,6 +44,8 @@ class LinkReport:
 
 
 def user_xy(state: NetworkState) -> np.ndarray:
+    if isinstance(state.users, Users):
+        return state.users.xy
     pts = [getattr(u, "pos", u) for u in state.users]
     if not pts:
         return np.empty((0, 2))
@@ -113,17 +116,19 @@ def sinr(user, serving: int, state: NetworkState) -> float:
     return float(sinr_matrix(probe)[0, ids.index(serving)])
 
 
-def associate_max_sinr(state: NetworkState) -> AssociationMap:
-    """Each user picks the SINR-maximizing BS; ties go to the lowest BS index."""
-    ids = active_bs_ids(state)
-    s = sinr_matrix(state)
-    if s.shape[0] == 0:
-        return AssociationMap(assign=[])
+def _best_columns(ids: List[int], s: np.ndarray) -> np.ndarray:
+    """Per user, the column of s of the SINR-maximizing BS; ties to the lowest id."""
     # Column order is ascending ground id then aerial; reorder so argmax's
     # first-max rule breaks ties toward the lowest BS index (aerial id -1 first).
     order = np.argsort(np.array(ids), kind="stable")
-    best = order[np.argmax(s[:, order], axis=1)]
-    return AssociationMap(assign=[ids[k] for k in best])
+    return order[np.argmax(s[:, order], axis=1)]
+
+
+def associate_max_sinr(state: NetworkState) -> AssociationMap:
+    """Each user picks the SINR-maximizing BS; ties go to the lowest BS index."""
+    ids = active_bs_ids(state)
+    best = _best_columns(ids, sinr_matrix(state))
+    return AssociationMap(assign=np.asarray(ids)[best].tolist())
 
 
 def throughput(sinr_linear) -> float:
@@ -131,12 +136,12 @@ def throughput(sinr_linear) -> float:
 
 
 def link_report(state: NetworkState) -> LinkReport:
+    """Max-SINR association and each user's SINR and throughput, from one SINR matrix."""
     ids = active_bs_ids(state)
-    assoc = associate_max_sinr(state)
     s = sinr_matrix(state)
-    col = {b: k for k, b in enumerate(ids)}
-    per_user = np.array([s[i, col[b]] for i, b in enumerate(assoc.assign)])
-    return LinkReport(serving=assoc.assign, sinr=per_user,
+    best = _best_columns(ids, s)
+    per_user = s[np.arange(best.size), best]
+    return LinkReport(serving=np.asarray(ids)[best].tolist(), sinr=per_user,
                       throughput=throughput(per_user))
 
 

@@ -21,8 +21,11 @@ from .geometry import ConfigurationError, Position3D, ServiceArea, square_area
 from .mobility import MobilityParams, init_users, step
 from .placement import (LearningConfig, QTable, learn_placement, load_qtable,
                         save_qtable)
-from .radio import (DEFAULT_AERIAL_TX_DBM, NetworkState, aggregate_qos,
-                    link_report, throughput)
+# aggregate_qos is not called here (a slot's QoS is the throughput sum of
+# its link_report); it stays a module attribute because bench/tracing.py
+# wraps it.
+from .radio import (DEFAULT_AERIAL_TX_DBM, NetworkState,  # noqa: F401
+                    aggregate_qos, link_report, throughput)
 
 BASELINE_GROUND = "ground19"
 BASELINE_AERIAL = "aerial18plus1"
@@ -122,13 +125,18 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
                             radio=cfg.radio, aerial_pos=aerial_pos,
                             aerial_tx_power=cfg.aerial_tx_power)
 
+    def evaluate(state):
+        """(aggregate QoS, per-user SINR) from one link report."""
+        if not state.users:
+            return 0.0, np.empty(0)
+        rep = link_report(state)
+        return float(rep.throughput.sum()), rep.sinr
+
     # Threshold snapshot: full ground network, no aerial.
-    th_state = make_state(users, bss, None)
-    qos_th = aggregate_qos(th_state)
-    rep0 = link_report(th_state) if users else None
+    qos_th, sinr0 = evaluate(make_state(users, bss, None))
     records = [TimeSlotRecord(t=0.0, qos=qos_th, qos_th=qos_th, aerial_pos=None,
-                              user_sinr=rep0.sinr if rep0 else np.empty(0),
-                              learning_triggered=False, episodes_used=0)]
+                              user_sinr=sinr0, learning_triggered=False,
+                              episodes_used=0)]
     traces: List[np.ndarray] = []
 
     aerial_mode = cfg.baseline_mode == BASELINE_AERIAL
@@ -136,9 +144,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         ground = disable_site(bss, cfg)
         aerial_state: Optional[int] = grid.center_state()
         if cfg.qtable_path and Path(cfg.qtable_path).exists():
-            qtable = load_qtable(cfg.qtable_path)
-            if qtable.values.shape[0] != grid.n_states:
-                raise ConfigurationError("persisted Q-table does not match the grid")
+            qtable = load_qtable(cfg.qtable_path, grid)
         else:
             qtable = QTable.zeros(grid.n_states)
     else:
@@ -155,7 +161,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
             remaining -= dt
 
         state = make_state(users, ground, aerial_state)
-        qos_now = aggregate_qos(state)
+        qos_now, sinr_now = evaluate(state)
         triggered = False
         episodes = 0
         if aerial_mode and qos_now < qos_th:
@@ -167,17 +173,15 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
             triggered = True
             episodes = cfg.learning.max_episodes
             state = make_state(users, ground, aerial_state)
-            qos_now = aggregate_qos(state)
+            qos_now, sinr_now = evaluate(state)
 
-        rep = link_report(state) if users else None
         records.append(TimeSlotRecord(
             t=k * cfg.t_min, qos=qos_now, qos_th=qos_th,
-            aerial_pos=state.aerial_pos,
-            user_sinr=rep.sinr if rep else np.empty(0),
+            aerial_pos=state.aerial_pos, user_sinr=sinr_now,
             learning_triggered=triggered, episodes_used=episodes))
 
     if aerial_mode and cfg.qtable_path:
-        save_qtable(cfg.qtable_path, qtable)
+        save_qtable(cfg.qtable_path, qtable, grid)
     return ScenarioRun(records=records, reward_traces=traces, qtable=qtable)
 
 
@@ -310,27 +314,46 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-_NESTED_TYPES = {
-    "grid": GridSpec,
-    "env": AtgEnvironment,
-    "radio": RadioParams,
-    "mobility": MobilityParams,
-    "learning": LearningConfig,
+# Config sections, by the annotation of the ScenarioConfig field that holds them.
+_NESTED_TYPES = {cls.__name__: cls for cls in (GridSpec, AtgEnvironment, RadioParams,
+                                               MobilityParams, LearningConfig)}
+
+# Accepted value types, by field annotation. bool is an int subclass, so it is
+# rejected separately where a number is expected.
+_SCALAR_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
 }
 
 
-def config_from_dict(d: dict) -> ScenarioConfig:
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = set(d) - known
+def _from_mapping(cls, d: dict, prefix: str = ""):
+    """cls(**d), with the keys and value types of d checked against cls's fields."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(types)
     if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigurationError(
+            f"unknown config keys: {sorted(prefix + k for k in unknown)}")
     kwargs = {}
     for k, v in d.items():
-        if k in _NESTED_TYPES and isinstance(v, dict):
-            kwargs[k] = _NESTED_TYPES[k](**v)
-        else:
-            kwargs[k] = v
-    return ScenarioConfig(**kwargs)
+        name, typ = prefix + k, types[k]
+        nested = _NESTED_TYPES.get(typ)
+        if nested is not None:
+            if isinstance(v, dict):
+                v = _from_mapping(nested, v, name + ".")
+            elif not isinstance(v, nested):
+                raise ConfigurationError(f"config key {name} must be a mapping, got {v!r}")
+        elif not (v is None and typ.startswith("Optional[")):
+            accepted, what = _SCALAR_TYPES[typ.removeprefix("Optional[").rstrip("]")]
+            if isinstance(v, bool) != (bool in accepted) or not isinstance(v, accepted):
+                raise ConfigurationError(f"config key {name} must be {what}, got {v!r}")
+        kwargs[k] = v
+    return cls(**kwargs)
+
+
+def config_from_dict(d: dict) -> ScenarioConfig:
+    return _from_mapping(ScenarioConfig, d)
 
 
 PRESETS = {

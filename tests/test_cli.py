@@ -92,3 +92,28 @@ def test_out_dir_env_var(tmp_path, fast_config, monkeypatch):
                "--seed", "3"])
     assert rc == 0
     assert (out / "timeslots.csv").exists()
+
+
+@pytest.mark.parametrize("line", ["sim_duration: 1e3", "learning: 5"])
+def test_mistyped_config_value_exits_nonzero(tmp_path, capsys, line):
+    # PyYAML reads 1e3 (no decimal point) as a string.
+    cfg = tmp_path / "typed.yaml"
+    cfg.write_text(line + "\n")
+    rc = main(["run", "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config key ")
+
+
+def test_qtable_from_another_grid_rejected(tmp_path, capsys):
+    qtable = tmp_path / "q.npz"
+    outs = []
+    for grid in ("{n_x: 5, n_y: 5, n_h: 3}", "{n_x: 3, n_y: 5, n_h: 5}"):
+        cfg = tmp_path / "grid.yaml"
+        cfg.write_text(f"sim_duration: 20.0\nqtable_path: {qtable}\ngrid: {grid}\n")
+        outs.append(main(["run", "--preset", "desk", "--config", str(cfg),
+                          "--out-dir", str(tmp_path / "o")]))
+    assert outs == [0, 1]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith(f"error: Q-table {qtable} was learned on a 5x5x3 grid")

@@ -67,3 +67,17 @@ def test_csv_export(tmp_path, desk_area):
     assert len(rows) == 1 + grid.n_states
     s, x, y, h, q = rows[1 + res.best_state]
     assert float(q) == pytest.approx(res.best_qos)
+
+
+def test_csv_rows_are_the_grid_positions(tmp_path, desk_area):
+    grid = a.PlacementGrid(desk_area, 4, 3, 5)
+    snap, _ = make_snapshot(3, desk_area, n_users=8)
+    res = exhaustive_search(snap, grid)
+    path = tmp_path / "qos.csv"
+    export_qos_csv(res, grid, path)
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    for s, row in enumerate(rows):
+        p = grid_index_to_position(grid, s)
+        assert row == [str(s), repr(p.x), repr(p.y), repr(p.h),
+                       repr(float(res.qos_per_state[s]))]

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import aerialsim as a
+from aerialsim.deployment import PlacementGrid
+from aerialsim.geometry import ConfigurationError, square_area
 from aerialsim.oracle import exhaustive_search
 from aerialsim.placement import (Action, LearningConfig, QTable, apply_action,
                                  greedy_rollout, learn_placement, load_qtable,
@@ -194,15 +196,60 @@ class TestQTableIO:
         rng = np.random.default_rng(0)
         q.values[:] = rng.normal(size=q.values.shape)
         q.visit_counts[:] = rng.integers(0, 50, size=q.visit_counts.shape)
+        grid = PlacementGrid(square_area(2000.0), 5, 3, 2)
         path = tmp_path / "qtable.npz"
-        save_qtable(path, q)
-        loaded = load_qtable(path)
+        save_qtable(path, q, grid)
+        loaded = load_qtable(path, grid)
         assert np.array_equal(loaded.values, q.values)
         assert np.array_equal(loaded.visit_counts, q.visit_counts)
         assert (loaded.gamma, loaded.epsilon) == (0.85, 0.7)
         assert loaded.alpha_mode == "constant"
         assert loaded.alpha == 0.3
         assert loaded.literal_update is True
+
+    @pytest.mark.parametrize("other", [
+        PlacementGrid(square_area(2000.0), 3, 5, 2),        # same n_states
+        PlacementGrid(square_area(1500.0), 5, 3, 2),        # same counts
+        PlacementGrid(square_area(2000.0, h_max=500.0), 5, 3, 2),
+    ])
+    def test_bound_to_its_grid(self, tmp_path, other):
+        path = tmp_path / "qtable.npz"
+        save_qtable(path, QTable.zeros(30), PlacementGrid(square_area(2000.0), 5, 3, 2))
+        with pytest.raises(ConfigurationError, match="was learned on a 5x3x2 grid"):
+            load_qtable(path, other)
+
+    def test_version_1_file_rejected(self, tmp_path):
+        q = QTable.zeros(30)
+        path = tmp_path / "qtable.npz"
+        with open(path, "wb") as f:  # the version-1 layout: no grid record
+            np.savez(f, format_version=1, values=q.values,
+                     visit_counts=q.visit_counts, gamma=q.gamma, epsilon=q.epsilon,
+                     alpha_mode=q.alpha_mode, alpha=q.alpha,
+                     literal_update=q.literal_update)
+        with pytest.raises(ConfigurationError, match="format version 1, expected 2"):
+            load_qtable(path, PlacementGrid(square_area(2000.0), 5, 3, 2))
+
+    def test_unreadable_file_rejected(self, tmp_path):
+        path = tmp_path / "qtable.npz"
+        path.write_bytes(b"PK\x03\x04 not a zip archive")
+        with pytest.raises(ConfigurationError, match="cannot read Q-table"):
+            load_qtable(path, PlacementGrid(square_area(2000.0), 5, 3, 2))
+
+    def test_failed_write_keeps_the_previous_table(self, tmp_path, monkeypatch):
+        grid = PlacementGrid(square_area(2000.0), 5, 3, 2)
+        path = tmp_path / "qtable.npz"
+        save_qtable(path, QTable.zeros(30, gamma=0.5), grid)
+
+        def broken_savez(f, **arrays):
+            f.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", broken_savez)
+        with pytest.raises(OSError, match="disk full"):
+            save_qtable(path, QTable.zeros(30, gamma=0.9), grid)
+        monkeypatch.undo()
+        assert load_qtable(path, grid).gamma == 0.5
+        assert [p.name for p in tmp_path.iterdir()] == ["qtable.npz"]
 
 
 class TestGreedyRollout:

@@ -104,6 +104,34 @@ class TestAssociation:
         assert all(b in {0, 1, 2, 3} for b in assoc.assign)
 
 
+class TestLinkReport:
+    def test_matches_association_and_sinr_matrix(self, urban, radio):
+        rng = np.random.default_rng(12)
+        bss = [bs_at(i, *rng.uniform(-800, 800, 2)) for i in range(4)]
+        users = [Position2D(*rng.uniform(-900, 900, 2)) for _ in range(30)]
+        state = make_state(bss, users, urban, radio, aerial=Position3D(0, 0, 200.0))
+        rep = link_report(state)
+        assoc = associate_max_sinr(state)
+        s = sinr_matrix(state)
+        col = {b: k for k, b in enumerate([0, 1, 2, 3, AERIAL_ID])}
+        assert rep.serving == assoc.assign
+        assert rep.sinr.tolist() == [s[i, col[b]] for i, b in enumerate(assoc.assign)]
+        assert aggregate_qos(state) == float(rep.throughput.sum())
+
+    def test_users_record_matches_positions(self, desk_area, urban, radio):
+        snap, _ = make_snapshot(6, desk_area, n_users=40)
+        as_positions = replace(snap, users=[u.pos for u in snap.users])
+        for aerial in (None, Position3D(100.0, -200.0, 150.0)):
+            got = link_report(replace(snap, aerial_pos=aerial))
+            want = link_report(replace(as_positions, aerial_pos=aerial))
+            assert got.serving == want.serving
+            assert got.sinr.tolist() == want.sinr.tolist()
+
+    def test_zero_users(self, urban, radio):
+        rep = link_report(make_state([bs_at(0, 0, 0)], [], urban, radio))
+        assert rep.serving == [] and rep.sinr.shape == (0,)
+
+
 class TestThroughput:
     def test_values(self):
         assert throughput(1.0) == pytest.approx(1.0)

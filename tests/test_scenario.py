@@ -185,6 +185,31 @@ class TestConfigPlumbing:
         with pytest.raises(ConfigurationError):
             config_from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("d, message", [
+        ({"sim_duration": "1e3"}, "config key sim_duration must be a number"),
+        ({"n_users": 10.0}, "config key n_users must be an integer"),
+        ({"n_users": True}, "config key n_users must be an integer"),
+        ({"baseline_mode": 3}, "config key baseline_mode must be a string"),
+        ({"learning": 5}, "config key learning must be a mapping"),
+        ({"grid": [5, 5, 3]}, "config key grid must be a mapping"),
+        ({"mobility": {"c_max": "fast"}}, "config key mobility.c_max must be a number"),
+        ({"env": {"literal_los_exponent": 1}},
+         "config key env.literal_los_exponent must be true or false"),
+        ({"learning": {"bogus": 1}}, r"unknown config keys: \['learning.bogus'\]"),
+    ])
+    def test_mistyped_values_rejected(self, d, message):
+        with pytest.raises(ConfigurationError, match=message):
+            config_from_dict(d)
+
+    def test_typed_values_accepted(self):
+        cfg = config_from_dict({"sim_duration": 1000, "disabled_bs": None,
+                                "qtable_path": "q.npz", "grid": GridSpec(3, 3, 2),
+                                "mobility": {"c_max": 40, "boundary_policy": "wrap"},
+                                "env": {"literal_los_exponent": True}})
+        assert cfg.sim_duration == 1000 and cfg.grid == GridSpec(3, 3, 2)
+        assert cfg.mobility == MobilityParams(c_max=40, boundary_policy="wrap")
+        assert cfg.env.literal_los_exponent is True
+
     def test_presets_build(self):
         paper = build_config(preset="paper")
         assert paper.n_rings == 2
