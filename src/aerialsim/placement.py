@@ -7,7 +7,7 @@ import zipfile
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .geometry import ConfigurationError
 from .radio import NetworkState, aggregate_qos, qos_map  # noqa: F401
 
 N_ACTIONS = 6
+
+ALPHA_MODES = ("inverse_visits", "constant")
 
 QTABLE_FORMAT_VERSION = 2  # 2: bound to its grid's counts and area
 
@@ -79,8 +81,23 @@ class LearningConfig:
             raise ConfigurationError("episode/step counts must be positive")
         if not 0 < self.epsilon_decay <= 1:
             raise ConfigurationError("epsilon_decay must be in (0, 1]")
+        if not 0 <= self.epsilon_floor <= 1:
+            raise ConfigurationError("epsilon_floor must be in [0, 1]")
         if self.episode_start not in ("chain", "fixed"):
             raise ConfigurationError(f"unknown episode_start {self.episode_start!r}")
+
+
+def next_state_table(grid: PlacementGrid) -> np.ndarray:
+    """(n_states, 6) int64 array: apply_action(s, a, grid) at every s and a.
+
+    Each action moves along one axis, so clipping that axis at the grid edge
+    gives back s, as apply_action's clamp does.
+    """
+    dims = (grid.n_x, grid.n_y, grid.n_h)
+    idx = np.unravel_index(np.arange(grid.n_states), dims)
+    deltas = np.array([_ACTION_DELTAS[a] for a in Action]).T  # (3, 6)
+    moved = [np.clip(i[:, None] + d, 0, n - 1) for i, d, n in zip(idx, deltas, dims)]
+    return np.ravel_multi_index(moved, dims)
 
 
 def apply_action(s: int, a: Action, grid: PlacementGrid) -> int:
@@ -171,34 +188,92 @@ class LearnResult:
 def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
                     cfg: LearningConfig, grid: PlacementGrid,
                     rng: np.random.Generator) -> LearnResult:
-    """Run the episodic act/reward/update loop on a frozen user snapshot."""
+    """Run the episodic act/reward/update loop on a frozen user snapshot.
+
+    The loop runs on plain Python scalars over flat tables built once per
+    call: the QoS at every state, the next state at index 6*s + a, and the
+    Q-values and visit counts at the same index; q is written back in place
+    at the end. It makes the same RNG calls and the same float operations as
+    select_action, apply_action and q_update step by step, and its episode
+    rollouts follow greedy_rollout, so the result is bit-identical to a loop
+    built from those functions.
+    """
     if grid.n_states < 1:
         raise ConfigurationError("placement grid is empty")
     grid.unravel(initial_state)  # validates
+    if q.alpha_mode not in ALPHA_MODES:
+        raise ConfigurationError(f"unknown alpha_mode {q.alpha_mode!r}")
 
-    qos = make_qos_table(snapshot, grid)
-    rewards: List[float] = []
+    qos = qos_map(snapshot, grid).tolist()
+    nxt = next_state_table(grid).ravel().tolist()
+    values = q.values.ravel().tolist()
+    visits = q.visit_counts.ravel().tolist()
+    gamma = q.gamma
+    inverse_visits = q.alpha_mode == "inverse_visits"
+    alpha = q.alpha
+    literal = q.literal_update
+    fixed_start = cfg.episode_start == "fixed"
+    rollout_steps = grid.n_x + grid.n_y + grid.n_h
+    random, integers = rng.random, rng.integers
+
+    def rollout(s):
+        """greedy_rollout(q, s, grid) on the flat tables."""
+        seen = {s}
+        for _ in range(rollout_steps):
+            b = N_ACTIONS * s
+            row = values[b:b + N_ACTIONS]
+            best = max(row)
+            s_next = nxt[b + row.index(best)]
+            if s_next == s:
+                break
+            if s_next in seen:
+                c = N_ACTIONS * s_next
+                if max(values[c:c + N_ACTIONS]) > best:
+                    s = s_next
+                break
+            seen.add(s_next)
+            s = s_next
+        return s
+
+    rewards = np.empty(cfg.max_episodes * cfg.max_steps)
     episode_qos = np.empty(cfg.max_episodes)
     epsilon = q.epsilon
     s = initial_state
+    i = 0
     for ep in range(cfg.max_episodes):
-        if cfg.episode_start == "fixed":
+        if fixed_start:
             s = initial_state
-        qos_s = qos(s)
+        qos_s = qos[s]
         for _ in range(cfg.max_steps):
-            a = select_action(q, s, epsilon, rng)
-            s_next = apply_action(s, a, grid)
-            qos_next = qos(s_next)
-            r = reward(qos_next, qos_s)
-            q_update(q, s, a, r, s_next)
-            rewards.append(r)
+            b = N_ACTIONS * s
+            if random() < epsilon:
+                k = b + int(integers(N_ACTIONS))
+            else:
+                row = values[b:b + N_ACTIONS]
+                k = b + row.index(max(row))
+            s_next = nxt[k]
+            qos_next = qos[s_next]
+            r = qos_next - qos_s
+            visits[k] += 1
+            if inverse_visits:
+                alpha = 1.0 / visits[k]
+            c = N_ACTIONS * s_next
+            target_err = r + gamma * max(values[c:c + N_ACTIONS]) - values[k]
+            if literal:
+                values[k] = alpha * target_err
+            else:
+                values[k] += alpha * target_err
+            rewards[i] = r
+            i += 1
             s, qos_s = s_next, qos_next
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
-        episode_qos[ep] = qos(greedy_rollout(q, initial_state, grid))
+        episode_qos[ep] = qos[rollout(initial_state)]
 
+    q.values[...] = np.reshape(values, q.values.shape)
+    q.visit_counts[...] = np.reshape(visits, q.visit_counts.shape)
     best = greedy_rollout(q, initial_state, grid)
     return LearnResult(best_state=best, qtable=q,
-                       rewards=np.array(rewards), episode_greedy_qos=episode_qos)
+                       rewards=rewards, episode_greedy_qos=episode_qos)
 
 
 def _grid_record(grid: PlacementGrid):
@@ -242,15 +317,37 @@ def load_qtable(path, grid: PlacementGrid) -> QTable:
     if version != QTABLE_FORMAT_VERSION:
         raise ConfigurationError(f"Q-table {path} has format version {version}, "
                                  f"expected {QTABLE_FORMAT_VERSION}")
+    try:
+        grid_counts, grid_area = d["grid_counts"], d["grid_area"]
+        q = QTable(values=d["values"], visit_counts=d["visit_counts"],
+                   gamma=float(d["gamma"]), epsilon=float(d["epsilon"]),
+                   alpha_mode=str(d["alpha_mode"]), alpha=float(d["alpha"]),
+                   literal_update=bool(d["literal_update"]))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigurationError(f"cannot read Q-table {path}: {e!r}") from e
     counts, box = _grid_record(grid)
-    if not (np.array_equal(d["grid_counts"], counts)
-            and np.array_equal(d["grid_area"], box)):
-        got = "x".join(map(str, d["grid_counts"].tolist()))
+    if not (np.array_equal(grid_counts, counts) and np.array_equal(grid_area, box)):
+        got = "x".join(map(str, grid_counts.tolist()))
         raise ConfigurationError(
             f"Q-table {path} was learned on a {got} grid over area "
-            f"{d['grid_area'].tolist()}, not this run's "
+            f"{grid_area.tolist()}, not this run's "
             f"{grid.n_x}x{grid.n_y}x{grid.n_h} grid over {box.tolist()}")
-    return QTable(values=d["values"], visit_counts=d["visit_counts"],
-                  gamma=float(d["gamma"]), epsilon=float(d["epsilon"]),
-                  alpha_mode=str(d["alpha_mode"]), alpha=float(d["alpha"]),
-                  literal_update=bool(d["literal_update"]))
+    shape = (grid.n_states, N_ACTIONS)
+    if q.values.shape != shape or q.visit_counts.shape != shape:
+        problem = (f"has values of shape {q.values.shape} and visit counts of "
+                   f"shape {q.visit_counts.shape}, expected {shape}")
+    elif q.values.dtype.kind != "f" or not np.isfinite(q.values).all():
+        problem = "has values that are not all finite floats"
+    elif q.visit_counts.dtype.kind not in "iu" or (q.visit_counts < 0).any():
+        problem = "has visit counts that are not all non-negative integers"
+    elif q.alpha_mode not in ALPHA_MODES:
+        problem = f"has unknown alpha_mode {q.alpha_mode!r}"
+    elif not 0 <= q.gamma < 1:
+        problem = f"has gamma {q.gamma!r} outside [0, 1)"
+    elif not 0 <= q.epsilon <= 1:
+        problem = f"has epsilon {q.epsilon!r} outside [0, 1]"
+    elif not 0 < q.alpha <= 1:
+        problem = f"has alpha {q.alpha!r} outside (0, 1]"
+    else:
+        return q
+    raise ConfigurationError(f"Q-table {path} {problem}")

@@ -267,13 +267,13 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
 
         p = out / "reward_trace.csv"
         with open(p, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["iteration", "reward"])
+            # The rows csv.writer would write (no field needs quoting), one
+            # reward at a time: a list of a whole trace would raise peak memory.
+            f.write("iteration,reward\n")
             i = 0
             for trace in reward_traces:
-                for r in trace:
-                    w.writerow([i, _fmt(r)])
-                    i += 1
+                f.writelines(f"{k},{r!r}\n" for k, r in enumerate(map(float, trace), i))
+                i += len(trace)
         paths.append(p)
 
         p = out / "summary.yaml"

@@ -1,8 +1,11 @@
 import csv
 
+import numpy as np
 import pytest
 
 from aerialsim.cli import main
+from aerialsim.placement import QTable, save_qtable
+from aerialsim.scenario import build_config
 
 
 @pytest.fixture
@@ -117,3 +120,36 @@ def test_qtable_from_another_grid_rejected(tmp_path, capsys):
     assert outs == [0, 1]
     err = capsys.readouterr().err.strip().splitlines()
     assert err[-1].startswith(f"error: Q-table {qtable} was learned on a 5x5x3 grid")
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("values", np.zeros((3, 6)), "has values of shape (3, 6)"),
+    ("values", np.full((75, 6), np.nan), "has values that are not all finite"),
+])
+def test_malformed_qtable_exits_nonzero(tmp_path, capsys, field, bad, message):
+    # The grid record matches the desk grid; only the table itself is bad.
+    qtable = tmp_path / "q.npz"
+    grid = build_config(preset="desk").placement_grid()
+    save_qtable(qtable, QTable.zeros(grid.n_states), grid)
+    with np.load(qtable) as f:
+        d = dict(f)
+    d[field] = bad
+    with open(qtable, "wb") as f:
+        np.savez(f, **d)
+    cfg = tmp_path / "warm.yaml"
+    cfg.write_text(f"sim_duration: 20.0\nqtable_path: {qtable}\n")
+    rc = main(["run", "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: Q-table {qtable} {message}")
+
+
+def test_epsilon_floor_above_one_exits_nonzero(tmp_path, capsys):
+    cfg = tmp_path / "floor.yaml"
+    cfg.write_text("learning: {epsilon_floor: 3.0}\n")
+    rc = main(["run", "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: epsilon_floor must be in [0, 1]"]

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import aerialsim as a
 from aerialsim.deployment import PlacementGrid
 from aerialsim.geometry import ConfigurationError, square_area
 from aerialsim.oracle import exhaustive_search
-from aerialsim.placement import (Action, LearningConfig, QTable, apply_action,
-                                 greedy_rollout, learn_placement, load_qtable,
-                                 make_qos_table, q_update, reward, save_qtable,
-                                 select_action)
+from aerialsim.placement import (ALPHA_MODES, N_ACTIONS, Action, LearningConfig,
+                                 QTable, apply_action, greedy_rollout,
+                                 learn_placement, load_qtable, make_qos_table,
+                                 next_state_table, q_update, reward,
+                                 save_qtable, select_action)
 from tests.conftest import make_snapshot
 
 
@@ -261,3 +264,183 @@ class TestGreedyRollout:
         term = greedy_rollout(q, s, desk_grid)
         ix, iy, ih = desk_grid.unravel(term)
         assert ix == desk_grid.n_x - 1 and (iy, ih) == (2, 1)
+
+
+def reference_learn(initial_state, snapshot, q, cfg, grid, rng):
+    """learn_placement as a loop over the single-step functions.
+
+    Returns (best_state, rewards, episode_greedy_qos); q is updated in place.
+    """
+    qos = make_qos_table(snapshot, grid)
+    rewards = []
+    episode_qos = np.empty(cfg.max_episodes)
+    epsilon = q.epsilon
+    s = initial_state
+    for ep in range(cfg.max_episodes):
+        if cfg.episode_start == "fixed":
+            s = initial_state
+        qos_s = qos(s)
+        for _ in range(cfg.max_steps):
+            act = select_action(q, s, epsilon, rng)
+            s_next = apply_action(s, act, grid)
+            qos_next = qos(s_next)
+            r = reward(qos_next, qos_s)
+            q_update(q, s, act, r, s_next)
+            rewards.append(r)
+            s, qos_s = s_next, qos_next
+        epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
+        episode_qos[ep] = qos(greedy_rollout(q, initial_state, grid))
+    return greedy_rollout(q, initial_state, grid), np.array(rewards), episode_qos
+
+
+grid_dims = st.tuples(*[st.integers(1, 4)] * 3)
+
+
+@st.composite
+def learning_cases(draw):
+    dims = draw(grid_dims)
+    grid = PlacementGrid(square_area(2000.0), *dims)
+    q = QTable.zeros(grid.n_states,
+                     gamma=draw(st.sampled_from([0.0, 0.5, 0.9])),
+                     epsilon=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+                     alpha_mode=draw(st.sampled_from(ALPHA_MODES)),
+                     alpha=draw(st.floats(0.05, 1.0)),
+                     literal_update=draw(st.booleans()))
+    if draw(st.booleans()):  # warm table: few distinct values, so rows tie
+        table_rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q.values[:] = table_rng.choice([-1.0, 0.0, 0.5, 2.0], size=q.values.shape)
+        q.visit_counts[:] = table_rng.integers(0, 4, size=q.visit_counts.shape)
+    cfg = LearningConfig(max_episodes=draw(st.integers(1, 12)),
+                         max_steps=draw(st.integers(1, 8)),
+                         epsilon_decay=draw(st.sampled_from([1.0, 0.9, 0.5])),
+                         epsilon_floor=draw(st.sampled_from([0.0, 0.02, 1.0])),
+                         episode_start=draw(st.sampled_from(["fixed", "chain"])))
+    return (grid, q, cfg, draw(st.integers(0, grid.n_states - 1)),
+            draw(st.integers(0, 3)), draw(st.integers(0, 6)),
+            draw(st.booleans()))
+
+
+class TestFlatLearnerMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(case=learning_cases(), learn_seed=st.integers(0, 2**32 - 1))
+    def test_bit_identical_to_single_step_loop(self, case, learn_seed):
+        grid, q, cfg, start, snap_seed, n_users, fortran = case
+        snap, _ = make_snapshot(snap_seed, grid.area, n_users=n_users)
+        q_ref = q.copy()
+        if fortran:  # a non-contiguous ravel() would be a copy
+            q.values = np.asfortranarray(q.values)
+            q.visit_counts = np.asfortranarray(q.visit_counts)
+        values_id = id(q.values)
+        rng, rng_ref = (np.random.default_rng(learn_seed) for _ in range(2))
+        res = learn_placement(start, snap, q, cfg, grid, rng)
+        best, rewards, episode_qos = reference_learn(start, snap, q_ref, cfg,
+                                                     grid, rng_ref)
+        assert res.rewards.tolist() == rewards.tolist()
+        assert res.episode_greedy_qos.tolist() == episode_qos.tolist()
+        assert res.best_state == best
+        assert res.qtable is q and id(q.values) == values_id
+        assert q.values.tolist() == q_ref.values.tolist()
+        assert q.visit_counts.tolist() == q_ref.visit_counts.tolist()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @settings(deadline=None)
+    @given(dims=grid_dims)
+    @example(dims=(1, 1, 1))
+    def test_next_state_table_is_apply_action(self, dims):
+        grid = PlacementGrid(square_area(2000.0), *dims)
+        table = next_state_table(grid)
+        assert table.shape == (grid.n_states, N_ACTIONS)
+        assert table.tolist() == [[apply_action(s, act, grid) for act in Action]
+                                  for s in range(grid.n_states)]
+
+    def test_single_state_grid_matches_reference(self, desk_area):
+        grid = PlacementGrid(desk_area, 1, 1, 1)
+        snap, _ = make_snapshot(0, desk_area, n_users=5)
+        cfg = LearningConfig(max_episodes=4, max_steps=3)
+        q, q_ref = QTable.zeros(1, epsilon=0.5), QTable.zeros(1, epsilon=0.5)
+        res = learn_placement(0, snap, q, cfg, grid, np.random.default_rng(1))
+        _, rewards, _ = reference_learn(0, snap, q_ref, cfg, grid,
+                                        np.random.default_rng(1))
+        assert res.rewards.tolist() == rewards.tolist() == [0.0] * 12
+        assert q.visit_counts.tolist() == q_ref.visit_counts.tolist()
+        assert q.values.tolist() == q_ref.values.tolist()
+
+    def test_unknown_alpha_mode_rejected_before_the_loop(self, desk_area, desk_grid):
+        snap, rng = make_snapshot(0, desk_area, n_users=5)
+        q = QTable.zeros(desk_grid.n_states, alpha_mode="bogus")
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="unknown alpha_mode 'bogus'"):
+            learn_placement(0, snap, q, LearningConfig(max_episodes=2), desk_grid, rng)
+        assert rng.bit_generator.state == state
+        assert not q.visit_counts.any()
+
+
+def _write_qtable_file(path, grid, **fields):
+    """A version-2 Q-table file for grid, with fields overriding save_qtable's."""
+    save_qtable(path, QTable.zeros(grid.n_states), grid)
+    with np.load(path) as f:
+        d = dict(f)
+    d.update(fields)
+    with open(path, "wb") as f:
+        np.savez(f, **d)
+
+
+class TestMalformedQTableRejected:
+    GRID = PlacementGrid(square_area(2000.0), 5, 3, 2)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"values": np.zeros((3, 6))}, r"values of shape \(3, 6\)"),
+        ({"values": np.zeros(30 * 6)}, r"values of shape \(180,\)"),
+        ({"visit_counts": np.zeros((30, 5), dtype=np.int64)},
+         r"visit counts of shape \(30, 5\)"),
+        ({"values": np.full((30, 6), np.nan)}, "not all finite floats"),
+        ({"values": np.full((30, 6), np.inf)}, "not all finite floats"),
+        ({"values": np.full((30, 6), "x")}, "not all finite floats"),
+        ({"visit_counts": np.full((30, 6), -1)}, "not all non-negative integers"),
+        ({"visit_counts": np.full((30, 6), 0.5)}, "not all non-negative integers"),
+        ({"alpha_mode": "bogus"}, "unknown alpha_mode 'bogus'"),
+        ({"gamma": 1.0}, r"gamma 1.0 outside \[0, 1\)"),
+        ({"gamma": -0.1}, r"gamma -0.1 outside \[0, 1\)"),
+        ({"gamma": np.nan}, r"gamma nan outside \[0, 1\)"),
+        ({"epsilon": 1.5}, r"epsilon 1.5 outside \[0, 1\]"),
+        ({"epsilon": -0.5}, r"epsilon -0.5 outside \[0, 1\]"),
+        ({"alpha": np.nan}, r"alpha nan outside \(0, 1\]"),
+        ({"alpha": 0.0}, r"alpha 0.0 outside \(0, 1\]"),
+        ({"gamma": np.zeros(2)}, "cannot read Q-table"),
+    ])
+    def test_rejected_with_reason(self, tmp_path, fields, message):
+        path = tmp_path / "q.npz"
+        _write_qtable_file(path, self.GRID, **fields)
+        with pytest.raises(ConfigurationError, match=message):
+            load_qtable(path, self.GRID)
+
+    @pytest.mark.parametrize("key", ["values", "visit_counts", "gamma", "grid_area"])
+    def test_missing_field_rejected(self, tmp_path, key):
+        path = tmp_path / "q.npz"
+        _write_qtable_file(path, self.GRID)
+        with np.load(path) as f:
+            d = {k: v for k, v in f.items() if k != key}
+        with open(path, "wb") as f:
+            np.savez(f, **d)
+        with pytest.raises(ConfigurationError, match=f"cannot read Q-table .*'{key}'"):
+            load_qtable(path, self.GRID)
+
+    @pytest.mark.parametrize("fields", [
+        {"gamma": 0.0, "epsilon": 0.0}, {"epsilon": 1.0, "alpha": 1.0},
+        {"visit_counts": np.full((30, 6), 7, dtype=np.int32)},
+    ])
+    def test_edge_values_accepted(self, tmp_path, fields):
+        path = tmp_path / "q.npz"
+        _write_qtable_file(path, self.GRID, **fields)
+        load_qtable(path, self.GRID)
+
+
+class TestLearningConfigBounds:
+    @pytest.mark.parametrize("floor", [-0.1, 1.5, 3.0])
+    def test_epsilon_floor_outside_unit_interval_rejected(self, floor):
+        with pytest.raises(ConfigurationError, match=r"epsilon_floor must be in \[0, 1\]"):
+            LearningConfig(epsilon_floor=floor)
+
+    @pytest.mark.parametrize("floor", [0.0, 1.0])
+    def test_epsilon_floor_bounds_accepted(self, floor):
+        assert LearningConfig(epsilon_floor=floor).epsilon_floor == floor

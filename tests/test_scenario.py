@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -172,6 +174,19 @@ class TestEmitOutputs:
         for name in ("timeslots.csv", "sinr_cdf.csv", "reward_trace.csv",
                      "summary.yaml"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_reward_trace_matches_csv_writer(self, tmp_path):
+        traces = [np.array([1.5, -2.25, 0.0, -0.0, 1e-300, -3.0e20]),
+                  np.array([]), np.array([0.1 + 0.2, -1e-5])]
+        emit_outputs([], traces, tmp_path)
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected, lineterminator="\n")
+        w.writerow(["iteration", "reward"])
+        rows = [r for trace in traces for r in trace]
+        w.writerows([i, repr(float(r))] for i, r in enumerate(rows))
+        written = (tmp_path / "reward_trace.csv").read_bytes()
+        assert written == expected.getvalue().encode("utf-8")
+        assert b"3,-0.0\n" in written
 
     def test_unwritable_directory_surfaces_path(self, tmp_path):
         target = tmp_path / "file"
