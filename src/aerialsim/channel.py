@@ -54,6 +54,8 @@ class RadioParams:
             raise ValueError("carrier frequency must be positive")
         if not math.isfinite(self.noise_power):
             raise ValueError("noise power must be finite")
+        if not self.ground_pathloss_exponent > 0:
+            raise ValueError("ground path-loss exponent must be positive")
 
 
 def elevation_angle(h, l):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ def export_qos_csv(result: OracleResult, grid: PlacementGrid, path) -> None:
                                   (grid.n_x, grid.n_y, grid.n_h))
     rows = zip(range(grid.n_states), grid.xs[ix].tolist(), grid.ys[iy].tolist(),
                grid.hs[ih].tolist(), result.qos_per_state.tolist())
+    # The rows csv.writer would write: no field needs quoting.
     with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["state", "x", "y", "h", "qos"])
-        w.writerows((s, repr(x), repr(y), repr(h), repr(q)) for s, x, y, h, q in rows)
+        f.write("state,x,y,h,qos\n")
+        f.writelines("%d,%r,%r,%r,%r\n" % row for row in rows)

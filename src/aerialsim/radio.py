@@ -59,8 +59,8 @@ def active_bs_ids(state: NetworkState) -> List[int]:
     return ids
 
 
-def _ground_columns(state: NetworkState, xy: np.ndarray) -> List[np.ndarray]:
-    """Linear received power (mW) from each active ground BS, one array each."""
+def _ground_power(state: NetworkState, xy: np.ndarray) -> np.ndarray:
+    """Linear received power (mW) from each active ground BS, (n_users, n_active)."""
     cols = []
     for bs in state.ground_bs:
         if not bs.active:
@@ -68,41 +68,42 @@ def _ground_columns(state: NetworkState, xy: np.ndarray) -> List[np.ndarray]:
         d = np.sqrt((xy[:, 0] - bs.pos.x) ** 2 + (xy[:, 1] - bs.pos.y) ** 2
                     + bs.pos.h ** 2)
         cols.append(dbm_to_mw(bs.tx_power - ground_pathloss_d(d, state.radio)))
-    return cols
+    if not cols:
+        return np.empty((xy.shape[0], 0))
+    return np.column_stack(cols)
 
 
-def _aerial_column(state: NetworkState, xy: np.ndarray, x, y, h) -> np.ndarray:
-    """Linear received power (mW) from the aerial at (x, y, h).
+def _horizontal_distance(xy: np.ndarray, x, y) -> np.ndarray:
+    """Horizontal distance from each user to (x, y); scalars or (n, 1) arrays."""
+    return np.hypot(xy[:, 0] - x, xy[:, 1] - y)
 
-    x, y and h are scalars, or (n_states, 1) arrays that give one row of
-    users per aerial position.
-    """
-    l = np.hypot(xy[:, 0] - x, xy[:, 1] - y)
+
+def _aerial_power(state: NetworkState, h, l) -> np.ndarray:
+    """Linear received power (mW) from the aerial at altitude h, horizontal distance l."""
     pl = atg_pathloss_hl(h, l, state.env, state.radio)
     return dbm_to_mw(state.aerial_tx_power - pl)
 
 
-def received_power_matrix(state: NetworkState) -> np.ndarray:
-    """Linear received power (mW), shape (n_users, n_active_bs).
+def sinr_matrix(state: NetworkState) -> np.ndarray:
+    """Linear SINR per (user, candidate serving BS) under full-buffer reuse-1.
 
-    Column order matches active_bs_ids: active ground BSs first, aerial last.
+    Column order matches active_bs_ids: active ground BSs first, aerial
+    last. A user's total received power is the sum of its ground columns
+    first, then plus its aerial column; qos_map forms it the same way, so
+    the two agree bit for bit whatever the number of servers.
     """
     xy = user_xy(state)
-    cols = _ground_columns(state, xy)
+    p = _ground_power(state, xy)
+    total = p.sum(axis=1)
     if state.aerial_pos is not None:
         ap = state.aerial_pos
-        cols.append(_aerial_column(state, xy, ap.x, ap.y, ap.h))
-    if not cols:
+        a = _aerial_power(state, ap.h, _horizontal_distance(xy, ap.x, ap.y))
+        total = total + a
+        p = np.column_stack([p, a])
+    if p.shape[1] == 0:
         raise ValueError("network has no active base station")
-    return np.column_stack(cols)
-
-
-def sinr_matrix(state: NetworkState) -> np.ndarray:
-    """Linear SINR per (user, candidate serving BS) under full-buffer reuse-1."""
-    p = received_power_matrix(state)
     noise_mw = dbm_to_mw(state.radio.noise_power)
-    total = p.sum(axis=1, keepdims=True)
-    return p / (noise_mw + total - p)
+    return p / (noise_mw + total[:, None] - p)
 
 
 def sinr(user, serving: int, state: NetworkState) -> float:
@@ -152,49 +153,53 @@ def aggregate_qos(state: NetworkState) -> float:
     return float(link_report(state).throughput.sum())
 
 
-# Bytes of the (states, users, servers) received-power block that qos_map
-# holds per chunk of grid states; a few such blocks stay in cache.
+# Bytes of the (states, users) aerial-power block that qos_map holds per
+# chunk of grid states; its few temporaries of that size stay in cache.
 QOS_MAP_CHUNK_BYTES = 256 * 1024
 
 
-def qos_map_chunk(n_users: int, n_servers: int) -> int:
-    """Grid states per qos_map chunk (at least one)."""
-    return max(1, QOS_MAP_CHUNK_BYTES // (8 * n_users * n_servers))
+def qos_map_chunk(n_users: int) -> int:
+    """Grid states per qos_map chunk (at least one).
+
+    qos_map rounds this down to whole (x, y) columns, at least one column.
+    """
+    return max(1, QOS_MAP_CHUNK_BYTES // (8 * n_users))
 
 
 def qos_map(snapshot: NetworkState, grid: PlacementGrid) -> np.ndarray:
     """Aggregate QoS with the aerial at every grid state, indexed by state.
 
     Each value is bit-identical to aggregate_qos with the aerial at that
-    state (snapshot.aerial_pos is ignored). The ground columns are computed
-    once; per chunk of states the aerial column goes last in a
-    (states, users, servers) power block, and the block goes through the
-    same reductions as in aggregate_qos, each along a contiguous last axis
-    of the same length, so numpy sums in the same order. The max SINR value
-    is the one the max-SINR association picks; ties do not change it.
+    state (snapshot.aerial_pos is ignored). Under full-buffer reuse-1 a
+    server's SINR p / (noise + total - p) rises with its power p, and
+    rounding keeps that order, so the largest SINR is the strongest
+    server's; ties do not change the value. Hence per user the ground sum
+    and the ground maximum are computed once, and per state only the aerial
+    column: the cost is states x users, not states x users x servers. The
+    total is the ground sum plus the aerial, as in sinr_matrix. States go
+    in chunks of whole (x, y) columns, and the horizontal user distance is
+    computed once per column and shared by its heights.
     """
     xy = user_xy(snapshot)
     n_users = xy.shape[0]
     out = np.zeros(grid.n_states)
     if n_users == 0:
         return out
-    ground = _ground_columns(snapshot, xy)
-    n_ground = len(ground)
+    ground = _ground_power(snapshot, xy)
+    ground_sum = ground.sum(axis=1)
+    ground_max = ground.max(axis=1, initial=0.0)  # 0: no site, the aerial wins
     noise_mw = dbm_to_mw(snapshot.radio.noise_power)
-    ix, iy, ih = np.unravel_index(np.arange(grid.n_states),
-                                  (grid.n_x, grid.n_y, grid.n_h))
-    xs, ys, hs = grid.xs[ix, None], grid.ys[iy, None], grid.hs[ih, None]
+    n_cols, n_h = grid.n_x * grid.n_y, grid.n_h
+    ix, iy = np.unravel_index(np.arange(n_cols), (grid.n_x, grid.n_y))
+    xs, ys = grid.xs[ix, None], grid.ys[iy, None]
+    hs = grid.hs[:, None]
 
-    chunk = qos_map_chunk(n_users, n_ground + 1)
-    power = np.empty((min(chunk, grid.n_states), n_users, n_ground + 1))
-    if ground:
-        power[:, :, :n_ground] = np.column_stack(ground)
-    for lo in range(0, grid.n_states, chunk):
-        hi = min(lo + chunk, grid.n_states)
-        p = power[:hi - lo]
-        p[:, :, n_ground] = _aerial_column(snapshot, xy, xs[lo:hi], ys[lo:hi],
-                                           hs[lo:hi])
-        total = p.sum(axis=-1, keepdims=True)
-        s = p / (noise_mw + total - p)
-        out[lo:hi] = throughput(s.max(axis=-1)).sum(axis=-1)
+    cols_per_chunk = max(1, qos_map_chunk(n_users) // n_h)
+    for lo in range(0, n_cols, cols_per_chunk):
+        hi = min(lo + cols_per_chunk, n_cols)
+        l = _horizontal_distance(xy, xs[lo:hi], ys[lo:hi])
+        a = _aerial_power(snapshot, hs, l[:, None, :]).reshape(-1, n_users)
+        best = np.maximum(ground_max, a)
+        s = best / (noise_mw + (ground_sum + a) - best)
+        out[lo * n_h:hi * n_h] = throughput(s).sum(axis=-1)
     return out

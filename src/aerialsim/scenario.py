@@ -195,7 +195,8 @@ def per_user_mean_sinr_db(records: Sequence[TimeSlotRecord]) -> np.ndarray:
     if not slots:
         return np.empty(0)
     mean_lin = np.mean(np.vstack(slots), axis=0)
-    return 10.0 * np.log10(mean_lin)
+    with np.errstate(divide="ignore"):  # a mean SINR of 0 is -inf dB
+        return 10.0 * np.log10(mean_lin)
 
 
 def sinr_cdf(records: Sequence[TimeSlotRecord]) -> Tuple[np.ndarray, np.ndarray]:
@@ -205,6 +206,10 @@ def sinr_cdf(records: Sequence[TimeSlotRecord]) -> Tuple[np.ndarray, np.ndarray]
     vals = np.sort(per_user_mean_sinr_db(records))
     if vals.size == 0:
         return np.empty(0), np.empty(0)
+    bad = vals[~np.isfinite(vals)]
+    if bad.size:
+        raise ValueError(f"{bad.size} of {vals.size} users have a time-averaged "
+                         f"SINR of {bad[0]} dB; the SINR CDF needs finite values")
     lo = math.floor(vals[0] * 10.0) / 10.0
     hi = math.ceil(vals[-1] * 10.0) / 10.0
     xs = np.round(np.arange(lo, hi + 0.05, 0.1), 1)
@@ -239,6 +244,8 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
     run with the same seed and config is byte-identical.
     """
     out = Path(out_dir)
+    # Before any file is written, so an undefined CDF leaves no partial outputs.
+    xs, cdf = sinr_cdf(records) if records else ((), ())
     try:
         out.mkdir(parents=True, exist_ok=True)
         paths = []
@@ -259,10 +266,8 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
         with open(p, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f, lineterminator="\n")
             w.writerow(["sinr_db", "cdf"])
-            if records:
-                xs, cdf = sinr_cdf(records)
-                for x, c in zip(xs, cdf):
-                    w.writerow([f"{x:.1f}", _fmt(c)])
+            for x, c in zip(xs, cdf):
+                w.writerow([f"{x:.1f}", _fmt(c)])
         paths.append(p)
 
         p = out / "reward_trace.csv"
@@ -328,6 +333,14 @@ _SCALAR_TYPES = {
 }
 
 
+def _finite(x) -> bool:
+    """math.isfinite, and False for an int too large to be a float."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _from_mapping(cls, d: dict, prefix: str = ""):
     """cls(**d), with the keys and value types of d checked against cls's fields."""
     types = {f.name: f.type for f in dataclasses.fields(cls)}
@@ -348,6 +361,8 @@ def _from_mapping(cls, d: dict, prefix: str = ""):
             accepted, what = _SCALAR_TYPES[typ.removeprefix("Optional[").rstrip("]")]
             if isinstance(v, bool) != (bool in accepted) or not isinstance(v, accepted):
                 raise ConfigurationError(f"config key {name} must be {what}, got {v!r}")
+            if float in accepted and not _finite(v):
+                raise ConfigurationError(f"config key {name} must be finite, got {v!r}")
         kwargs[k] = v
     return cls(**kwargs)
 

@@ -153,3 +153,36 @@ def test_epsilon_floor_above_one_exits_nonzero(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: epsilon_floor must be in [0, 1]"]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("sim_duration: .inf", "config key sim_duration must be finite, got inf"),
+    ("h_max: .inf", "config key h_max must be finite, got inf"),
+    ("aerial_tx_power: .nan", "config key aerial_tx_power must be finite, got nan"),
+    ("t_min: .nan", "config key t_min must be finite, got nan"),
+    ("radio: {noise_power: -.inf}", "config key radio.noise_power must be finite, got -inf"),
+    ("radio: {ground_pathloss_exponent: -3.5}",
+     "ground path-loss exponent must be positive"),
+])
+def test_non_finite_or_bad_radio_config_exits_nonzero(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(line + "\n")
+    rc = main(["run", "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_zero_sinr_everywhere_exits_nonzero(tmp_path, capsys):
+    # Every received power underflows to 0 mW, so every user's SINR is 0.
+    cfg = tmp_path / "dark.yaml"
+    cfg.write_text("baseline_mode: ground19\nsim_duration: 20.0\n"
+                   "radio: {ground_pathloss_exponent: 300.0}\n")
+    rc = main(["run", "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: 100 of 100 users have a time-averaged SINR of -inf dB; "
+                   "the SINR CDF needs finite values"]
+    assert not (tmp_path / "o").exists()

@@ -1,4 +1,5 @@
 import csv
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import aerialsim as a
 from aerialsim.channel import AtgEnvironment, RadioParams
 from aerialsim.deployment import grid_index_to_position
-from aerialsim.oracle import exhaustive_search, export_qos_csv
+from aerialsim.oracle import OracleResult, exhaustive_search, export_qos_csv
 from aerialsim.radio import NetworkState, aggregate_qos
 from tests.conftest import make_snapshot
 
@@ -81,3 +82,19 @@ def test_csv_rows_are_the_grid_positions(tmp_path, desk_area):
         p = grid_index_to_position(grid, s)
         assert row == [str(s), repr(p.x), repr(p.y), repr(p.h),
                        repr(float(res.qos_per_state[s]))]
+
+
+def test_csv_bytes_match_csv_writer(tmp_path, desk_area):
+    grid = a.PlacementGrid(desk_area, 3, 2, 2)
+    qos = np.array([0.0, -0.0, 1e-300, 123.456, 0.1 + 0.2, 1e20,
+                    -1.5, 7.0, 2.0 / 3.0, 5e-324, 1e16, 42.0])
+    res = OracleResult(best_state=5, best_qos=1e20, qos_per_state=qos)
+    export_qos_csv(res, grid, tmp_path / "qos.csv")
+    expected = io.StringIO(newline="")
+    w = csv.writer(expected, lineterminator="\n")
+    w.writerow(["state", "x", "y", "h", "qos"])
+    for s in range(grid.n_states):
+        p = grid_index_to_position(grid, s)
+        w.writerow((s, repr(p.x), repr(p.y), repr(p.h), repr(float(qos[s]))))
+    written = (tmp_path / "qos.csv").read_bytes()
+    assert written == expected.getvalue().encode("utf-8")

@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from aerialsim.channel import RadioParams
+from aerialsim.channel import AtgEnvironment, RadioParams
 from aerialsim.deployment import (GroundBS, PlacementGrid,
                                   grid_index_to_position)
 from aerialsim.geometry import Position2D, Position3D, square_area
@@ -252,7 +254,31 @@ class TestQosMap:
     def test_several_chunks_with_a_partial_last_one(self, seed):
         area = square_area(2000.0)
         snap, _ = make_snapshot(seed, area, n_users=150, n_rings=2)
-        grid = PlacementGrid(area, 5, 5, 3)
-        chunk = qos_map_chunk(150, 19 + 1)
+        grid = PlacementGrid(area, 9, 9, 4)
+        # qos_map takes its chunks in whole columns of n_h states.
+        chunk = qos_map_chunk(150) // grid.n_h * grid.n_h
         assert grid.n_states > chunk and grid.n_states % chunk
         self.assert_equals_reference(snap, grid)
+
+    # Random sites reach the server counts the hex layouts cannot: multiples
+    # of 8, where numpy's pairwise sum of a whole row would differ from the
+    # ground sum plus the aerial, and 128 or more, where it recurses.
+    @settings(max_examples=60, deadline=None)
+    @given(n_sites=st.integers(0, 200), first_off=st.booleans(),
+           n_users=st.integers(0, 60),
+           shape=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n_sites=7, first_off=False, n_users=60, shape=(2, 2, 2), seed=0)
+    @example(n_sites=16, first_off=True, n_users=60, shape=(2, 2, 2), seed=1)
+    @example(n_sites=127, first_off=False, n_users=60, shape=(2, 2, 2), seed=2)
+    @example(n_sites=200, first_off=False, n_users=60, shape=(2, 2, 2), seed=3)
+    def test_random_sites_and_powers(self, n_sites, first_off, n_users, shape, seed):
+        rng = np.random.default_rng(seed)
+        area = square_area(2000.0)
+        bss = [bs_at(i, *rng.uniform(-1000, 1000, 2), h=rng.uniform(10, 60),
+                     tx=rng.uniform(20, 50), active=not (first_off and i == 0))
+               for i in range(n_sites)]
+        users = [Position2D(*rng.uniform(-1000, 1000, 2)) for _ in range(n_users)]
+        snap = NetworkState(ground_bs=bss, users=users, env=AtgEnvironment(),
+                            radio=RadioParams(), aerial_tx_power=rng.uniform(20, 40))
+        self.assert_equals_reference(snap, PlacementGrid(area, *shape))

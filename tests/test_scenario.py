@@ -211,6 +211,9 @@ class TestConfigPlumbing:
         ({"env": {"literal_los_exponent": 1}},
          "config key env.literal_los_exponent must be true or false"),
         ({"learning": {"bogus": 1}}, r"unknown config keys: \['learning.bogus'\]"),
+        ({"mobility": {"c_max": float("nan")}}, "config key mobility.c_max must be finite"),
+        # An int beyond the float range is infinite as a float.
+        ({"sim_duration": 10 ** 400}, "config key sim_duration must be finite"),
     ])
     def test_mistyped_values_rejected(self, d, message):
         with pytest.raises(ConfigurationError, match=message):
