@@ -158,6 +158,9 @@ def main(argv=None) -> int:
     except (ConfigurationError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # e.g. numpy cannot allocate a table the config asks for
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

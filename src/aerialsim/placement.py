@@ -197,6 +197,14 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     select_action, apply_action and q_update step by step, and its episode
     rollouts follow greedy_rollout, so the result is bit-identical to a loop
     built from those functions.
+
+    vmax[s] is kept == the maximum of row s: an update raises it when the
+    new value is larger, and rescans the row only when it lowers the row's
+    maximum. The greedy action is the first index in the row whose value is
+    == vmax[s], np.argmax's tie-break. vmax[s] may be -0.0 where the row's
+    first maximum is 0.0, or the reverse: index() matches either sign, and
+    r + gamma * vmax[s'] is the same sum for either, because r, a difference
+    of QoS values >= +0.0, is never -0.0.
     """
     if grid.n_states < 1:
         raise ConfigurationError("placement grid is empty")
@@ -207,6 +215,7 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     qos = qos_map(snapshot, grid).tolist()
     nxt = next_state_table(grid).ravel().tolist()
     values = q.values.ravel().tolist()
+    vmax = q.values.max(axis=1).tolist()
     visits = q.visit_counts.ravel().tolist()
     gamma = q.gamma
     inverse_visits = q.alpha_mode == "inverse_visits"
@@ -221,14 +230,12 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
         seen = {s}
         for _ in range(rollout_steps):
             b = N_ACTIONS * s
-            row = values[b:b + N_ACTIONS]
-            best = max(row)
-            s_next = nxt[b + row.index(best)]
+            best = vmax[s]
+            s_next = nxt[values.index(best, b, b + N_ACTIONS)]
             if s_next == s:
                 break
             if s_next in seen:
-                c = N_ACTIONS * s_next
-                if max(values[c:c + N_ACTIONS]) > best:
+                if vmax[s_next] > best:
                     s = s_next
                 break
             seen.add(s_next)
@@ -249,20 +256,23 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
             if random() < epsilon:
                 k = b + int(integers(N_ACTIONS))
             else:
-                row = values[b:b + N_ACTIONS]
-                k = b + row.index(max(row))
+                k = values.index(vmax[s], b, b + N_ACTIONS)
             s_next = nxt[k]
             qos_next = qos[s_next]
             r = qos_next - qos_s
             visits[k] += 1
             if inverse_visits:
                 alpha = 1.0 / visits[k]
-            c = N_ACTIONS * s_next
-            target_err = r + gamma * max(values[c:c + N_ACTIONS]) - values[k]
-            if literal:
-                values[k] = alpha * target_err
-            else:
-                values[k] += alpha * target_err
+            old = values[k]
+            # Read vmax[s_next] before values[k] changes: s_next may be s.
+            target_err = r + gamma * vmax[s_next] - old
+            new = alpha * target_err if literal else old + alpha * target_err
+            values[k] = new
+            m = vmax[s]
+            if new > m:
+                vmax[s] = new
+            elif new < m and old == m:
+                vmax[s] = max(values[b:b + N_ACTIONS])
             rewards[i] = r
             i += 1
             s, qos_s = s_next, qos_next

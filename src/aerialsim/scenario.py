@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import yaml
 
-from .channel import AtgEnvironment, RadioParams
+from .channel import AtgEnvironment, RadioParams, dbm_to_mw
 from .deployment import (DEFAULT_ANTENNA_HEIGHT, DEFAULT_GROUND_TX_DBM,
                          GroundBS, PlacementGrid, drop_users_ppp,
                          grid_index_to_position, hex_layout)
@@ -70,6 +70,12 @@ class ScenarioConfig:
             raise ConfigurationError("need 0 < t_min <= sim_duration")
         if self.n_users < 0:
             raise ConfigurationError("n_users must be >= 0")
+        for name in ("ground_tx_power", "aerial_tx_power"):
+            dbm = getattr(self, name)
+            with np.errstate(over="ignore"):
+                if not np.isfinite(dbm_to_mw(dbm)):
+                    raise ConfigurationError(
+                        f"{name} {dbm!r} dBm is not a finite power in mW")
 
     def service_area(self) -> ServiceArea:
         return square_area(self.area_side, self.h_min, self.h_max)
@@ -87,7 +93,6 @@ class TimeSlotRecord:
     aerial_pos: Optional[Position3D]
     user_sinr: np.ndarray  # linear, per user
     learning_triggered: bool
-    episodes_used: int
 
 
 @dataclass
@@ -135,8 +140,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     # Threshold snapshot: full ground network, no aerial.
     qos_th, sinr0 = evaluate(make_state(users, bss, None))
     records = [TimeSlotRecord(t=0.0, qos=qos_th, qos_th=qos_th, aerial_pos=None,
-                              user_sinr=sinr0, learning_triggered=False,
-                              episodes_used=0)]
+                              user_sinr=sinr0, learning_triggered=False)]
     traces: List[np.ndarray] = []
 
     aerial_mode = cfg.baseline_mode == BASELINE_AERIAL
@@ -163,7 +167,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         state = make_state(users, ground, aerial_state)
         qos_now, sinr_now = evaluate(state)
         triggered = False
-        episodes = 0
         if aerial_mode and qos_now < qos_th:
             result = learn_placement(aerial_state, state, qtable, cfg.learning,
                                      grid, rng_learn)
@@ -171,14 +174,13 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
             qtable = result.qtable
             traces.append(result.rewards)
             triggered = True
-            episodes = cfg.learning.max_episodes
             state = make_state(users, ground, aerial_state)
             qos_now, sinr_now = evaluate(state)
 
         records.append(TimeSlotRecord(
             t=k * cfg.t_min, qos=qos_now, qos_th=qos_th,
             aerial_pos=state.aerial_pos, user_sinr=sinr_now,
-            learning_triggered=triggered, episodes_used=episodes))
+            learning_triggered=triggered))
 
     if aerial_mode and cfg.qtable_path:
         save_qtable(cfg.qtable_path, qtable, grid)
@@ -272,13 +274,19 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
 
         p = out / "reward_trace.csv"
         with open(p, "w", newline="", encoding="utf-8") as f:
-            # The rows csv.writer would write (no field needs quoting), one
-            # reward at a time: a list of a whole trace would raise peak memory.
+            # The rows csv.writer would write (no field needs quoting). Each
+            # distinct float64 bit pattern (-0.0 apart from 0.0) is repr'd
+            # once; rows are written from the inverse index as an array, since
+            # a per-row list would raise peak memory.
             f.write("iteration,reward\n")
             i = 0
             for trace in reward_traces:
-                f.writelines(f"{k},{r!r}\n" for k, r in enumerate(map(float, trace), i))
-                i += len(trace)
+                bits = np.ascontiguousarray(trace, dtype=float).view(np.uint64)
+                uniq, inv = np.unique(bits, return_inverse=True)
+                text = [repr(r) for r in uniq.view(float).tolist()]
+                f.writelines(map("{},{}\n".format, range(i, i + inv.size),
+                                 map(text.__getitem__, inv)))
+                i += inv.size
         paths.append(p)
 
         p = out / "summary.yaml"

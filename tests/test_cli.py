@@ -186,3 +186,35 @@ def test_zero_sinr_everywhere_exits_nonzero(tmp_path, capsys):
     assert err == ["error: 100 of 100 users have a time-averaged SINR of -inf dB; "
                    "the SINR CDF needs finite values"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line", [
+    # Reward trace: 10**15 episodes x 30 steps of float64, 240 PB.
+    "learning: {max_episodes: 1000000000000000}",
+    # Q-table: 10**16 states x 6 actions of float64, 480 PB.
+    "grid: {n_x: 1000000, n_y: 1000000, n_h: 10000}",
+])
+def test_unallocatable_table_exits_nonzero(tmp_path, capsys, line):
+    # Both sizes exceed a 57-bit address space (128 PiB), so the allocation
+    # fails on any host, whatever its overcommit policy.
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(line + "\n")
+    rc = main(["run", "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: ")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["aerial_tx_power", "ground_tx_power"])
+def test_overflowing_tx_power_exits_nonzero(tmp_path, capsys, key):
+    # 10 ** (1e300 / 10) mW overflows to inf.
+    cfg = tmp_path / "loud.yaml"
+    cfg.write_text(f"{key}: 1.0e+300\n")
+    rc = main(["run", "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {key} 1e+300 dBm is not a finite power in mW"]
+    assert not (tmp_path / "o").exists()

@@ -308,7 +308,8 @@ def learning_cases(draw):
                      literal_update=draw(st.booleans()))
     if draw(st.booleans()):  # warm table: few distinct values, so rows tie
         table_rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        q.values[:] = table_rng.choice([-1.0, 0.0, 0.5, 2.0], size=q.values.shape)
+        q.values[:] = table_rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0],
+                                       size=q.values.shape)
         q.visit_counts[:] = table_rng.integers(0, 4, size=q.visit_counts.shape)
     cfg = LearningConfig(max_episodes=draw(st.integers(1, 12)),
                          max_steps=draw(st.integers(1, 8)),
@@ -320,13 +321,42 @@ def learning_cases(draw):
             draw(st.booleans()))
 
 
+def example_case(dims, start, snap_seed, n_users, cfg, rows=None, **q_fields):
+    """A learning_cases value; rows, if given, fills the Q-table cyclically."""
+    grid = PlacementGrid(square_area(2000.0), *dims)
+    q = QTable.zeros(grid.n_states, **q_fields)
+    if rows is not None:
+        q.values[:] = [rows[s % len(rows)] for s in range(grid.n_states)]
+    return grid, q, cfg, start, snap_seed, n_users, False
+
+
+# On snapshot 3 with 1 user, the centre of a 3x3x3 grid (state 13) has a
+# strictly higher QoS than its six neighbours. Restarting there with one
+# exploring step per episode, every reward is negative, so literal updates
+# keep lowering the row maximum until the whole row is negative.
+NEGATIVE_REWARDS = example_case(
+    (3, 3, 3), 13, 3, 1,
+    LearningConfig(max_episodes=30, max_steps=1, epsilon_decay=1.0,
+                   epsilon_floor=1.0, episode_start="fixed"),
+    epsilon=1.0, literal_update=True, gamma=0.9)
+
+# Greedy steps on a warm table whose rows each hold one maximum of 2.0: every
+# update lowers it, so the maximum moves to the row's next value.
+LOWERED_MAXIMUM = example_case(
+    (2, 2, 2), 0, 0, 1, LearningConfig(max_episodes=6, max_steps=5),
+    rows=[[2.0, 1.0, -1.0, -0.0, 0.5, -1.0], [-0.0, 0.5, 1.0, -1.0, 2.0, 0.0]],
+    epsilon=0.0, alpha_mode="constant", alpha=1.0, literal_update=True, gamma=0.0)
+
+
 class TestFlatLearnerMatchesReference:
     @settings(max_examples=80, deadline=None)
     @given(case=learning_cases(), learn_seed=st.integers(0, 2**32 - 1))
+    @example(case=NEGATIVE_REWARDS, learn_seed=0)
+    @example(case=LOWERED_MAXIMUM, learn_seed=0)
     def test_bit_identical_to_single_step_loop(self, case, learn_seed):
         grid, q, cfg, start, snap_seed, n_users, fortran = case
         snap, _ = make_snapshot(snap_seed, grid.area, n_users=n_users)
-        q_ref = q.copy()
+        q, q_ref = q.copy(), q.copy()  # an explicit example's q is shared
         if fortran:  # a non-contiguous ravel() would be a copy
             q.values = np.asfortranarray(q.values)
             q.visit_counts = np.asfortranarray(q.visit_counts)

@@ -26,7 +26,7 @@ def desk_config(**overrides):
 def record(t, qos, sinr_list, qos_th=10.0, aerial=None, trig=False):
     return TimeSlotRecord(t=t, qos=qos, qos_th=qos_th, aerial_pos=aerial,
                           user_sinr=np.asarray(sinr_list, dtype=float),
-                          learning_triggered=trig, episodes_used=0)
+                          learning_triggered=trig)
 
 
 class TestRunScenario:
@@ -176,8 +176,13 @@ class TestEmitOutputs:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_reward_trace_matches_csv_writer(self, tmp_path):
+        repeated = np.random.default_rng(0).choice(
+            [0.0, -0.0, 0.0, 0.0, 1.25, -7.5e-3, 0.1 + 0.2, 3e100], size=5000)
         traces = [np.array([1.5, -2.25, 0.0, -0.0, 1e-300, -3.0e20]),
-                  np.array([]), np.array([0.1 + 0.2, -1e-5])]
+                  np.array([]), np.array([0.1 + 0.2, -1e-5]), repeated,
+                  np.array([0.1, -0.0, 1.5, 0.1], dtype=np.float32),
+                  repeated[::-7], [2.5, -0.0, 0.0, 2.5, -1e-3]]
+        assert not traces[5].flags.c_contiguous
         emit_outputs([], traces, tmp_path)
         expected = io.StringIO(newline="")
         w = csv.writer(expected, lineterminator="\n")
