@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .channel import (AtgEnvironment, RadioParams, URBAN, atg_pathloss,
-                      elevation_angle, ground_pathloss, p_los, received_power)
+                      elevation_angle, ground_pathloss, p_los)
 from .deployment import (GroundBS, PlacementGrid, drop_users_ppp,
                          grid_index_to_position, hex_layout,
                          position_to_grid_index)
@@ -15,8 +15,7 @@ from .placement import (Action, LearnResult, LearningConfig, QTable,
                         apply_action, greedy_rollout, learn_placement,
                         load_qtable, q_update, reward, save_qtable,
                         select_action)
-from .radio import (AERIAL_ID, AssociationMap, LinkReport, NetworkState,
-                    aggregate_qos, associate_max_sinr, link_report, sinr,
+from .radio import (LinkReport, NetworkState, aggregate_qos, link_report,
                     throughput)
 from .scenario import (ScenarioConfig, ScenarioRun, TimeSlotRecord,
                        build_config, emit_outputs, run_scenario, sinr_cdf,

@@ -104,9 +104,5 @@ def ground_pathloss(bs, user, radio: RadioParams):
     return ground_pathloss_d(d, radio)
 
 
-def received_power(tx_power_dbm, pathloss_db):
-    return tx_power_dbm - pathloss_db
-
-
 def dbm_to_mw(dbm):
     return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)

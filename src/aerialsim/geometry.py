@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -25,16 +24,6 @@ class Position3D:
     x: float
     y: float
     h: float
-
-
-def horizontal_distance(a, b) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def distance_3d(a: Position3D, b) -> float:
-    """3D distance; ``b`` may be a Position2D (ground level) or Position3D."""
-    bh = getattr(b, "h", 0.0)
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.h - bh) ** 2)
 
 
 @dataclass(frozen=True)

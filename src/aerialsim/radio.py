@@ -1,9 +1,9 @@
-"""SINR, max-SINR association, throughput, and the aggregate QoS objective."""
+"""Per-user SINR under max-SINR association, throughput, and the aggregate QoS."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from .deployment import GroundBS, PlacementGrid
 from .geometry import Position3D
 from .mobility import Users
 
-AERIAL_ID = -1  # BS identifier reserved for the aerial station
 DEFAULT_AERIAL_TX_DBM = 36.0
 
 
@@ -30,16 +29,8 @@ class NetworkState:
 
 
 @dataclass(frozen=True)
-class AssociationMap:
-    """Per-user serving BS id (ground id, or AERIAL_ID for the aerial)."""
-
-    assign: List[int]
-
-
-@dataclass(frozen=True)
 class LinkReport:
-    serving: List[int]
-    sinr: np.ndarray        # linear, per user
+    sinr: np.ndarray        # linear, per user, of its max-SINR server
     throughput: np.ndarray  # bits/s/Hz, per user
 
 
@@ -52,25 +43,18 @@ def user_xy(state: NetworkState) -> np.ndarray:
     return np.array([[p.x, p.y] for p in pts], dtype=float)
 
 
-def active_bs_ids(state: NetworkState) -> List[int]:
-    ids = [bs.id for bs in state.ground_bs if bs.active]
-    if state.aerial_pos is not None:
-        ids.append(AERIAL_ID)
-    return ids
-
-
 def _ground_power(state: NetworkState, xy: np.ndarray) -> np.ndarray:
-    """Linear received power (mW) from each active ground BS, (n_users, n_active)."""
-    cols = []
-    for bs in state.ground_bs:
-        if not bs.active:
-            continue
-        d = np.sqrt((xy[:, 0] - bs.pos.x) ** 2 + (xy[:, 1] - bs.pos.y) ** 2
-                    + bs.pos.h ** 2)
-        cols.append(dbm_to_mw(bs.tx_power - ground_pathloss_d(d, state.radio)))
-    if not cols:
-        return np.empty((xy.shape[0], 0))
-    return np.column_stack(cols)
+    """Linear received power (mW) from each active ground BS, (n_users, n_active).
+
+    One users x sites broadcast, so the path loss is a single call. Each
+    site's h ** 2 is a scalar power (C pow), as in the per-site form; an
+    array's ** 2 is h * h, which can differ in the last place.
+    """
+    site = np.array([(bs.pos.x, bs.pos.y, bs.pos.h ** 2, bs.tx_power)
+                     for bs in state.ground_bs if bs.active]).reshape(-1, 4)
+    d = np.sqrt((xy[:, 0, None] - site[:, 0]) ** 2 + (xy[:, 1, None] - site[:, 1]) ** 2
+                + site[:, 2])
+    return dbm_to_mw(site[:, 3] - ground_pathloss_d(d, state.radio))
 
 
 def _horizontal_distance(xy: np.ndarray, x, y) -> np.ndarray:
@@ -84,52 +68,17 @@ def _aerial_power(state: NetworkState, h, l) -> np.ndarray:
     return dbm_to_mw(state.aerial_tx_power - pl)
 
 
-def sinr_matrix(state: NetworkState) -> np.ndarray:
-    """Linear SINR per (user, candidate serving BS) under full-buffer reuse-1.
+def _strongest_sinr(noise_mw, ground_sum, ground_max, aerial):
+    """Per-user SINR of the strongest server, with aerial = 0.0 when there is none.
 
-    Column order matches active_bs_ids: active ground BSs first, aerial
-    last. A user's total received power is the sum of its ground columns
-    first, then plus its aerial column; qos_map forms it the same way, so
-    the two agree bit for bit whatever the number of servers.
+    Under full-buffer reuse-1 a server's SINR p / (noise + total - p) rises
+    with its power p, and rounding keeps that order, so the max-SINR server
+    is the strongest one; ties do not change the value. The total is the
+    ground sum, then plus the aerial. With no aerial, adding 0.0 and taking
+    the maximum with 0.0 change no bit.
     """
-    xy = user_xy(state)
-    p = _ground_power(state, xy)
-    total = p.sum(axis=1)
-    if state.aerial_pos is not None:
-        ap = state.aerial_pos
-        a = _aerial_power(state, ap.h, _horizontal_distance(xy, ap.x, ap.y))
-        total = total + a
-        p = np.column_stack([p, a])
-    if p.shape[1] == 0:
-        raise ValueError("network has no active base station")
-    noise_mw = dbm_to_mw(state.radio.noise_power)
-    return p / (noise_mw + total[:, None] - p)
-
-
-def sinr(user, serving: int, state: NetworkState) -> float:
-    """SINR of a single user served by the given BS id."""
-    probe = NetworkState(ground_bs=state.ground_bs, users=[user], env=state.env,
-                         radio=state.radio, aerial_pos=state.aerial_pos,
-                         aerial_tx_power=state.aerial_tx_power)
-    ids = active_bs_ids(probe)
-    if serving not in ids:
-        raise ValueError(f"serving BS {serving} is not active")
-    return float(sinr_matrix(probe)[0, ids.index(serving)])
-
-
-def _best_columns(ids: List[int], s: np.ndarray) -> np.ndarray:
-    """Per user, the column of s of the SINR-maximizing BS; ties to the lowest id."""
-    # Column order is ascending ground id then aerial; reorder so argmax's
-    # first-max rule breaks ties toward the lowest BS index (aerial id -1 first).
-    order = np.argsort(np.array(ids), kind="stable")
-    return order[np.argmax(s[:, order], axis=1)]
-
-
-def associate_max_sinr(state: NetworkState) -> AssociationMap:
-    """Each user picks the SINR-maximizing BS; ties go to the lowest BS index."""
-    ids = active_bs_ids(state)
-    best = _best_columns(ids, sinr_matrix(state))
-    return AssociationMap(assign=np.asarray(ids)[best].tolist())
+    best = np.maximum(ground_max, aerial)
+    return best / (noise_mw + (ground_sum + aerial) - best)
 
 
 def throughput(sinr_linear) -> float:
@@ -137,13 +86,19 @@ def throughput(sinr_linear) -> float:
 
 
 def link_report(state: NetworkState) -> LinkReport:
-    """Max-SINR association and each user's SINR and throughput, from one SINR matrix."""
-    ids = active_bs_ids(state)
-    s = sinr_matrix(state)
-    best = _best_columns(ids, s)
-    per_user = s[np.arange(best.size), best]
-    return LinkReport(serving=np.asarray(ids)[best].tolist(), sinr=per_user,
-                      throughput=throughput(per_user))
+    """Each user's SINR and throughput under max-SINR association."""
+    xy = user_xy(state)
+    ground = _ground_power(state, xy)
+    if state.aerial_pos is not None:
+        ap = state.aerial_pos
+        aerial = _aerial_power(state, ap.h, _horizontal_distance(xy, ap.x, ap.y))
+    elif ground.shape[1]:
+        aerial = 0.0
+    else:
+        raise ValueError("network has no active base station")
+    s = _strongest_sinr(dbm_to_mw(state.radio.noise_power), ground.sum(axis=1),
+                        ground.max(axis=1, initial=0.0), aerial)
+    return LinkReport(sinr=s, throughput=throughput(s))
 
 
 def aggregate_qos(state: NetworkState) -> float:
@@ -170,15 +125,12 @@ def qos_map(snapshot: NetworkState, grid: PlacementGrid) -> np.ndarray:
     """Aggregate QoS with the aerial at every grid state, indexed by state.
 
     Each value is bit-identical to aggregate_qos with the aerial at that
-    state (snapshot.aerial_pos is ignored). Under full-buffer reuse-1 a
-    server's SINR p / (noise + total - p) rises with its power p, and
-    rounding keeps that order, so the largest SINR is the strongest
-    server's; ties do not change the value. Hence per user the ground sum
-    and the ground maximum are computed once, and per state only the aerial
-    column: the cost is states x users, not states x users x servers. The
-    total is the ground sum plus the aerial, as in sinr_matrix. States go
-    in chunks of whole (x, y) columns, and the horizontal user distance is
-    computed once per column and shared by its heights.
+    state (snapshot.aerial_pos is ignored): both take the strongest
+    server's SINR from each user's ground sum and ground maximum, which
+    the map computes once, so per state only the aerial column is new and
+    the cost is states x users. States go in chunks of whole (x, y)
+    columns, and the horizontal user distance is computed once per column
+    and shared by its heights.
     """
     xy = user_xy(snapshot)
     n_users = xy.shape[0]
@@ -199,7 +151,6 @@ def qos_map(snapshot: NetworkState, grid: PlacementGrid) -> np.ndarray:
         hi = min(lo + cols_per_chunk, n_cols)
         l = _horizontal_distance(xy, xs[lo:hi], ys[lo:hi])
         a = _aerial_power(snapshot, hs, l[:, None, :]).reshape(-1, n_users)
-        best = np.maximum(ground_max, a)
-        s = best / (noise_mw + (ground_sum + a) - best)
+        s = _strongest_sinr(noise_mw, ground_sum, ground_max, a)
         out[lo * n_h:hi * n_h] = throughput(s).sum(axis=-1)
     return out

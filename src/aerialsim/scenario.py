@@ -70,12 +70,27 @@ class ScenarioConfig:
             raise ConfigurationError("need 0 < t_min <= sim_duration")
         if self.n_users < 0:
             raise ConfigurationError("n_users must be >= 0")
-        for name in ("ground_tx_power", "aerial_tx_power"):
-            dbm = getattr(self, name)
-            with np.errstate(over="ignore"):
-                if not np.isfinite(dbm_to_mw(dbm)):
+        with np.errstate(over="ignore"):
+            noise_mw = dbm_to_mw(self.radio.noise_power)
+            if not 0.0 < noise_mw < np.inf:
+                raise ConfigurationError(f"radio.noise_power {self.radio.noise_power!r} "
+                                         "dBm is not a positive finite power in mW")
+            for name in ("ground_tx_power", "aerial_tx_power"):
+                dbm = getattr(self, name)
+                mw = dbm_to_mw(dbm)
+                if not np.isfinite(mw):
                     raise ConfigurationError(
                         f"{name} {dbm!r} dBm is not a finite power in mW")
+                # The SINR of an interference-free link is power over noise.
+                if not np.isfinite(mw / noise_mw):
+                    raise ConfigurationError(
+                        f"{name} {dbm!r} dBm over the noise power overflows the SINR")
+        # One step then moves a user at most one area width, so a single
+        # mirror fold brings it back inside.
+        if self.mobility.c_max * self.mobility_dt > self.area_side:
+            raise ConfigurationError(
+                f"mobility.c_max * mobility_dt ({self.mobility.c_max!r} m/s * "
+                f"{self.mobility_dt!r} s) exceeds area_side ({self.area_side!r} m)")
 
     def service_area(self) -> ServiceArea:
         return square_area(self.area_side, self.h_min, self.h_max)
@@ -233,6 +248,10 @@ def spectral_efficiency_summary(records: Sequence[TimeSlotRecord]) -> float:
 # Output files
 
 
+# Rows of reward_trace.csv formatted and written per write call.
+TRACE_BLOCK_ROWS = 1024
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -276,16 +295,21 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
         with open(p, "w", newline="", encoding="utf-8") as f:
             # The rows csv.writer would write (no field needs quoting). Each
             # distinct float64 bit pattern (-0.0 apart from 0.0) is repr'd
-            # once; rows are written from the inverse index as an array, since
-            # a per-row list would raise peak memory.
+            # once. Rows go out in blocks, each one %-format of its rows'
+            # numbers and texts; a list of the whole trace would raise peak
+            # memory.
             f.write("iteration,reward\n")
             i = 0
             for trace in reward_traces:
                 bits = np.ascontiguousarray(trace, dtype=float).view(np.uint64)
                 uniq, inv = np.unique(bits, return_inverse=True)
                 text = [repr(r) for r in uniq.view(float).tolist()]
-                f.writelines(map("{},{}\n".format, range(i, i + inv.size),
-                                 map(text.__getitem__, inv)))
+                for lo in range(0, inv.size, TRACE_BLOCK_ROWS):
+                    block = inv[lo:lo + TRACE_BLOCK_ROWS].tolist()
+                    row = [None] * (2 * len(block))
+                    row[0::2] = range(i + lo, i + lo + len(block))
+                    row[1::2] = map(text.__getitem__, block)
+                    f.write(("%d,%s\n" * len(block)) % tuple(row))
                 i += inv.size
         paths.append(p)
 
@@ -409,7 +433,11 @@ def build_config(preset: Optional[str] = None, config_file=None,
         d = _merge(d, PRESETS[preset])
     if config_file:
         with open(config_file, "r", encoding="utf-8") as f:
-            loaded = yaml.safe_load(f) or {}
+            try:
+                loaded = yaml.safe_load(f) or {}
+            except yaml.YAMLError as e:
+                raise ConfigurationError(f"config file {config_file} is not valid "
+                                         f"YAML: {' '.join(str(e).split())}") from e
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must be a mapping")
         d = _merge(d, loaded)

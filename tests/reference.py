@@ -1,0 +1,109 @@
+"""Naive radio references that aerialsim.radio's fast path is held to.
+
+aerialsim.radio takes each user's SINR straight from its strongest server.
+This module computes it the long way: the received power one ground site at
+a time, the full (users x servers) SINR matrix, and max-SINR association by
+an argmax over every server, ties to the lowest BS id.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import List
+
+import numpy as np
+
+from aerialsim.channel import dbm_to_mw, ground_pathloss_d
+from aerialsim.radio import (NetworkState, _aerial_power, _horizontal_distance,
+                             throughput, user_xy)
+
+AERIAL_ID = -1  # BS identifier reserved for the aerial station
+
+
+@dataclass(frozen=True)
+class AssociationMap:
+    """Per-user serving BS id (ground id, or AERIAL_ID for the aerial)."""
+
+    assign: List[int]
+
+
+def active_bs_ids(state: NetworkState) -> List[int]:
+    ids = [bs.id for bs in state.ground_bs if bs.active]
+    if state.aerial_pos is not None:
+        ids.append(AERIAL_ID)
+    return ids
+
+
+def ground_power(state: NetworkState, xy: np.ndarray) -> np.ndarray:
+    """Linear received power (mW) from each active ground BS, one site at a time."""
+    cols = []
+    for bs in state.ground_bs:
+        if not bs.active:
+            continue
+        d = np.sqrt((xy[:, 0] - bs.pos.x) ** 2 + (xy[:, 1] - bs.pos.y) ** 2
+                    + bs.pos.h ** 2)
+        cols.append(dbm_to_mw(bs.tx_power - ground_pathloss_d(d, state.radio)))
+    if not cols:
+        return np.empty((xy.shape[0], 0))
+    return np.column_stack(cols)
+
+
+def sinr_matrix(state: NetworkState) -> np.ndarray:
+    """Linear SINR per (user, candidate serving BS) under full-buffer reuse-1.
+
+    Column order matches active_bs_ids: active ground BSs first, aerial
+    last. A user's total received power is the sum of its ground columns,
+    then plus its aerial column.
+    """
+    xy = user_xy(state)
+    p = ground_power(state, xy)
+    total = p.sum(axis=1)
+    if state.aerial_pos is not None:
+        ap = state.aerial_pos
+        a = _aerial_power(state, ap.h, _horizontal_distance(xy, ap.x, ap.y))
+        total = total + a
+        p = np.column_stack([p, a])
+    if p.shape[1] == 0:
+        raise ValueError("network has no active base station")
+    noise_mw = dbm_to_mw(state.radio.noise_power)
+    return p / (noise_mw + total[:, None] - p)
+
+
+def sinr(user, serving: int, state: NetworkState) -> float:
+    """SINR of a single user served by the given BS id."""
+    probe = NetworkState(ground_bs=state.ground_bs, users=[user], env=state.env,
+                         radio=state.radio, aerial_pos=state.aerial_pos,
+                         aerial_tx_power=state.aerial_tx_power)
+    ids = active_bs_ids(probe)
+    if serving not in ids:
+        raise ValueError(f"serving BS {serving} is not active")
+    return float(sinr_matrix(probe)[0, ids.index(serving)])
+
+
+def _best_columns(ids: List[int], s: np.ndarray) -> np.ndarray:
+    """Per user, the column of s of the SINR-maximizing BS; ties to the lowest id."""
+    # Column order is ascending ground id then aerial; reorder so argmax's
+    # first-max rule breaks ties toward the lowest BS index (aerial id -1 first).
+    order = np.argsort(np.array(ids), kind="stable")
+    return order[np.argmax(s[:, order], axis=1)]
+
+
+def associate_max_sinr(state: NetworkState) -> AssociationMap:
+    """Each user picks the SINR-maximizing BS; ties go to the lowest BS index."""
+    ids = active_bs_ids(state)
+    best = _best_columns(ids, sinr_matrix(state))
+    return AssociationMap(assign=np.asarray(ids)[best].tolist())
+
+
+def served_sinr(state: NetworkState) -> np.ndarray:
+    """Each user's SINR at its max-SINR server, gathered from the SINR matrix."""
+    s = sinr_matrix(state)
+    best = _best_columns(active_bs_ids(state), s)
+    return s[np.arange(best.size), best]
+
+
+def aggregate_qos(state: NetworkState) -> float:
+    """Sum of per-user spectral efficiency under max-SINR association."""
+    if not state.users:
+        return 0.0
+    return float(throughput(served_sinr(state)).sum())

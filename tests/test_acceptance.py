@@ -20,10 +20,11 @@ from aerialsim.mobility import MobilityParams, draw_velocity
 from aerialsim.oracle import exhaustive_search
 from aerialsim.placement import (LearningConfig, QTable, learn_placement,
                                  make_qos_table)
-from aerialsim.radio import NetworkState, aggregate_qos, sinr_matrix
+from aerialsim.radio import NetworkState, aggregate_qos
 from aerialsim.scenario import (build_config, emit_outputs,
                                 per_user_mean_sinr_db, run_scenario)
 from tests.conftest import make_snapshot
+from tests.reference import sinr_matrix
 
 N_SEEDS = 20
 

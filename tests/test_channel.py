@@ -6,7 +6,7 @@ import pytest
 from aerialsim.channel import (SPEED_OF_LIGHT, AtgEnvironment, RadioParams,
                                atg_pathloss, atg_pathloss_hl, elevation_angle,
                                free_space_pathloss, ground_pathloss,
-                               ground_pathloss_d, p_los, received_power)
+                               ground_pathloss_d, p_los)
 from aerialsim.deployment import GroundBS
 from aerialsim.geometry import DegenerateGeometryError, Position2D, Position3D
 
@@ -52,6 +52,11 @@ class TestAtgPathloss:
     def test_100m_overhead(self, urban, radio):
         pl = atg_pathloss(Position3D(0, 0, 100.0), Position2D(0, 0), urban, radio)
         assert pl == pytest.approx(79.47, abs=0.01)
+
+    def test_chained_from_atg(self, urban, radio):
+        # Received power (dBm) of a 36 dBm aerial 100 m overhead.
+        pl = atg_pathloss(Position3D(0, 0, 100.0), Position2D(0, 0), urban, radio)
+        assert 36.0 - pl == pytest.approx(-43.47, abs=0.01)
 
     def test_1000m_overhead(self, urban, radio):
         pl = atg_pathloss(Position3D(0, 0, 1000.0), Position2D(0, 0), urban, radio)
@@ -119,18 +124,6 @@ class TestGroundPathloss:
     def test_zero_distance_rejected(self, radio):
         with pytest.raises(DegenerateGeometryError):
             ground_pathloss_d(0.0, radio)
-
-
-class TestReceivedPower:
-    def test_subtraction(self):
-        assert received_power(46.0, 100.0) == pytest.approx(-54.0)
-
-    def test_chained_from_atg(self, urban, radio):
-        pl = atg_pathloss(Position3D(0, 0, 100.0), Position2D(0, 0), urban, radio)
-        assert received_power(36.0, pl) == pytest.approx(-43.47, abs=0.01)
-
-    def test_identity(self):
-        assert received_power(0.0, 0.0) == 0.0
 
 
 def test_environment_validation():

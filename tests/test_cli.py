@@ -1,8 +1,12 @@
 import csv
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import aerialsim
 from aerialsim.cli import main
 from aerialsim.placement import QTable, save_qtable
 from aerialsim.scenario import build_config
@@ -217,4 +221,64 @@ def test_overflowing_tx_power_exits_nonzero(tmp_path, capsys, key):
     assert rc == 1
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: {key} 1e+300 dBm is not a finite power in mW"]
+    assert not (tmp_path / "o").exists()
+
+
+def run_cli(args, timeout=60):
+    """Run aerialsim's CLI in a fresh interpreter: (exit code, stderr lines).
+
+    Unlike main() in process, this shows what a user sees on stderr,
+    warnings included, and the timeout turns a hang into a failure.
+    """
+    src = Path(aerialsim.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "aerialsim.cli", *map(str, args)],
+                          cwd=src, capture_output=True, text=True, timeout=timeout)
+    return proc.returncode, proc.stderr.strip().splitlines()
+
+
+@pytest.mark.parametrize("config, message", [
+    # 1e300 mW over about 4e-11 mW of noise.
+    ("aerial_tx_power: 3000.0",
+     "aerial_tx_power 3000.0 dBm over the noise power overflows the SINR"),
+    ("ground_tx_power: 3000.0",
+     "ground_tx_power 3000.0 dBm over the noise power overflows the SINR"),
+    # 10 ** -400 mW underflows to 0.
+    ("{n_rings: 0, baseline_mode: ground19, radio: {noise_power: -4000.0}}",
+     "radio.noise_power -4000.0 dBm is not a positive finite power in mW"),
+    ("radio: {noise_power: 4000.0}",
+     "radio.noise_power 4000.0 dBm is not a positive finite power in mW"),
+])
+def test_overflowing_sinr_exits_nonzero(tmp_path, config, message):
+    cfg = tmp_path / "sinr.yaml"
+    cfg.write_text(config + "\n")
+    rc, err = run_cli(["run", "--preset", "desk", "--config", cfg,
+                       "--out-dir", tmp_path / "o"])
+    assert (rc, err) == (1, [f"error: {message}"])
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("c_max", ["1.0e+9", "1.0e+300"])
+def test_user_faster_than_the_area_exits_nonzero(tmp_path, c_max):
+    # A mirror fold moves a user back by about one area width, so a step of
+    # c_max * mobility_dt far beyond area_side would fold for ever.
+    cfg = tmp_path / "fast.yaml"
+    cfg.write_text(f"mobility: {{c_max: {c_max}}}\n")
+    rc, err = run_cli(["run", "--preset", "desk", "--config", cfg,
+                       "--out-dir", tmp_path / "o"], timeout=30)
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith(
+        f"error: mobility.c_max * mobility_dt ({float(c_max)!r} m/s * 1.0 s) "
+        "exceeds area_side (2000.0 m)")
+    assert not (tmp_path / "o").exists()
+
+
+def test_malformed_yaml_exits_nonzero(tmp_path, capsys):
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text("n_rings: 0, baseline_mode: ground19\n")
+    rc = main(["run", "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"error: config file {cfg} is not valid YAML: ")
     assert not (tmp_path / "o").exists()

@@ -11,10 +11,13 @@ from aerialsim.channel import AtgEnvironment, RadioParams
 from aerialsim.deployment import (GroundBS, PlacementGrid,
                                   grid_index_to_position)
 from aerialsim.geometry import Position2D, Position3D, square_area
-from aerialsim.radio import (AERIAL_ID, NetworkState, aggregate_qos,
-                             associate_max_sinr, link_report, qos_map,
-                             qos_map_chunk, sinr, sinr_matrix, throughput)
+from aerialsim.radio import (NetworkState, _ground_power, aggregate_qos,
+                             link_report, qos_map, qos_map_chunk, throughput,
+                             user_xy)
 from tests.conftest import make_snapshot
+from tests.reference import (AERIAL_ID, associate_max_sinr, ground_power,
+                             served_sinr, sinr, sinr_matrix)
+from tests.reference import aggregate_qos as reference_qos
 
 
 def make_state(bss, users, urban, radio, aerial=None, aerial_tx=36.0):
@@ -116,7 +119,6 @@ class TestLinkReport:
         assoc = associate_max_sinr(state)
         s = sinr_matrix(state)
         col = {b: k for k, b in enumerate([0, 1, 2, 3, AERIAL_ID])}
-        assert rep.serving == assoc.assign
         assert rep.sinr.tolist() == [s[i, col[b]] for i, b in enumerate(assoc.assign)]
         assert aggregate_qos(state) == float(rep.throughput.sum())
 
@@ -124,14 +126,65 @@ class TestLinkReport:
         snap, _ = make_snapshot(6, desk_area, n_users=40)
         as_positions = replace(snap, users=[u.pos for u in snap.users])
         for aerial in (None, Position3D(100.0, -200.0, 150.0)):
-            got = link_report(replace(snap, aerial_pos=aerial))
-            want = link_report(replace(as_positions, aerial_pos=aerial))
-            assert got.serving == want.serving
-            assert got.sinr.tolist() == want.sinr.tolist()
+            got = replace(snap, aerial_pos=aerial)
+            want = replace(as_positions, aerial_pos=aerial)
+            assert associate_max_sinr(got) == associate_max_sinr(want)
+            assert link_report(got).sinr.tolist() == link_report(want).sinr.tolist()
 
     def test_zero_users(self, urban, radio):
-        rep = link_report(make_state([bs_at(0, 0, 0)], [], urban, radio))
-        assert rep.serving == [] and rep.sinr.shape == (0,)
+        state = make_state([bs_at(0, 0, 0)], [], urban, radio)
+        rep = link_report(state)
+        assert associate_max_sinr(state).assign == [] and rep.sinr.shape == (0,)
+
+    @staticmethod
+    def assert_matches_reference(state):
+        xy = user_xy(state)
+        assert np.array_equal(_ground_power(state, xy), ground_power(state, xy))
+        n_servers = sum(b.active for b in state.ground_bs) + (state.aerial_pos is not None)
+        if n_servers == 0:
+            with pytest.raises(ValueError, match="no active base station"):
+                link_report(state)
+            with pytest.raises(ValueError, match="no active base station"):
+                served_sinr(state)
+            return
+        rep = link_report(state)
+        want = served_sinr(state)
+        assert rep.sinr.tolist() == want.tolist()
+        assert rep.throughput.tolist() == throughput(want).tolist()
+
+    # Server counts (sites plus the aerial) of 8 and 16 fill numpy's 8-wide
+    # pairwise-sum block, and 128 or more make it recurse.
+    @settings(max_examples=80, deadline=None)
+    @given(n_sites=st.integers(0, 200), first_off=st.booleans(),
+           n_users=st.integers(0, 60), aerial=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n_sites=7, first_off=False, n_users=60, aerial=True, seed=0)
+    @example(n_sites=16, first_off=False, n_users=60, aerial=False, seed=1)
+    @example(n_sites=128, first_off=True, n_users=60, aerial=True, seed=2)
+    @example(n_sites=200, first_off=False, n_users=60, aerial=True, seed=3)
+    @example(n_sites=1, first_off=True, n_users=5, aerial=False, seed=4)
+    # A site height h where h ** 2 (C pow) and h * h differ in the last place.
+    @example(n_sites=75, first_off=False, n_users=15, aerial=False, seed=53)
+    def test_random_sites_and_powers_match_reference(self, n_sites, first_off, n_users,
+                                                     aerial, seed):
+        rng = np.random.default_rng(seed)
+        bss = [bs_at(i, *rng.uniform(-1000, 1000, 2), h=rng.uniform(10, 60),
+                     tx=rng.uniform(20, 50), active=not (first_off and i == 0))
+               for i in range(n_sites)]
+        users = [Position2D(*rng.uniform(-1000, 1000, 2)) for _ in range(n_users)]
+        aerial_pos = (Position3D(*rng.uniform(-1000, 1000, 2), rng.uniform(25, 525))
+                      if aerial else None)
+        self.assert_matches_reference(NetworkState(
+            ground_bs=bss, users=users, env=AtgEnvironment(), radio=RadioParams(),
+            aerial_pos=aerial_pos, aerial_tx_power=rng.uniform(20, 40)))
+
+    @pytest.mark.parametrize("aerial", [None, Position3D(1500.0, 1500.0, 500.0)])
+    def test_user_equidistant_from_two_sites(self, urban, radio, aerial):
+        bss = [bs_at(0, -400, 0), bs_at(1, 400, 0), bs_at(2, 0, 900, tx=43.0)]
+        users = [Position2D(0.0, 0.0), Position2D(0.0, -250.0), Position2D(100.0, 0.0)]
+        state = make_state(bss, users, urban, radio, aerial=aerial)
+        assert associate_max_sinr(state).assign[:2] == [0, 0]
+        self.assert_matches_reference(state)
 
 
 class TestThroughput:
@@ -208,15 +261,14 @@ class TestAggregateQos:
 
 
 class TestQosMap:
-    """qos_map must equal an independent aggregate_qos call at every state."""
+    """qos_map must equal an independent aggregate QoS call at every state."""
 
     @staticmethod
-    def assert_equals_reference(snap, grid):
+    def assert_equals_reference(snap, grid, qos=aggregate_qos):
         got = qos_map(snap, grid)
         assert got.shape == (grid.n_states,)
         for s in range(grid.n_states):
-            want = aggregate_qos(replace(
-                snap, aerial_pos=grid_index_to_position(grid, s)))
+            want = qos(replace(snap, aerial_pos=grid_index_to_position(grid, s)))
             assert got[s] == want, f"state {s}"
 
     # With 1, 7 or 19 sites and the aerial, the aerial's power column sits
@@ -262,7 +314,9 @@ class TestQosMap:
 
     # Random sites reach the server counts the hex layouts cannot: multiples
     # of 8, where numpy's pairwise sum of a whole row would differ from the
-    # ground sum plus the aerial, and 128 or more, where it recurses.
+    # ground sum plus the aerial, and 128 or more, where it recurses. The
+    # reference is the SINR matrix with max-SINR association: aggregate_qos
+    # shares the map's formula, so it would check nothing here.
     @settings(max_examples=60, deadline=None)
     @given(n_sites=st.integers(0, 200), first_off=st.booleans(),
            n_users=st.integers(0, 60),
@@ -281,4 +335,4 @@ class TestQosMap:
         users = [Position2D(*rng.uniform(-1000, 1000, 2)) for _ in range(n_users)]
         snap = NetworkState(ground_bs=bss, users=users, env=AtgEnvironment(),
                             radio=RadioParams(), aerial_tx_power=rng.uniform(20, 40))
-        self.assert_equals_reference(snap, PlacementGrid(area, *shape))
+        self.assert_equals_reference(snap, PlacementGrid(area, *shape), reference_qos)
