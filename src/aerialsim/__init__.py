@@ -12,9 +12,8 @@ from .geometry import (ConfigurationError, DegenerateGeometryError, Position2D,
 from .mobility import MobilityParams, User, Users, init_users, step
 from .oracle import OracleResult, exhaustive_search, export_qos_csv
 from .placement import (Action, LearnResult, LearningConfig, QTable,
-                        apply_action, greedy_rollout, learn_placement,
-                        load_qtable, q_update, reward, save_qtable,
-                        select_action)
+                        greedy_rollout, learn_placement, load_qtable,
+                        save_qtable)
 from .radio import (LinkReport, NetworkState, aggregate_qos, link_report,
                     throughput)
 from .scenario import (ScenarioConfig, ScenarioRun, TimeSlotRecord,

@@ -12,11 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .deployment import grid_index_to_position
 from .geometry import ConfigurationError
 from .oracle import exhaustive_search, export_qos_csv
 from .scenario import (BASELINE_AERIAL, BASELINE_GROUND, build_config,
-                       default_out_dir, disable_site, emit_outputs,
-                       per_user_mean_sinr_db, run_scenario)
+                       build_network, default_out_dir, disable_site,
+                       emit_outputs, per_user_mean_sinr_db, run_scenario)
 
 ORACLE_STATE_LIMIT = 200_000
 
@@ -56,25 +57,13 @@ def cmd_oracle(args) -> int:
             f"grid has {grid.n_states} states (> {ORACLE_STATE_LIMIT}); "
             "pass --force to enumerate anyway")
     # Snapshot at t_st with the configured BS disabled and no aerial yet.
-    from .deployment import drop_users_ppp, hex_layout
-    from .mobility import init_users
-    from .radio import NetworkState
-    area = cfg.service_area()
-    streams = np.random.SeedSequence(cfg.seed).spawn(3)
-    bss = hex_layout(cfg.n_rings, area, cfg.antenna_height, cfg.ground_tx_power)
-    bss = disable_site(bss, cfg)
-    users = init_users(
-        drop_users_ppp(cfg.n_users, area, np.random.default_rng(streams[0])),
-        cfg.mobility, np.random.default_rng(streams[1]))
-    snapshot = NetworkState(ground_bs=bss, users=users, env=cfg.env,
-                            radio=cfg.radio, aerial_pos=None,
-                            aerial_tx_power=cfg.aerial_tx_power)
+    net, _, _ = build_network(cfg)
+    snapshot = replace(net, ground_bs=disable_site(net.ground_bs, cfg))
     t0 = time.perf_counter()
     result = exhaustive_search(snapshot, grid)
     out = Path(args.out_dir) if args.out_dir else default_out_dir()
     out.mkdir(parents=True, exist_ok=True)
     export_qos_csv(result, grid, out / "oracle_qos.csv")
-    from .deployment import grid_index_to_position
     p = grid_index_to_position(grid, result.best_state)
     print(f"best state {result.best_state} at ({p.x:.1f}, {p.y:.1f}, {p.h:.1f}) "
           f"qos={result.best_qos:.4f} ({time.perf_counter() - t0:.1f}s)",

@@ -92,9 +92,9 @@ class PlacementGrid:
     """Discrete 3D lattice of candidate aerial positions inside the area box."""
 
     area: ServiceArea
-    n_x: int = 21
-    n_y: int = 21
-    n_h: int = 11
+    n_x: int
+    n_y: int
+    n_h: int
 
     def __post_init__(self):
         if min(self.n_x, self.n_y, self.n_h) < 1:

@@ -88,10 +88,10 @@ class LearningConfig:
 
 
 def next_state_table(grid: PlacementGrid) -> np.ndarray:
-    """(n_states, 6) int64 array: apply_action(s, a, grid) at every s and a.
+    """(n_states, 6) int64 array: the state each action moves each state to.
 
-    Each action moves along one axis, so clipping that axis at the grid edge
-    gives back s, as apply_action's clamp does.
+    An action moves one step along one axis; at the grid edge the move is
+    clamped, so the state stays where it is.
     """
     dims = (grid.n_x, grid.n_y, grid.n_h)
     idx = np.unravel_index(np.arange(grid.n_states), dims)
@@ -100,43 +100,26 @@ def next_state_table(grid: PlacementGrid) -> np.ndarray:
     return np.ravel_multi_index(moved, dims)
 
 
-def apply_action(s: int, a: Action, grid: PlacementGrid) -> int:
-    """Neighbor state one step along the action axis; clamps at grid edges."""
-    ix, iy, ih = grid.unravel(s)
-    dx, dy, dh = _ACTION_DELTAS[Action(a)]
-    nx, ny, nh = ix + dx, iy + dy, ih + dh
-    if not (0 <= nx < grid.n_x and 0 <= ny < grid.n_y and 0 <= nh < grid.n_h):
-        return s
-    return grid.ravel(nx, ny, nh)
+def _rollout(values: list, vmax: list, nxt: list, s: int, max_steps: int) -> int:
+    """The greedy rollout on flat tables: values and nxt at 6*s + a, vmax[s].
 
-
-def reward(qos_t: float, qos_prev: float) -> float:
-    return qos_t - qos_prev
-
-
-def q_update(q: QTable, s: int, a: int, r: float, s_next: int) -> QTable:
-    """One temporal-difference backup; increments the (s, a) visit count."""
-    q.visit_counts[s, a] += 1
-    if q.alpha_mode == "inverse_visits":
-        alpha = 1.0 / q.visit_counts[s, a]
-    elif q.alpha_mode == "constant":
-        alpha = q.alpha
-    else:
-        raise ConfigurationError(f"unknown alpha_mode {q.alpha_mode!r}")
-    target_err = r + q.gamma * np.max(q.values[s_next]) - q.values[s, a]
-    if q.literal_update:
-        q.values[s, a] = alpha * target_err
-    else:
-        q.values[s, a] += alpha * target_err
-    return q
-
-
-def select_action(q: QTable, s: int, epsilon: float,
-                  rng: np.random.Generator) -> Action:
-    """Epsilon-greedy; greedy ties resolve in fixed Action order."""
-    if rng.random() < epsilon:
-        return Action(int(rng.integers(N_ACTIONS)))
-    return Action(int(np.argmax(q.values[s])))
+    vmax[s] is the maximum of row s, so the greedy action is the first index
+    in the row whose value is == vmax[s], np.argmax's tie-break.
+    """
+    seen = {s}
+    for _ in range(max_steps):
+        b = N_ACTIONS * s
+        best = vmax[s]
+        s_next = nxt[values.index(best, b, b + N_ACTIONS)]
+        if s_next == s:
+            break
+        if s_next in seen:
+            if vmax[s_next] > best:
+                s = s_next
+            break
+        seen.add(s_next)
+        s = s_next
+    return s
 
 
 def greedy_rollout(q: QTable, s: int, grid: PlacementGrid,
@@ -144,23 +127,14 @@ def greedy_rollout(q: QTable, s: int, grid: PlacementGrid,
     """Follow the greedy policy from s; stops on a clamp or a revisit.
 
     On a revisit (greedy cycle) the cycle member with the higher greedy value
-    is returned, so the rollout terminal is well defined.
+    is returned, so the rollout terminal is well defined. max_steps defaults
+    to n_x + n_y + n_h.
     """
+    grid.unravel(s)  # validates
     if max_steps is None:
         max_steps = grid.n_x + grid.n_y + grid.n_h
-    seen = {s}
-    for _ in range(max_steps):
-        a = Action(int(np.argmax(q.values[s])))
-        s_next = apply_action(s, a, grid)
-        if s_next == s:
-            break
-        if s_next in seen:
-            if np.max(q.values[s_next]) > np.max(q.values[s]):
-                s = s_next
-            break
-        seen.add(s_next)
-        s = s_next
-    return s
+    return _rollout(q.values.ravel().tolist(), q.values.max(axis=1).tolist(),
+                    next_state_table(grid).ravel().tolist(), s, max_steps)
 
 
 def make_qos_table(snapshot: NetworkState, grid: PlacementGrid) -> Callable[[int], float]:
@@ -191,12 +165,15 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     """Run the episodic act/reward/update loop on a frozen user snapshot.
 
     The loop runs on plain Python scalars over flat tables built once per
-    call: the QoS at every state, the next state at index 6*s + a, and the
-    Q-values and visit counts at the same index; q is written back in place
-    at the end. It makes the same RNG calls and the same float operations as
-    select_action, apply_action and q_update step by step, and its episode
-    rollouts follow greedy_rollout, so the result is bit-identical to a loop
-    built from those functions.
+    call: the QoS at every state, the next state at index 6*s + a (from
+    next_state_table), and the Q-values and visit counts at the same index;
+    q is written back in place at the end. Each step is an epsilon-greedy
+    choice (one rng.random() against epsilon, then one rng.integers(6) when
+    it explores), the clamped move, the QoS difference as reward and one
+    temporal-difference backup, with the RNG calls and float operations of
+    the single-step loop in tests/reference.py, so the two are bit-identical.
+    Each episode's rollout and the final pick are greedy_rollout's, on the
+    flat tables.
 
     vmax[s] is kept == the maximum of row s: an update raises it when the
     new value is larger, and rescans the row only when it lowers the row's
@@ -224,23 +201,6 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     fixed_start = cfg.episode_start == "fixed"
     rollout_steps = grid.n_x + grid.n_y + grid.n_h
     random, integers = rng.random, rng.integers
-
-    def rollout(s):
-        """greedy_rollout(q, s, grid) on the flat tables."""
-        seen = {s}
-        for _ in range(rollout_steps):
-            b = N_ACTIONS * s
-            best = vmax[s]
-            s_next = nxt[values.index(best, b, b + N_ACTIONS)]
-            if s_next == s:
-                break
-            if s_next in seen:
-                if vmax[s_next] > best:
-                    s = s_next
-                break
-            seen.add(s_next)
-            s = s_next
-        return s
 
     rewards = np.empty(cfg.max_episodes * cfg.max_steps)
     episode_qos = np.empty(cfg.max_episodes)
@@ -277,11 +237,11 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
             i += 1
             s, qos_s = s_next, qos_next
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
-        episode_qos[ep] = qos[rollout(initial_state)]
+        episode_qos[ep] = qos[_rollout(values, vmax, nxt, initial_state, rollout_steps)]
 
     q.values[...] = np.reshape(values, q.values.shape)
     q.visit_counts[...] = np.reshape(visits, q.visit_counts.shape)
-    best = greedy_rollout(q, initial_state, grid)
+    best = _rollout(values, vmax, nxt, initial_state, rollout_steps)
     return LearnResult(best_state=best, qtable=q,
                        rewards=rewards, episode_greedy_qos=episode_qos)
 
@@ -319,7 +279,9 @@ def save_qtable(path, q: QTable, grid: PlacementGrid) -> None:
 def load_qtable(path, grid: PlacementGrid) -> QTable:
     """Load a Q-table saved by save_qtable; it must have been learned on grid."""
     try:
-        with np.load(path, allow_pickle=False) as f:
+        # np.load(path) would leave its own handle open when the archive is
+        # rejected; this one closes either way.
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as f:
             d = dict(f)
         version = int(d["format_version"])
     except (OSError, KeyError, ValueError, zipfile.BadZipFile) as e:

@@ -13,10 +13,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import yaml
 
-from .channel import AtgEnvironment, RadioParams, dbm_to_mw
+from .channel import (AtgEnvironment, RadioParams, dbm_to_mw,
+                      free_space_pathloss, ground_pathloss_d)
 from .deployment import (DEFAULT_ANTENNA_HEIGHT, DEFAULT_GROUND_TX_DBM,
                          GroundBS, PlacementGrid, drop_users_ppp,
-                         grid_index_to_position, hex_layout)
+                         grid_index_to_position, hex_cell_count, hex_layout)
 from .geometry import ConfigurationError, Position3D, ServiceArea, square_area
 from .mobility import MobilityParams, init_users, step
 from .placement import (LearningConfig, QTable, learn_placement, load_qtable,
@@ -85,6 +86,25 @@ class ScenarioConfig:
                 if not np.isfinite(mw / noise_mw):
                     raise ConfigurationError(
                         f"{name} {dbm!r} dBm over the noise power overflows the SINR")
+            # A SINR is best / (noise + total - best). While the total a user
+            # receives is below 2**52 times the noise, noise + total rounds
+            # above total, so the denominator stays positive. Bound that
+            # total from above: every site at the distance of its antenna
+            # height, the aerial overhead at h_min in line of sight.
+            # Non-positive heights are rejected where the layout and the
+            # area are built.
+            if self.antenna_height > 0 and self.h_min > 0:
+                peak = (hex_cell_count(self.n_rings) * dbm_to_mw(
+                            self.ground_tx_power
+                            - ground_pathloss_d(self.antenna_height, self.radio))
+                        + dbm_to_mw(self.aerial_tx_power - self.env.eta_los
+                                    - free_space_pathloss(self.h_min,
+                                                          self.radio.carrier_freq)))
+                if not peak / noise_mw < 2.0 ** 52:
+                    raise ConfigurationError(
+                        f"transmit powers reach {10 * np.log10(peak / noise_mw):.1f} dB "
+                        f"over the noise power; a finite SINR needs less than "
+                        f"{10 * np.log10(2.0 ** 52):.1f} dB")
         # One step then moves a user at most one area width, so a single
         # mirror fold brings it back inside.
         if self.mobility.c_max * self.mobility_dt > self.area_side:
@@ -125,25 +145,31 @@ def disable_site(bss: Sequence[GroundBS], cfg: ScenarioConfig) -> List[GroundBS]
     return [replace(b, active=False) if b.id == off else b for b in bss]
 
 
+def build_network(cfg: ScenarioConfig) -> Tuple[NetworkState, np.random.Generator,
+                                                np.random.Generator]:
+    """The t=0 network of a run, with its mobility and learning generators.
+
+    The network has every ground site on, the dropped users and no aerial.
+    The drop, mobility and learning streams are spawned from cfg.seed in
+    that order; the drop stream is spent here and the mobility stream has
+    drawn each user's initial velocity.
+    """
+    area = cfg.service_area()
+    rng_drop, rng_mob, rng_learn = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3))
+    bss = hex_layout(cfg.n_rings, area, cfg.antenna_height, cfg.ground_tx_power)
+    users = init_users(drop_users_ppp(cfg.n_users, area, rng_drop),
+                       cfg.mobility, rng_mob)
+    state = NetworkState(ground_bs=bss, users=users, env=cfg.env, radio=cfg.radio,
+                         aerial_tx_power=cfg.aerial_tx_power)
+    return state, rng_mob, rng_learn
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     """Execute one scenario: threshold snapshot, then slot-by-slot control loop."""
     area = cfg.service_area()
     grid = cfg.placement_grid()
-    streams = np.random.SeedSequence(cfg.seed).spawn(3)
-    rng_drop = np.random.default_rng(streams[0])
-    rng_mob = np.random.default_rng(streams[1])
-    rng_learn = np.random.default_rng(streams[2])
-
-    bss = hex_layout(cfg.n_rings, area, cfg.antenna_height, cfg.ground_tx_power)
-    users = init_users(drop_users_ppp(cfg.n_users, area, rng_drop),
-                       cfg.mobility, rng_mob)
-
-    def make_state(users_now, ground, aerial_state):
-        aerial_pos = (grid_index_to_position(grid, aerial_state)
-                      if aerial_state is not None else None)
-        return NetworkState(ground_bs=ground, users=users_now, env=cfg.env,
-                            radio=cfg.radio, aerial_pos=aerial_pos,
-                            aerial_tx_power=cfg.aerial_tx_power)
+    net, rng_mob, rng_learn = build_network(cfg)
 
     def evaluate(state):
         """(aggregate QoS, per-user SINR) from one link report."""
@@ -153,24 +179,24 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         return float(rep.throughput.sum()), rep.sinr
 
     # Threshold snapshot: full ground network, no aerial.
-    qos_th, sinr0 = evaluate(make_state(users, bss, None))
+    qos_th, sinr0 = evaluate(net)
     records = [TimeSlotRecord(t=0.0, qos=qos_th, qos_th=qos_th, aerial_pos=None,
                               user_sinr=sinr0, learning_triggered=False)]
     traces: List[np.ndarray] = []
 
     aerial_mode = cfg.baseline_mode == BASELINE_AERIAL
     if aerial_mode:
-        ground = disable_site(bss, cfg)
-        aerial_state: Optional[int] = grid.center_state()
+        aerial_state = grid.center_state()
+        net = replace(net, ground_bs=disable_site(net.ground_bs, cfg),
+                      aerial_pos=grid_index_to_position(grid, aerial_state))
         if cfg.qtable_path and Path(cfg.qtable_path).exists():
             qtable = load_qtable(cfg.qtable_path, grid)
         else:
             qtable = QTable.zeros(grid.n_states)
     else:
-        ground = bss
-        aerial_state = None
         qtable = None
 
+    users = net.users
     n_slots = int(math.floor(cfg.sim_duration / cfg.t_min))
     for k in range(1, n_slots + 1):
         remaining = cfg.t_min
@@ -179,7 +205,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
             users = step(users, dt, cfg.mobility, area, rng_mob)
             remaining -= dt
 
-        state = make_state(users, ground, aerial_state)
+        state = replace(net, users=users)
         qos_now, sinr_now = evaluate(state)
         triggered = False
         if aerial_mode and qos_now < qos_th:
@@ -189,7 +215,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
             qtable = result.qtable
             traces.append(result.rewards)
             triggered = True
-            state = make_state(users, ground, aerial_state)
+            net = replace(net, aerial_pos=grid_index_to_position(grid, aerial_state))
+            state = replace(net, users=users)
             qos_now, sinr_now = evaluate(state)
 
         records.append(TimeSlotRecord(

@@ -1,12 +1,10 @@
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import aerialsim as a
 from aerialsim.channel import AtgEnvironment, RadioParams
-from aerialsim.mobility import MobilityParams, init_users
-from aerialsim.radio import NetworkState
+from aerialsim.scenario import ScenarioConfig, build_network, disable_site
 
 
 @pytest.fixture
@@ -32,15 +30,16 @@ def desk_grid(desk_area):
 def make_snapshot(seed, area, n_users=50, n_rings=1, disabled=0):
     """Frozen t_st network snapshot: hex ground layout minus one site, PPP users.
 
-    Returns (snapshot, learning_rng) with independent substreams so tests can
-    pair user drops with learning randomness the same way the driver does.
+    It is the t=0 network of a run with this seed over area (a square centred
+    on the origin) and default parameters otherwise, with site disabled off
+    (None keeps every site on). Returns (snapshot, learning_rng), the
+    learning generator being the one such a run would learn with.
     """
-    ss = np.random.SeedSequence(seed).spawn(3)
-    bss = a.hex_layout(n_rings, area)
+    cfg = ScenarioConfig(seed=seed, n_users=n_users, n_rings=n_rings,
+                         area_side=area.width, h_min=area.h_min, h_max=area.h_max,
+                         disabled_bs=disabled)
+    assert cfg.service_area() == area
+    snap, _, rng_learn = build_network(cfg)
     if disabled is not None:
-        bss = [replace(b, active=False) if b.id == disabled else b for b in bss]
-    users = init_users(a.drop_users_ppp(n_users, area, np.random.default_rng(ss[0])),
-                       MobilityParams(), np.random.default_rng(ss[1]))
-    snap = NetworkState(ground_bs=bss, users=users,
-                        env=AtgEnvironment(), radio=RadioParams())
-    return snap, np.random.default_rng(ss[2])
+        snap = replace(snap, ground_bs=disable_site(snap.ground_bs, cfg))
+    return snap, rng_learn

@@ -1,19 +1,27 @@
-"""Naive radio references that aerialsim.radio's fast path is held to.
+"""Naive references that aerialsim's fast paths are held to.
 
 aerialsim.radio takes each user's SINR straight from its strongest server.
 This module computes it the long way: the received power one ground site at
 a time, the full (users x servers) SINR matrix, and max-SINR association by
 an argmax over every server, ties to the lowest BS id.
+
+aerialsim.placement runs the learner on flat tables of Python scalars. This
+module keeps it as single steps on the QTable: an epsilon-greedy choice, a
+clamped move on the grid, the QoS difference as reward, one
+temporal-difference backup, and the greedy rollout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from aerialsim.channel import dbm_to_mw, ground_pathloss_d
+from aerialsim.deployment import PlacementGrid
+from aerialsim.geometry import ConfigurationError
+from aerialsim.placement import N_ACTIONS, Action, QTable
 from aerialsim.radio import (NetworkState, _aerial_power, _horizontal_distance,
                              throughput, user_xy)
 
@@ -107,3 +115,80 @@ def aggregate_qos(state: NetworkState) -> float:
     if not state.users:
         return 0.0
     return float(throughput(served_sinr(state)).sum())
+
+
+# ---------------------------------------------------------------------------
+# Learner
+
+
+_ACTION_DELTAS = {
+    Action.PLUS_X: (1, 0, 0),
+    Action.MINUS_X: (-1, 0, 0),
+    Action.PLUS_Y: (0, 1, 0),
+    Action.MINUS_Y: (0, -1, 0),
+    Action.PLUS_H: (0, 0, 1),
+    Action.MINUS_H: (0, 0, -1),
+}
+
+
+def apply_action(s: int, a: Action, grid: PlacementGrid) -> int:
+    """Neighbor state one step along the action axis; clamps at grid edges."""
+    ix, iy, ih = grid.unravel(s)
+    dx, dy, dh = _ACTION_DELTAS[Action(a)]
+    nx, ny, nh = ix + dx, iy + dy, ih + dh
+    if not (0 <= nx < grid.n_x and 0 <= ny < grid.n_y and 0 <= nh < grid.n_h):
+        return s
+    return grid.ravel(nx, ny, nh)
+
+
+def reward(qos_t: float, qos_prev: float) -> float:
+    return qos_t - qos_prev
+
+
+def q_update(q: QTable, s: int, a: int, r: float, s_next: int) -> QTable:
+    """One temporal-difference backup; increments the (s, a) visit count."""
+    q.visit_counts[s, a] += 1
+    if q.alpha_mode == "inverse_visits":
+        alpha = 1.0 / q.visit_counts[s, a]
+    elif q.alpha_mode == "constant":
+        alpha = q.alpha
+    else:
+        raise ConfigurationError(f"unknown alpha_mode {q.alpha_mode!r}")
+    target_err = r + q.gamma * np.max(q.values[s_next]) - q.values[s, a]
+    if q.literal_update:
+        q.values[s, a] = alpha * target_err
+    else:
+        q.values[s, a] += alpha * target_err
+    return q
+
+
+def select_action(q: QTable, s: int, epsilon: float,
+                  rng: np.random.Generator) -> Action:
+    """Epsilon-greedy; greedy ties resolve in fixed Action order."""
+    if rng.random() < epsilon:
+        return Action(int(rng.integers(N_ACTIONS)))
+    return Action(int(np.argmax(q.values[s])))
+
+
+def greedy_rollout(q: QTable, s: int, grid: PlacementGrid,
+                   max_steps: Optional[int] = None) -> int:
+    """Follow the greedy policy from s; stops on a clamp or a revisit.
+
+    On a revisit (greedy cycle) the cycle member with the higher greedy value
+    is returned, so the rollout terminal is well defined.
+    """
+    if max_steps is None:
+        max_steps = grid.n_x + grid.n_y + grid.n_h
+    seen = {s}
+    for _ in range(max_steps):
+        a = Action(int(np.argmax(q.values[s])))
+        s_next = apply_action(s, a, grid)
+        if s_next == s:
+            break
+        if s_next in seen:
+            if np.max(q.values[s_next]) > np.max(q.values[s]):
+                s = s_next
+            break
+        seen.add(s_next)
+        s = s_next
+    return s

@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 import aerialsim
 from aerialsim.cli import main
 from aerialsim.placement import QTable, save_qtable
-from aerialsim.scenario import build_config
+from aerialsim.radio import qos_map
+from aerialsim.scenario import build_config, build_network, disable_site
 
 
 @pytest.fixture
@@ -44,6 +46,19 @@ def test_oracle_subcommand(tmp_path, fast_config):
         rows = list(csv.reader(f))
     assert rows[0] == ["state", "x", "y", "h", "qos"]
     assert len(rows) == 1 + 5 * 5 * 3
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_oracle_qos_is_the_map_of_the_built_network(tmp_path, seed):
+    rc = main(["oracle", "--preset", "desk", "--seed", str(seed),
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / "oracle_qos.csv", newline="") as f:
+        qos = [float(row[4]) for row in list(csv.reader(f))[1:]]
+    cfg = build_config(preset="desk", overrides={"seed": seed})
+    net, _, _ = build_network(cfg)
+    snapshot = replace(net, ground_bs=disable_site(net.ground_bs, cfg))
+    assert qos == qos_map(snapshot, cfg.placement_grid()).tolist()
 
 
 def test_oracle_grid_guard(tmp_path):
@@ -242,6 +257,10 @@ def run_cli(args, timeout=60):
      "aerial_tx_power 3000.0 dBm over the noise power overflows the SINR"),
     ("ground_tx_power: 3000.0",
      "ground_tx_power 3000.0 dBm over the noise power overflows the SINR"),
+    # 1e20 mW: finite over the noise, but noise + total would round to total.
+    ("aerial_tx_power: 200.0",
+     "transmit powers reach 236.6 dB over the noise power; a finite SINR "
+     "needs less than 156.5 dB"),
     # 10 ** -400 mW underflows to 0.
     ("{n_rings: 0, baseline_mode: ground19, radio: {noise_power: -4000.0}}",
      "radio.noise_power -4000.0 dBm is not a positive finite power in mW"),

@@ -8,11 +8,12 @@ from aerialsim.deployment import PlacementGrid
 from aerialsim.geometry import ConfigurationError, square_area
 from aerialsim.oracle import exhaustive_search
 from aerialsim.placement import (ALPHA_MODES, N_ACTIONS, Action, LearningConfig,
-                                 QTable, apply_action, greedy_rollout,
-                                 learn_placement, load_qtable, make_qos_table,
-                                 next_state_table, q_update, reward,
-                                 save_qtable, select_action)
+                                 QTable, greedy_rollout, learn_placement,
+                                 load_qtable, make_qos_table, next_state_table,
+                                 save_qtable)
 from tests.conftest import make_snapshot
+from tests.reference import apply_action, q_update, reward, select_action
+from tests.reference import greedy_rollout as reference_rollout
 
 
 class TestApplyAction:
@@ -255,6 +256,30 @@ class TestQTableIO:
         assert [p.name for p in tmp_path.iterdir()] == ["qtable.npz"]
 
 
+grid_dims = st.tuples(*[st.integers(1, 4)] * 3)
+
+# Few distinct values, so rows tie, and both signs of zero.
+TABLE_VALUES = [-1.0, -0.0, 0.0, 0.5, 2.0]
+
+
+@st.composite
+def rollout_cases(draw):
+    """(grid dims, Q-table rows, start state, max_steps)."""
+    dims = draw(grid_dims)
+    n_states = dims[0] * dims[1] * dims[2]
+    row = st.lists(st.sampled_from(TABLE_VALUES), min_size=N_ACTIONS,
+                   max_size=N_ACTIONS)
+    rows = draw(st.lists(row, min_size=n_states, max_size=n_states))
+    return dims, rows, draw(st.integers(0, n_states - 1)), draw(
+        st.none() | st.integers(0, 5))
+
+
+# On a 2x1x1 grid, +x leads from state 0 to 1 and -x back: the rollout
+# revisits 0, whose row maximum (2.0) is the higher, so it ends there.
+TWO_CYCLE = ((2, 1, 1), [[2.0, -1.0, -1.0, -1.0, -1.0, -1.0],
+                         [-1.0, 0.5, -1.0, -1.0, -1.0, -1.0]], 0, None)
+
+
 class TestGreedyRollout:
     def test_rollout_follows_max_values(self, desk_grid):
         q = QTable.zeros(desk_grid.n_states)
@@ -264,6 +289,34 @@ class TestGreedyRollout:
         term = greedy_rollout(q, s, desk_grid)
         ix, iy, ih = desk_grid.unravel(term)
         assert ix == desk_grid.n_x - 1 and (iy, ih) == (2, 1)
+
+    @settings(deadline=None)
+    @given(case=rollout_cases())
+    @example(case=TWO_CYCLE)
+    @example(case=((1, 1, 1), [[0.0] * N_ACTIONS], 0, None))
+    def test_matches_reference(self, case):
+        dims, rows, start, max_steps = case
+        grid = PlacementGrid(square_area(2000.0), *dims)
+        q = QTable.zeros(grid.n_states)
+        q.values[:] = rows
+        assert greedy_rollout(q, start, grid, max_steps) == \
+            reference_rollout(q, start, grid, max_steps)
+
+    def test_two_cycle_ends_on_the_higher_row_maximum(self):
+        dims, rows, start, max_steps = TWO_CYCLE
+        grid = PlacementGrid(square_area(2000.0), *dims)
+        q = QTable.zeros(grid.n_states)
+        q.values[:] = rows
+        assert greedy_rollout(q, start, grid, max_steps) == 0
+        q.values[0, Action.PLUS_X] = 0.25  # now state 1's maximum is the higher
+        assert greedy_rollout(q, start, grid, max_steps) == 1
+
+    @pytest.mark.parametrize("start", [-1, 30])
+    @pytest.mark.parametrize("max_steps", [None, 0])
+    def test_out_of_range_start_rejected(self, start, max_steps):
+        grid = PlacementGrid(square_area(2000.0), 5, 3, 2)
+        with pytest.raises(IndexError, match="out of range"):
+            greedy_rollout(QTable.zeros(grid.n_states), start, grid, max_steps)
 
 
 def reference_learn(initial_state, snapshot, q, cfg, grid, rng):
@@ -289,11 +342,8 @@ def reference_learn(initial_state, snapshot, q, cfg, grid, rng):
             rewards.append(r)
             s, qos_s = s_next, qos_next
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
-        episode_qos[ep] = qos(greedy_rollout(q, initial_state, grid))
-    return greedy_rollout(q, initial_state, grid), np.array(rewards), episode_qos
-
-
-grid_dims = st.tuples(*[st.integers(1, 4)] * 3)
+        episode_qos[ep] = qos(reference_rollout(q, initial_state, grid))
+    return reference_rollout(q, initial_state, grid), np.array(rewards), episode_qos
 
 
 @st.composite
@@ -308,8 +358,7 @@ def learning_cases(draw):
                      literal_update=draw(st.booleans()))
     if draw(st.booleans()):  # warm table: few distinct values, so rows tie
         table_rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        q.values[:] = table_rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0],
-                                       size=q.values.shape)
+        q.values[:] = table_rng.choice(TABLE_VALUES, size=q.values.shape)
         q.visit_counts[:] = table_rng.integers(0, 4, size=q.visit_counts.shape)
     cfg = LearningConfig(max_episodes=draw(st.integers(1, 12)),
                          max_steps=draw(st.integers(1, 8)),

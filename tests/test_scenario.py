@@ -9,9 +9,10 @@ import pytest
 from aerialsim.geometry import ConfigurationError, Position3D
 from aerialsim.mobility import MobilityParams
 from aerialsim.placement import LearningConfig
+from aerialsim.radio import aggregate_qos
 from aerialsim.scenario import (GridSpec, ScenarioConfig, TimeSlotRecord,
-                                build_config, config_from_dict, emit_outputs,
-                                run_scenario, sinr_cdf,
+                                build_config, build_network, config_from_dict,
+                                emit_outputs, run_scenario, sinr_cdf,
                                 spectral_efficiency_summary)
 
 
@@ -52,6 +53,12 @@ class TestRunScenario:
         run = run_scenario(desk_config(sim_duration=50.0))
         th = {r.qos_th for r in run.records}
         assert len(th) == 1
+
+    def test_threshold_is_the_qos_of_the_built_network(self):
+        cfg = desk_config(seed=3, sim_duration=20.0)
+        net, _, _ = build_network(cfg)
+        assert net.aerial_pos is None and all(b.active for b in net.ground_bs)
+        assert run_scenario(cfg).records[0].qos_th == aggregate_qos(net)
 
     def test_aerial_position_on_grid_and_only_moves_on_trigger(self):
         cfg = desk_config(sim_duration=120.0, seed=3)
