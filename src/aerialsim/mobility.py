@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,13 +38,26 @@ class User:
 
 @dataclass(frozen=True, eq=False)
 class Users:
-    """Every user's state as float arrays indexed by user id."""
+    """Every user's state as float arrays indexed by user id.
+
+    cos and sin hold np.cos and np.sin of direction, computed here when not
+    given. step shares every array it does not change with the Users it
+    returns, so no array of a Users is ever written to.
+    """
 
     x: np.ndarray
     y: np.ndarray
     speed: np.ndarray
     direction: np.ndarray  # radians, [0, 2*pi)
     hold: np.ndarray       # s until the next (speed, direction) redraw
+    cos: Optional[np.ndarray] = None
+    sin: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.cos is None:
+            object.__setattr__(self, "cos", np.cos(self.direction))
+        if self.sin is None:
+            object.__setattr__(self, "sin", np.sin(self.direction))
 
     def __len__(self) -> int:
         return self.x.size
@@ -106,31 +119,49 @@ def step(users: Users, dt: float, params: MobilityParams,
     """Advance every user by dt seconds; redraw velocity when the hold expires.
 
     Users whose hold expires draw a new (speed, direction) pair in id order.
+    Only the users that reflect or redraw get a new cos and sin.
     """
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
-    x = users.x + users.speed * dt * np.cos(users.direction)
-    y = users.y + users.speed * dt * np.sin(users.direction)
-    direction = users.direction.copy()
+    v = users.speed * dt
+    x = users.x + v * users.cos
+    y = users.y + v * users.sin
+    speed, direction = users.speed, users.direction
+    turned = []  # ids whose direction changed, as index arrays
     if params.boundary_policy == "wrap":
         x = area.x_min + (x - area.x_min) % area.width
         y = area.y_min + (y - area.y_min) % area.height
-    else:
+    elif x.size and (x.min() < area.x_min or x.max() > area.x_max
+                     or y.min() < area.y_min or y.max() > area.y_max):
         fx = _fold(x, area.x_min, area.x_max)
         fy = _fold(y, area.y_min, area.y_max)
+        reflected = np.flatnonzero(fx | fy)
+        direction = direction.copy()
         # Few users reflect in a step. math.atan2 gives their new direction
         # bit for bit as the scalar walk did; np.arctan2 can differ in the
         # last place.
-        for i in np.flatnonzero(fx | fy).tolist():
+        for i in reflected.tolist():
             dx, dy = math.cos(direction[i]), math.sin(direction[i])
             if fx[i]:
                 dx = -dx
             if fy[i]:
                 dy = -dy
             direction[i] = math.atan2(dy, dx) % (2.0 * math.pi)
-    speed = users.speed.copy()
+        turned.append(reflected)
     hold = users.hold - dt
     redraw = np.flatnonzero(hold <= 1e-12)
-    speed[redraw], direction[redraw] = draw_velocities(params, rng, redraw.size)
-    hold[redraw] = params.hold_time
-    return Users(x=x, y=y, speed=speed, direction=direction, hold=hold)
+    if redraw.size:  # rng.random((0, 2)) draws nothing, so skipping keeps the stream
+        speed = speed.copy()
+        if direction is users.direction:
+            direction = direction.copy()
+        speed[redraw], direction[redraw] = draw_velocities(params, rng, redraw.size)
+        hold[redraw] = params.hold_time
+        turned.append(redraw)
+    cos, sin = users.cos, users.sin
+    if turned:
+        ids = np.concatenate(turned)
+        cos, sin = cos.copy(), sin.copy()
+        cos[ids] = np.cos(direction[ids])
+        sin[ids] = np.sin(direction[ids])
+    return Users(x=x, y=y, speed=speed, direction=direction, hold=hold,
+                 cos=cos, sin=sin)

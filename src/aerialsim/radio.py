@@ -44,17 +44,29 @@ def user_xy(state: NetworkState) -> np.ndarray:
 
 
 def _ground_power(state: NetworkState, xy: np.ndarray) -> np.ndarray:
-    """Linear received power (mW) from each active ground BS, (n_users, n_active).
+    """Linear received power (mW) from each active ground BS, (n_active, n_users).
 
-    One users x sites broadcast, so the path loss is a single call. Each
-    site's h ** 2 is a scalar power (C pow), as in the per-site form; an
-    array's ** 2 is h * h, which can differ in the last place.
+    One sites x users broadcast, so the path loss is a single call and the
+    long user axis is the inner one. Each site's h ** 2 is a scalar power
+    (C pow), as in the per-site form; an array's ** 2 is h * h, which can
+    differ in the last place.
     """
     site = np.array([(bs.pos.x, bs.pos.y, bs.pos.h ** 2, bs.tx_power)
-                     for bs in state.ground_bs if bs.active]).reshape(-1, 4)
-    d = np.sqrt((xy[:, 0, None] - site[:, 0]) ** 2 + (xy[:, 1, None] - site[:, 1]) ** 2
-                + site[:, 2])
+                     for bs in state.ground_bs if bs.active]).reshape(-1, 4)[:, :, None]
+    d = np.sqrt((site[:, 0] - xy[:, 0]) ** 2 + (site[:, 1] - xy[:, 1]) ** 2 + site[:, 2])
     return dbm_to_mw(site[:, 3] - ground_pathloss_d(d, state.radio))
+
+
+def _ground_totals(state: NetworkState, xy: np.ndarray):
+    """Each user's summed and strongest ground power (mW); strongest 0.0 with no site.
+
+    The sum runs over the rows of a C-contiguous users x sites copy: numpy
+    adds along a contiguous axis in pairwise order, the order the reference
+    sums are held to. A maximum is exact in any order, so it reads the
+    site-major powers directly.
+    """
+    p = _ground_power(state, xy)
+    return np.ascontiguousarray(p.T).sum(axis=1), p.max(axis=0, initial=0.0)
 
 
 def _horizontal_distance(xy: np.ndarray, x, y) -> np.ndarray:
@@ -88,16 +100,16 @@ def throughput(sinr_linear) -> float:
 def link_report(state: NetworkState) -> LinkReport:
     """Each user's SINR and throughput under max-SINR association."""
     xy = user_xy(state)
-    ground = _ground_power(state, xy)
+    ground_sum, ground_max = _ground_totals(state, xy)
     if state.aerial_pos is not None:
         ap = state.aerial_pos
         aerial = _aerial_power(state, ap.h, _horizontal_distance(xy, ap.x, ap.y))
-    elif ground.shape[1]:
+    elif any(bs.active for bs in state.ground_bs):
         aerial = 0.0
     else:
         raise ValueError("network has no active base station")
-    s = _strongest_sinr(dbm_to_mw(state.radio.noise_power), ground.sum(axis=1),
-                        ground.max(axis=1, initial=0.0), aerial)
+    s = _strongest_sinr(dbm_to_mw(state.radio.noise_power), ground_sum, ground_max,
+                        aerial)
     return LinkReport(sinr=s, throughput=throughput(s))
 
 
@@ -137,9 +149,7 @@ def qos_map(snapshot: NetworkState, grid: PlacementGrid) -> np.ndarray:
     out = np.zeros(grid.n_states)
     if n_users == 0:
         return out
-    ground = _ground_power(snapshot, xy)
-    ground_sum = ground.sum(axis=1)
-    ground_max = ground.max(axis=1, initial=0.0)  # 0: no site, the aerial wins
+    ground_sum, ground_max = _ground_totals(snapshot, xy)  # max 0: the aerial wins
     noise_mw = dbm_to_mw(snapshot.radio.noise_power)
     n_cols, n_h = grid.n_x * grid.n_y, grid.n_h
     ix, iy = np.unravel_index(np.arange(n_cols), (grid.n_x, grid.n_y))

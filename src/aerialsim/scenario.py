@@ -33,6 +33,13 @@ BASELINE_AERIAL = "aerial18plus1"
 
 OUT_DIR_ENV_VAR = "AERIALSIM_OUT_DIR"
 
+# run_scenario moves the users while more than this much of a slot is left.
+SLOT_TIME_TOL = 1e-9  # s
+# Limits on the work one run may ask for: mobility sub-steps
+# (sim_duration / min(t_min, mobility_dt)) and ground sites.
+MAX_MOBILITY_SUBSTEPS = 10**7
+MAX_GROUND_SITES = 10**4
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -67,10 +74,24 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.baseline_mode not in (BASELINE_GROUND, BASELINE_AERIAL):
             raise ConfigurationError(f"unknown baseline_mode {self.baseline_mode!r}")
-        if self.t_min <= 0 or self.sim_duration < self.t_min:
-            raise ConfigurationError("need 0 < t_min <= sim_duration")
+        if self.t_min <= SLOT_TIME_TOL or self.sim_duration < self.t_min:
+            raise ConfigurationError(f"need {SLOT_TIME_TOL!r} s < t_min <= sim_duration")
+        if self.mobility_dt <= SLOT_TIME_TOL:
+            raise ConfigurationError(f"mobility_dt must be above {SLOT_TIME_TOL!r} s")
+        substeps = self.sim_duration / min(self.t_min, self.mobility_dt)
+        if substeps > MAX_MOBILITY_SUBSTEPS:
+            raise ConfigurationError(
+                f"sim_duration / min(t_min, mobility_dt) is {substeps:.3g} mobility "
+                f"sub-steps; at most {MAX_MOBILITY_SUBSTEPS} are allowed")
         if self.n_users < 0:
             raise ConfigurationError("n_users must be >= 0")
+        # Before the SINR bound below, which takes the site count as a float.
+        if self.n_rings < 0:
+            raise ConfigurationError("n_rings must be >= 0")
+        if hex_cell_count(self.n_rings) > MAX_GROUND_SITES:
+            raise ConfigurationError(
+                f"n_rings gives 1 + 3 * n_rings * (n_rings + 1) ground sites; at most "
+                f"{MAX_GROUND_SITES} are allowed")
         with np.errstate(over="ignore"):
             noise_mw = dbm_to_mw(self.radio.noise_power)
             if not 0.0 < noise_mw < np.inf:
@@ -200,7 +221,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     n_slots = int(math.floor(cfg.sim_duration / cfg.t_min))
     for k in range(1, n_slots + 1):
         remaining = cfg.t_min
-        while remaining > 1e-9:
+        while remaining > SLOT_TIME_TOL:
             dt = min(cfg.mobility_dt, remaining)
             users = step(users, dt, cfg.mobility, area, rng_mob)
             remaining -= dt

@@ -301,3 +301,26 @@ def test_malformed_yaml_exits_nonzero(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(
         f"error: config file {cfg} is not valid YAML: ")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    # 3e12 slots; any t_min at or below the sub-step tolerance would also
+    # skip the mobility loop and leave the users standing.
+    ("t_min: 1.0e-10", "need 1e-09 s < t_min <= sim_duration"),
+    ("mobility_dt: 1.0e-10", "mobility_dt must be above 1e-09 s"),
+    ("t_min: 1.0e-5", "sim_duration / min(t_min, mobility_dt) is 3e+07 mobility "
+                      "sub-steps; at most 10000000 are allowed"),
+    # Too large for a float, and billions of sites.
+    ("n_rings: 1" + "0" * 200, "n_rings gives 1 + 3 * n_rings * (n_rings + 1) ground "
+                               "sites; at most 10000 are allowed"),
+    ("n_rings: 100000", "n_rings gives 1 + 3 * n_rings * (n_rings + 1) ground "
+                        "sites; at most 10000 are allowed"),
+    ("n_rings: -1", "n_rings must be >= 0"),
+])
+def test_unbounded_run_exits_nonzero(tmp_path, config, message):
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(config + "\n")
+    rc, err = run_cli(["run", "--preset", "desk", "--config", cfg,
+                       "--out-dir", tmp_path / "o"], timeout=10)
+    assert (rc, err) == (1, [f"error: {message}"])
+    assert not (tmp_path / "o").exists()

@@ -122,6 +122,19 @@ class TestStepMatchesScalarReference:
             assert as_tuples(users) == as_tuples(ref)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @settings(max_examples=300, deadline=None)
+    @given(walks(), st.integers(0, 2**32 - 1))
+    def test_cached_heading_and_input_unchanged(self, walk, seed):
+        users, params, area, dt, n_steps = walk
+        rng = np.random.default_rng(seed)
+        for _ in range(n_steps):
+            before = {k: v.tobytes() for k, v in vars(users).items()}
+            after = step(users, dt, params, area, rng)
+            assert {k: v.tobytes() for k, v in vars(users).items()} == before
+            users = after
+            assert users.cos.tobytes() == np.cos(users.direction).tobytes()
+            assert users.sin.tobytes() == np.sin(users.direction).tobytes()
+
     @pytest.mark.parametrize("policy", ["reflect", "wrap"])
     def test_seeded_drop_over_many_steps(self, desk_area, policy):
         params = MobilityParams(c_max=40.0, hold_time=3.0, boundary_policy=policy)
