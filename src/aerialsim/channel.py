@@ -37,6 +37,8 @@ class AtgEnvironment:
             raise ValueError("kappa and zeta must be positive")
         if not 0 <= self.eta_los <= self.eta_nlos:
             raise ValueError("need eta_nlos >= eta_los >= 0")
+        if self.zeta * self.kappa + max(0.0, math.log(self.kappa)) > 700.0:
+            raise ValueError("zeta * kappa too large: p_los's kappa * exp term overflows")
 
 
 URBAN = AtgEnvironment()

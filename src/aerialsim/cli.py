@@ -75,6 +75,8 @@ def _compare_one(payload):
     seed, preset, config_file = payload
     base = build_config(preset=preset, config_file=config_file,
                         overrides={"seed": seed, "baseline_mode": BASELINE_GROUND})
+    if not base.n_users:  # the median SINRs below need a user
+        raise ConfigurationError("compare needs at least one user, got n_users 0")
     aerial = replace(base, baseline_mode=BASELINE_AERIAL)
     rb = run_scenario(base)
     ra = run_scenario(aerial)
@@ -92,13 +94,13 @@ def _compare_one(payload):
 
 
 def cmd_compare(args) -> int:
-    if args.n_seeds < 1:
-        raise ConfigurationError(f"--n-seeds must be at least 1, got {args.n_seeds}")
-    seeds = [args.seed + k if args.seed is not None else k
-             for k in range(args.n_seeds)]
-    payloads = [(s, args.preset, args.config) for s in seeds]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as ex:
+    for flag, n in (("--n-seeds", args.n_seeds), ("--jobs", args.jobs)):
+        if n < 1:
+            raise ConfigurationError(f"{flag} must be at least 1, got {n}")
+    payloads = [((args.seed or 0) + k, args.preset, args.config) for k in range(args.n_seeds)]
+    jobs = min(args.jobs, len(payloads))  # a pool may start all its workers at once
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as ex:
             rows = list(ex.map(_compare_one, payloads))
     else:
         rows = [_compare_one(p) for p in payloads]

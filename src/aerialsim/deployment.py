@@ -8,7 +8,7 @@ from typing import List
 
 import numpy as np
 
-from .geometry import ConfigurationError, Position2D, Position3D, ServiceArea
+from .geometry import MAX_LENGTH, ConfigurationError, Position2D, Position3D, ServiceArea
 
 DEFAULT_ANTENNA_HEIGHT = 25.0
 DEFAULT_GROUND_TX_DBM = 46.0
@@ -47,8 +47,8 @@ def hex_layout(n_rings: int, area: ServiceArea,
     """Center site plus n_rings concentric hexagonal rings, centered in the area."""
     if n_rings < 0:
         raise ConfigurationError("n_rings must be >= 0")
-    if antenna_height <= 0:
-        raise ConfigurationError("antenna height must be positive")
+    if not 0 < antenna_height <= MAX_LENGTH:
+        raise ConfigurationError(f"antenna height must be positive and at most {MAX_LENGTH:g} m")
 
     n_cells = hex_cell_count(n_rings)
     isd = inter_site_distance(area, n_cells)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+MAX_LENGTH = 1e6  # m, on any coordinate or height, so squared distances stay finite
+
 
 class ConfigurationError(ValueError):
     """Raised for invalid scenario / layout configuration."""
@@ -40,6 +42,8 @@ class ServiceArea:
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ConfigurationError("service area must have positive extent")
+        if max(-self.x_min, self.x_max, -self.y_min, self.y_max, self.h_max) > MAX_LENGTH:
+            raise ConfigurationError(f"service area must lie within {MAX_LENGTH:g} m of 0")
         if not (0.0 < self.h_min < self.h_max):
             raise ConfigurationError("altitude band must satisfy 0 < h_min < h_max")
 

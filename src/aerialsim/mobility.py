@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ class Users:
     """Every user's state as float arrays indexed by user id.
 
     cos and sin hold np.cos and np.sin of direction, computed here when not
-    given. step shares every array it does not change with the Users it
-    returns, so no array of a Users is ever written to.
+    given. No array of a Users is ever written to: step returns new ones.
     """
 
     x: np.ndarray
@@ -73,9 +72,6 @@ class Users:
                     speed=float(self.speed[i]), direction=float(self.direction[i]),
                     hold_remaining=float(self.hold[i]))
 
-    def __iter__(self) -> Iterator[User]:
-        return (self[i] for i in range(len(self)))
-
 
 def draw_velocities(params: MobilityParams, rng: np.random.Generator,
                     k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -88,80 +84,79 @@ def draw_velocities(params: MobilityParams, rng: np.random.Generator,
     return params.c_max * u[:, 0], (2.0 * math.pi) * u[:, 1]
 
 
-def draw_velocity(params: MobilityParams, rng: np.random.Generator):
-    speed, direction = draw_velocities(params, rng, 1)
-    return float(speed[0]), float(direction[0])
-
-
 def init_users(positions: List[Position2D], params: MobilityParams,
                rng: np.random.Generator) -> Users:
     """Assign each dropped position an initial random velocity and full hold."""
     speed, direction = draw_velocities(params, rng, len(positions))
-    return Users(x=np.array([p.x for p in positions], dtype=float),
-                 y=np.array([p.y for p in positions], dtype=float),
-                 speed=speed, direction=direction,
-                 hold=np.full(len(positions), float(params.hold_time)))
+    x, y = (np.array([getattr(p, k) for p in positions], dtype=float) for k in "xy")
+    return Users(x, y, speed, direction, np.full(len(positions), float(params.hold_time)))
 
 
-def _fold(v: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Fold v into [lo, hi] by mirror reflection, in place; True where it flipped."""
-    flipped = np.zeros(v.shape, dtype=bool)
-    out = (v < lo) | (v > hi)
-    while out.any():
-        v[:] = np.where(v < lo, 2 * lo - v, np.where(v > hi, 2 * hi - v, v))
-        flipped ^= out
-        out = (v < lo) | (v > hi)
-    return flipped
+def _fold(v: float, lo: float, hi: float) -> Tuple[float, bool]:
+    """v folded into [lo, hi] by mirror reflection, and whether it flipped."""
+    flipped = False
+    while v < lo or v > hi:
+        v = 2 * lo - v if v < lo else 2 * hi - v
+        flipped = not flipped
+    return v, flipped
 
 
-def step(users: Users, dt: float, params: MobilityParams,
-         area: ServiceArea, rng: np.random.Generator) -> Users:
-    """Advance every user by dt seconds; redraw velocity when the hold expires.
+def _reflecting_walk(x, y, speed, direction, cos, sin, dts, area):
+    """One user's (x, y, direction, cos, sin), as floats, after dts one at a time.
 
-    Users whose hold expires draw a new (speed, direction) pair in id order.
-    Only the users that reflect or redraw get a new cos and sin.
+    math.atan2 mirrors the heading at a fold bit for bit as the scalar walk
+    did (np.arctan2 can differ in the last place).
     """
-    if dt <= 0:
+    for dt in dts:
+        v = speed * dt
+        x, fx = _fold(x + v * cos, area.x_min, area.x_max)
+        y, fy = _fold(y + v * sin, area.y_min, area.y_max)
+        if fx or fy:
+            dx, dy = math.cos(direction), math.sin(direction)
+            direction = math.atan2(-dy if fy else dy, -dx if fx else dx) % (2.0 * math.pi)
+            cos, sin = float(np.cos(direction)), float(np.sin(direction))
+    return x, y, direction, cos, sin
+
+
+def step(users: Users, dts, params: MobilityParams,
+         area: ServiceArea, rng: np.random.Generator) -> Users:
+    """Advance every user through the sub-steps dts (s) in order; a float is one.
+
+    Result and rng state are bit for bit those of one sub-step at a time:
+    move by speed * dt along the cached heading, reflect or wrap at the edge,
+    count the hold down, and redraw, in id order, where it expired. A segment
+    ends where the smallest hold expires (rounding is monotone, so it expires
+    first); in it each user adds one displacement per distinct dt. A straight
+    walk that starts and ends inside the area never left it, so only users
+    outside at either end are replayed one sub-step at a time.
+    """
+    dts = [dts] if np.isscalar(dts) else list(dts)
+    if not all(dt > 0 for dt in dts):
         raise ConfigurationError("dt must be positive")
-    v = users.speed * dt
-    x = users.x + v * users.cos
-    y = users.y + v * users.sin
-    speed, direction = users.speed, users.direction
-    turned = []  # ids whose direction changed, as index arrays
-    if params.boundary_policy == "wrap":
-        x = area.x_min + (x - area.x_min) % area.width
-        y = area.y_min + (y - area.y_min) % area.height
-    elif x.size and (x.min() < area.x_min or x.max() > area.x_max
-                     or y.min() < area.y_min or y.max() > area.y_max):
-        fx = _fold(x, area.x_min, area.x_max)
-        fy = _fold(y, area.y_min, area.y_max)
-        reflected = np.flatnonzero(fx | fy)
-        direction = direction.copy()
-        # Few users reflect in a step. math.atan2 gives their new direction
-        # bit for bit as the scalar walk did; np.arctan2 can differ in the
-        # last place.
-        for i in reflected.tolist():
-            dx, dy = math.cos(direction[i]), math.sin(direction[i])
-            if fx[i]:
-                dx = -dx
-            if fy[i]:
-                dy = -dy
-            direction[i] = math.atan2(dy, dx) % (2.0 * math.pi)
-        turned.append(reflected)
-    hold = users.hold - dt
-    redraw = np.flatnonzero(hold <= 1e-12)
-    if redraw.size:  # rng.random((0, 2)) draws nothing, so skipping keeps the stream
-        speed = speed.copy()
-        if direction is users.direction:
-            direction = direction.copy()
+    x, y, hold, speed, direction, cos, sin = users.x, users.y, users.hold, *(
+        a.copy() for a in (users.speed, users.direction, users.cos, users.sin))
+    start = 0
+    while start < len(dts) and len(users):
+        h, end = float(hold.min()) - dts[start], start + 1
+        while end < len(dts) and h > 1e-12:
+            h -= dts[end]
+            end += 1
+        segment, x0, y0 = dts[start:end], x, y
+        moves = {dt: (speed * dt * cos, speed * dt * sin) for dt in set(segment)}
+        for dt in segment:
+            x, y, hold = x + moves[dt][0], y + moves[dt][1], hold - dt
+            if params.boundary_policy == "wrap":
+                x = area.x_min + (x - area.x_min) % area.width
+                y = area.y_min + (y - area.y_min) % area.height
+        if params.boundary_policy == "reflect":
+            out = (x0 < area.x_min) | (x0 > area.x_max) | (y0 < area.y_min) | (y0 > area.y_max) \
+                | (x < area.x_min) | (x > area.x_max) | (y < area.y_min) | (y > area.y_max)
+            for i in np.flatnonzero(out).tolist():
+                x[i], y[i], direction[i], cos[i], sin[i] = _reflecting_walk(
+                    *(float(a[i]) for a in (x0, y0, speed, direction, cos, sin)), segment, area)
+        redraw = np.flatnonzero(hold <= 1e-12)  # rng.random((0, 2)) draws nothing
         speed[redraw], direction[redraw] = draw_velocities(params, rng, redraw.size)
         hold[redraw] = params.hold_time
-        turned.append(redraw)
-    cos, sin = users.cos, users.sin
-    if turned:
-        ids = np.concatenate(turned)
-        cos, sin = cos.copy(), sin.copy()
-        cos[ids] = np.cos(direction[ids])
-        sin[ids] = np.sin(direction[ids])
-    return Users(x=x, y=y, speed=speed, direction=direction, hold=hold,
-                 cos=cos, sin=sin)
+        cos[redraw], sin[redraw] = np.cos(direction[redraw]), np.sin(direction[redraw])
+        start = end
+    return Users(x, y, speed, direction, hold, cos, sin)

@@ -22,9 +22,7 @@ from .geometry import ConfigurationError, Position3D, ServiceArea, square_area
 from .mobility import MobilityParams, init_users, step
 from .placement import (LearningConfig, QTable, learn_placement, load_qtable,
                         save_qtable)
-# aggregate_qos is not called here (a slot's QoS is the throughput sum of
-# its link_report); it stays a module attribute because bench/tracing.py
-# wraps it.
+# aggregate_qos is not called here; bench/tracing.py wraps it as an attribute.
 from .radio import (DEFAULT_AERIAL_TX_DBM, NetworkState,  # noqa: F401
                     aggregate_qos, link_report, throughput)
 
@@ -217,15 +215,14 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     else:
         qtable = None
 
+    dts, remaining = [], cfg.t_min  # one slot's mobility sub-steps
+    while remaining > SLOT_TIME_TOL:
+        dts.append(min(cfg.mobility_dt, remaining))
+        remaining -= dts[-1]
     users = net.users
     n_slots = int(math.floor(cfg.sim_duration / cfg.t_min))
     for k in range(1, n_slots + 1):
-        remaining = cfg.t_min
-        while remaining > SLOT_TIME_TOL:
-            dt = min(cfg.mobility_dt, remaining)
-            users = step(users, dt, cfg.mobility, area, rng_mob)
-            remaining -= dt
-
+        users = step(users, dts, cfg.mobility, area, rng_mob)
         state = replace(net, users=users)
         qos_now, sinr_now = evaluate(state)
         triggered = False
@@ -443,7 +440,7 @@ def _from_mapping(cls, d: dict, prefix: str = ""):
                 raise ConfigurationError(f"config key {name} must be {what}, got {v!r}")
             if float in accepted and not _finite(v):
                 raise ConfigurationError(f"config key {name} must be finite, got {v!r}")
-        kwargs[k] = v
+        kwargs[k] = float(v) if typ == "float" else v
     return cls(**kwargs)
 
 

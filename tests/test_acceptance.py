@@ -16,7 +16,7 @@ import aerialsim as a
 from aerialsim.channel import RadioParams
 from aerialsim.deployment import GroundBS
 from aerialsim.geometry import Position2D, Position3D
-from aerialsim.mobility import MobilityParams, draw_velocity
+from aerialsim.mobility import MobilityParams, draw_velocities
 from aerialsim.oracle import exhaustive_search
 from aerialsim.placement import (LearningConfig, QTable, learn_placement,
                                  make_qos_table)
@@ -144,9 +144,7 @@ def test_criterion_5_directional_qos_gain():
 def test_criterion_6_mobility_statistics():
     params = MobilityParams(c_max=1.3)
     rng = np.random.default_rng(2026)
-    draws = [draw_velocity(params, rng) for _ in range(100_000)]
-    speeds = np.array([d[0] for d in draws])
-    dirs = np.array([d[1] for d in draws])
+    speeds, dirs = draw_velocities(params, rng, 100_000)
     _, p_speed = stats.kstest(speeds, stats.uniform(loc=0, scale=1.3).cdf)
     _, p_dir = stats.kstest(dirs, stats.uniform(loc=0, scale=2 * math.pi).cdf)
     ok = p_speed > 0.01 and p_dir > 0.01

@@ -47,6 +47,18 @@ class TestPLos:
         expected = 1.0 / (1.0 + 9.61 * math.exp(-0.16 * 45.0 - 9.61))
         assert p_los(theta, env) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("zeta, kappa", [(1e30, 9.61), (0.16, 1e300), (80.0, 9.0)])
+    def test_overflowing_sigmoid_rejected(self, zeta, kappa):
+        # At 0 degrees the exponent is zeta * kappa; np.exp of more than about
+        # 709 overflows with a warning.
+        with pytest.raises(ValueError, match="zeta \\* kappa too large"):
+            AtgEnvironment(zeta=zeta, kappa=kappa)
+
+    def test_steepest_accepted_sigmoid_stays_finite(self):
+        # Warnings fail the tests, so this also checks that none is raised.
+        p = p_los(np.radians([0.0, 1.0, 90.0]), AtgEnvironment(zeta=70.0, kappa=9.61))
+        assert np.all((p >= 0.0) & (p <= 1.0)) and p[-1] == 1.0
+
 
 class TestAtgPathloss:
     def test_100m_overhead(self, urban, radio):

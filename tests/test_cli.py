@@ -1,13 +1,22 @@
 import csv
+import io
+import math
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr
 from dataclasses import replace
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aerialsim
+from aerialsim import cli
 from aerialsim.cli import main
 from aerialsim.placement import QTable, save_qtable
 from aerialsim.radio import qos_map
@@ -87,6 +96,59 @@ def test_compare_rejects_zero_seeds(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not (tmp_path / "o" / "compare.csv").exists()
+
+
+def test_compare_rejects_no_users(tmp_path, capsys):
+    # The median SINR over no users was a "Mean of empty slice" warning and nan.
+    cfg = tmp_path / "empty.yaml"
+    cfg.write_text("n_users: 0\nsim_duration: 20.0\n")
+    rc = main(["compare", "--preset", "desk", "--config", str(cfg), "--n-seeds", "1",
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: compare needs at least one user, got n_users 0"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_compare_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    rc = main(["compare", "--preset", "desk", "--n-seeds", "1", "--jobs", jobs,
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: --jobs must be at least 1, got {jobs}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("jobs, n_seeds, workers", [("64", "2", 2), ("2", "3", 2),
+                                                    ("8", "1", None)])
+def test_compare_starts_no_more_workers_than_seeds(tmp_path, fast_config, monkeypatch,
+                                                   jobs, n_seeds, workers):
+    started = []
+
+    class SerialPool:
+        """Records max_workers and runs the map in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    out = tmp_path / "out"
+    rc = main(["compare", "--preset", "desk", "--config", str(fast_config),
+               "--n-seeds", n_seeds, "--jobs", jobs, "--out-dir", str(out)])
+    assert rc == 0
+    assert started == ([workers] if workers else [])
+    with open(out / "compare.csv", newline="") as f:
+        assert len(list(csv.DictReader(f))) == int(n_seeds)
 
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
@@ -316,6 +378,11 @@ def test_malformed_yaml_exits_nonzero(tmp_path, capsys):
     ("n_rings: 100000", "n_rings gives 1 + 3 * n_rings * (n_rings + 1) ground "
                         "sites; at most 10000 are allowed"),
     ("n_rings: -1", "n_rings must be >= 0"),
+    # Lengths whose squares overflow: an OverflowError traceback from the
+    # antenna height's square, overflow warnings from heights and distances.
+    ("antenna_height: 1.0e+300", "antenna height must be positive and at most 1e+06 m"),
+    ("h_max: 1.0e+300", "service area must lie within 1e+06 m of 0"),
+    ("area_side: 1.0e+160", "service area must lie within 1e+06 m of 0"),
 ])
 def test_unbounded_run_exits_nonzero(tmp_path, config, message):
     cfg = tmp_path / "huge.yaml"
@@ -324,3 +391,85 @@ def test_unbounded_run_exits_nonzero(tmp_path, config, message):
                        "--out-dir", tmp_path / "o"], timeout=10)
     assert (rc, err) == (1, [f"error: {message}"])
     assert not (tmp_path / "o").exists()
+
+
+# Drawn configs: every key is optional, and its valid values are small enough
+# that a run takes milliseconds. In half the examples one or two keys get a
+# junk value instead; none of them asks for a long run or a large allocation
+# that could succeed.
+_VALID = {
+    "seed": st.integers(0, 2**64),
+    "n_users": st.integers(0, 30),
+    "n_rings": st.integers(0, 2),
+    "area_side": st.floats(1.0, 4000.0),
+    "h_min": st.floats(1.0, 100.0),
+    "h_max": st.floats(50.0, 600.0),
+    "antenna_height": st.floats(0.0, 60.0),
+    "ground_tx_power": st.floats(-20.0, 60.0),
+    "aerial_tx_power": st.floats(-20.0, 60.0),
+    "t_min": st.floats(1.0, 20.0),
+    "mobility_dt": st.floats(0.1, 5.0),
+    "sim_duration": st.floats(1.0, 60.0),
+    "baseline_mode": st.sampled_from(["ground19", "aerial18plus1"]),
+    "disabled_bs": st.one_of(st.none(), st.integers(0, 20)),
+    "qtable_path": st.one_of(st.none(), st.just("q.npz")),
+    "grid": {"n_x": st.integers(1, 4), "n_y": st.integers(1, 4), "n_h": st.integers(1, 4)},
+    "env": {"kappa": st.floats(0.1, 20.0), "zeta": st.floats(0.01, 1.0),
+            "eta_los": st.floats(0.0, 5.0), "eta_nlos": st.floats(0.0, 40.0),
+            "literal_los_exponent": st.booleans()},
+    "radio": {"carrier_freq": st.floats(1e8, 1e10), "noise_power": st.floats(-130.0, -60.0),
+              "ground_pathloss_exponent": st.floats(1.0, 6.0),
+              "ground_ref_loss": st.floats(0.0, 60.0)},
+    "mobility": {"c_max": st.floats(0.0, 50.0), "hold_time": st.floats(0.1, 20.0),
+                 "boundary_policy": st.sampled_from(["reflect", "wrap"])},
+    "learning": {"max_episodes": st.integers(1, 20), "max_steps": st.integers(1, 10),
+                 "epsilon_decay": st.floats(0.5, 1.0), "epsilon_floor": st.floats(0.0, 1.0),
+                 "episode_start": st.sampled_from(["chain", "fixed"])},
+}
+_JUNK = st.sampled_from([None, True, "x", [], {}, [1.0], -1, 0, 10**30, -0.5, 1e-12,
+                         1e300, math.nan, math.inf, -math.inf])
+# The desk preset's counts, cut down; a drawn section is merged into these.
+_CHEAP = {"n_users": 20, "sim_duration": 30.0, "grid": {"n_x": 3, "n_y": 3, "n_h": 2},
+          "learning": {"max_episodes": 10, "max_steps": 5}}
+
+
+def _paths(spec, prefix=()):
+    for k, v in spec.items():
+        yield from _paths(v, prefix + (k,)) if isinstance(v, dict) else [prefix + (k,)]
+
+
+@st.composite
+def config_mappings(draw):
+    paths = list(_paths(_VALID))
+    chosen = draw(st.lists(st.sampled_from(paths), unique=True, max_size=8))
+    junk = draw(st.sets(st.sampled_from(chosen or paths), max_size=2)) \
+        if draw(st.booleans()) else set()
+    d = {k: dict(v) if isinstance(v, dict) else v for k, v in _CHEAP.items()}
+    for path in chosen:
+        spec, node = _VALID, d
+        for k in path[:-1]:
+            spec = spec[k]
+            if not isinstance(node.get(k), dict):
+                node[k] = {}
+            node = node[k]
+        node[path[-1]] = draw(_JUNK if path in junk else spec[path[-1]])
+    if draw(st.booleans()) and junk:  # a whole section or an unknown key
+        d[draw(st.sampled_from(["grid", "mobility", "learning", "bogus"]))] = draw(_JUNK)
+    return d
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=5))
+@given(config_mappings(), st.sampled_from(["run", "oracle", "compare"]))
+def test_any_config_exits_cleanly(config, command):
+    with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
+        if isinstance(config.get("qtable_path"), str):
+            config["qtable_path"] = str(Path(tmp) / config["qtable_path"])
+        path = Path(tmp) / "cfg.yaml"
+        path.write_text(yaml.safe_dump(config))
+        extra = ["--n-seeds", "1"] if command == "compare" else []
+        rc = main([command, "--config", str(path), "--out-dir", str(Path(tmp) / "o"),
+                   *extra])
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 1)
+    if rc == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -58,6 +58,11 @@ class TestHexLayout:
         with pytest.raises(ConfigurationError):
             hex_layout(-1, desk_area)
 
+    @pytest.mark.parametrize("height", [0.0, -1.0, 1.0e6 * (1 + 1e-15), 1.0e300])
+    def test_antenna_height_outside_its_range_rejected(self, desk_area, height):
+        with pytest.raises(ConfigurationError, match="antenna height must be positive"):
+            hex_layout(1, desk_area, antenna_height=height)
+
 
 class TestDropUsers:
     def test_zero_count(self, desk_area):
@@ -121,3 +126,8 @@ def test_service_area_validation():
         ServiceArea(0, 0, -1, 1)
     with pytest.raises(ConfigurationError):
         ServiceArea(-1, 1, -1, 1, h_min=100.0, h_max=50.0)
+    for box in [(-2e6, 1, -1, 1), (5e5, 1.5e6, -1, 1), (-1, 1, -1, 1e300),
+                (-1, 1, -1, 1, 25.0, 1e300)]:
+        with pytest.raises(ConfigurationError, match="must lie within 1e"):
+            ServiceArea(*box)
+    assert ServiceArea(-1e6, 1e6, -1e6, 1e6, 25.0, 1e6).width == 2e6

@@ -6,14 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from aerialsim import scenario
 from aerialsim.geometry import ConfigurationError, Position3D
-from aerialsim.mobility import MobilityParams
+from aerialsim.mobility import MobilityParams, Users
 from aerialsim.placement import LearningConfig
 from aerialsim.radio import aggregate_qos
 from aerialsim.scenario import (GridSpec, ScenarioConfig, TimeSlotRecord,
                                 build_config, build_network, config_from_dict,
                                 emit_outputs, run_scenario, sinr_cdf,
                                 spectral_efficiency_summary)
+from tests.test_mobility import ref_walk
 
 
 def desk_config(**overrides):
@@ -103,6 +105,41 @@ class TestRunScenario:
             desk_config(sim_duration=5.0)  # < t_min
         with pytest.raises(ConfigurationError):
             desk_config(baseline_mode="hybrid")
+
+
+def slot_substeps(cfg):
+    """One slot's sub-steps, each min(mobility_dt, what is left of t_min)."""
+    remaining, dts = cfg.t_min, []
+    while remaining > 1e-9:
+        dts.append(min(cfg.mobility_dt, remaining))
+        remaining -= dts[-1]
+    return dts
+
+
+@pytest.mark.parametrize("cfg", [
+    desk_config(baseline_mode="ground19", n_users=60, sim_duration=75.0, t_min=7.5,
+                mobility_dt=2.0, mobility=MobilityParams(c_max=200.0, hold_time=3.0)),
+    desk_config(seed=3, sim_duration=60.0),
+], ids=["fast-walker-ground", "desk-aerial"])
+def test_run_matches_a_walk_of_one_substep_at_a_time(cfg, monkeypatch):
+    fast = run_scenario(cfg)
+    substeps = slot_substeps(cfg)
+
+    def walk_per_substep(users, dts, params, area, rng):
+        assert list(dts) == substeps
+        users = ref_walk(users, substeps, params, area, rng)
+        return Users(*(np.array(v, dtype=float) for v in zip(
+            *((u.pos.x, u.pos.y, u.speed, u.direction, u.hold_remaining) for u in users))))
+
+    monkeypatch.setattr(scenario, "step", walk_per_substep)
+    ref = run_scenario(cfg)
+    assert len(fast.records) == len(ref.records) == int(cfg.sim_duration // cfg.t_min) + 1
+    for got, want in zip(fast.records, ref.records):
+        assert (got.t, got.qos, got.qos_th, got.aerial_pos, got.learning_triggered) == \
+            (want.t, want.qos, want.qos_th, want.aerial_pos, want.learning_triggered)
+        assert got.user_sinr.tobytes() == want.user_sinr.tobytes()
+    assert [t.tobytes() for t in fast.reward_traces] == \
+        [t.tobytes() for t in ref.reward_traces]
 
 
 class TestSinrCdf:
@@ -239,6 +276,15 @@ class TestConfigPlumbing:
         assert cfg.sim_duration == 1000 and cfg.grid == GridSpec(3, 3, 2)
         assert cfg.mobility == MobilityParams(c_max=40, boundary_policy="wrap")
         assert cfg.env.literal_los_exponent is True
+
+    def test_float_keys_hold_floats(self):
+        # A YAML integer too large for int64 used to reach numpy as an object
+        # (np.log10 raised TypeError on antenna_height: 10**30).
+        cfg = config_from_dict({"t_min": 10, "antenna_height": 10**30,
+                                "mobility": {"c_max": 40}})
+        assert [type(v) for v in (cfg.t_min, cfg.antenna_height, cfg.mobility.c_max)] == \
+            [float] * 3
+        assert cfg.antenna_height == 1e30
 
     def test_presets_build(self):
         paper = build_config(preset="paper")
