@@ -12,9 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DegenerateGeometryError
+from .geometry import MAX_LENGTH, DegenerateGeometryError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+# The shortest and longest link distances an area can hold: any positive
+# distance, and the diagonal of a box within MAX_LENGTH of 0 on x, y and h.
+LINK_DISTANCE_RANGE = (5e-324, 3.0 * MAX_LENGTH)  # m
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,17 @@ class RadioParams:
     ground_ref_loss: float = 38.4        # dB at 1 m
 
     def __post_init__(self):
-        if self.carrier_freq <= 0:
-            raise ValueError("carrier frequency must be positive")
+        # The free-space ratio 4*pi*f*d/c is monotone in d, and so is its
+        # rounding: it is a positive finite float at every link distance if
+        # it is one at both ends.
+        with np.errstate(all="ignore"):
+            ratio = 4.0 * np.pi * self.carrier_freq * np.array(LINK_DISTANCE_RANGE) \
+                / SPEED_OF_LIGHT
+        if not np.all((0 < ratio) & (ratio < np.inf)):
+            raise ValueError(
+                f"carrier frequency {self.carrier_freq!r} Hz must keep 4*pi*f*d/c a "
+                f"positive finite float for every link distance d from "
+                f"{LINK_DISTANCE_RANGE[0]!r} to {LINK_DISTANCE_RANGE[1]:g} m")
         if not math.isfinite(self.noise_power):
             raise ValueError("noise power must be finite")
         if not self.ground_pathloss_exponent > 0:
@@ -89,21 +101,11 @@ def atg_pathloss_hl(h, l, env: AtgEnvironment, radio: RadioParams):
         + p * env.eta_los + (1.0 - p) * env.eta_nlos
 
 
-def atg_pathloss(aerial, user, env: AtgEnvironment, radio: RadioParams):
-    l = np.hypot(aerial.x - user.x, aerial.y - user.y)
-    return atg_pathloss_hl(aerial.h, l, env, radio)
-
-
 def ground_pathloss_d(d, radio: RadioParams):
     """Log-distance terrestrial path loss (dB) at 3D distance d meters."""
     if np.any(d <= 0):
         raise DegenerateGeometryError("link distance must be positive")
     return radio.ground_ref_loss + 10.0 * radio.ground_pathloss_exponent * np.log10(d)
-
-
-def ground_pathloss(bs, user, radio: RadioParams):
-    d = np.sqrt((bs.pos.x - user.x) ** 2 + (bs.pos.y - user.y) ** 2 + bs.pos.h ** 2)
-    return ground_pathloss_d(d, radio)
 
 
 def dbm_to_mw(dbm):

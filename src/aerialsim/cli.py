@@ -60,13 +60,13 @@ def cmd_oracle(args) -> int:
     net, _, _ = build_network(cfg)
     snapshot = replace(net, ground_bs=disable_site(net.ground_bs, cfg))
     t0 = time.perf_counter()
-    result = exhaustive_search(snapshot, grid)
+    best, qos = exhaustive_search(snapshot, grid)
     out = Path(args.out_dir) if args.out_dir else default_out_dir()
     out.mkdir(parents=True, exist_ok=True)
-    export_qos_csv(result, grid, out / "oracle_qos.csv")
-    p = grid_index_to_position(grid, result.best_state)
-    print(f"best state {result.best_state} at ({p.x:.1f}, {p.y:.1f}, {p.h:.1f}) "
-          f"qos={result.best_qos:.4f} ({time.perf_counter() - t0:.1f}s)",
+    export_qos_csv(qos, grid, out / "oracle_qos.csv")
+    p = grid_index_to_position(grid, best)
+    print(f"best state {best} at ({p.x:.1f}, {p.y:.1f}, {p.h:.1f}) "
+          f"qos={qos[best]:.4f} ({time.perf_counter() - t0:.1f}s)",
           file=sys.stderr)
     return 0
 

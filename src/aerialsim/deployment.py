@@ -8,7 +8,7 @@ from typing import List
 
 import numpy as np
 
-from .geometry import MAX_LENGTH, ConfigurationError, Position2D, Position3D, ServiceArea
+from .geometry import MAX_LENGTH, ConfigurationError, Position3D, ServiceArea
 
 DEFAULT_ANTENNA_HEIGHT = 25.0
 DEFAULT_GROUND_TX_DBM = 46.0
@@ -77,14 +77,13 @@ def hex_layout(n_rings: int, area: ServiceArea,
     return bss
 
 
-def drop_users_ppp(count: int, area: ServiceArea,
-                   rng: np.random.Generator) -> List[Position2D]:
-    """Fixed-count PPP conditioning: i.i.d. uniform positions over the area."""
+def drop_users_ppp(count: int, area: ServiceArea, rng: np.random.Generator) -> np.ndarray:
+    """Fixed-count PPP conditioning: i.i.d. uniform (x, y) over the area, as (count, 2)."""
     if count < 0:
         raise ConfigurationError("user count must be >= 0")
     xs = rng.uniform(area.x_min, area.x_max, size=count)
     ys = rng.uniform(area.y_min, area.y_max, size=count)
-    return [Position2D(float(x), float(y)) for x, y in zip(xs, ys)]
+    return np.column_stack((xs, ys))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -84,12 +84,12 @@ def draw_velocities(params: MobilityParams, rng: np.random.Generator,
     return params.c_max * u[:, 0], (2.0 * math.pi) * u[:, 1]
 
 
-def init_users(positions: List[Position2D], params: MobilityParams,
+def init_users(xy: np.ndarray, params: MobilityParams,
                rng: np.random.Generator) -> Users:
-    """Assign each dropped position an initial random velocity and full hold."""
-    speed, direction = draw_velocities(params, rng, len(positions))
-    x, y = (np.array([getattr(p, k) for p in positions], dtype=float) for k in "xy")
-    return Users(x, y, speed, direction, np.full(len(positions), float(params.hold_time)))
+    """Users at the dropped (n, 2) positions xy, each with a random velocity and full hold."""
+    x, y = np.ascontiguousarray(xy.T, dtype=float)
+    speed, direction = draw_velocities(params, rng, x.size)
+    return Users(x, y, speed, direction, np.full(x.size, float(params.hold_time)))
 
 
 def _fold(v: float, lo: float, hi: float) -> Tuple[float, bool]:

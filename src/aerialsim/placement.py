@@ -149,7 +149,6 @@ def make_qos_table(snapshot: NetworkState, grid: PlacementGrid) -> Callable[[int
 @dataclass
 class LearnResult:
     best_state: int
-    qtable: QTable
     rewards: np.ndarray            # one entry per learning step (Fig.-7 style trace)
     episode_greedy_qos: np.ndarray  # greedy-rollout terminal QoS after each episode
 
@@ -242,8 +241,7 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     q.values[...] = np.reshape(values, q.values.shape)
     q.visit_counts[...] = np.reshape(visits, q.visit_counts.shape)
     best = _rollout(values, vmax, nxt, initial_state, rollout_steps)
-    return LearnResult(best_state=best, qtable=q,
-                       rewards=rewards, episode_greedy_qos=episode_qos)
+    return LearnResult(best_state=best, rewards=rewards, episode_greedy_qos=episode_qos)
 
 
 def _grid_record(grid: PlacementGrid):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,26 +21,11 @@ class NetworkState:
     """One instant of the network: sites, users, and radio parameters."""
 
     ground_bs: Sequence[GroundBS]
-    users: Sequence  # mobility.Users, or a sequence of User or bare Position2D
+    users: Users
     env: AtgEnvironment
     radio: RadioParams
     aerial_pos: Optional[Position3D] = None
     aerial_tx_power: float = DEFAULT_AERIAL_TX_DBM
-
-
-@dataclass(frozen=True)
-class LinkReport:
-    sinr: np.ndarray        # linear, per user, of its max-SINR server
-    throughput: np.ndarray  # bits/s/Hz, per user
-
-
-def user_xy(state: NetworkState) -> np.ndarray:
-    if isinstance(state.users, Users):
-        return state.users.xy
-    pts = [getattr(u, "pos", u) for u in state.users]
-    if not pts:
-        return np.empty((0, 2))
-    return np.array([[p.x, p.y] for p in pts], dtype=float)
 
 
 def _ground_power(state: NetworkState, xy: np.ndarray) -> np.ndarray:
@@ -97,9 +82,9 @@ def throughput(sinr_linear) -> float:
     return np.log2(1.0 + sinr_linear)
 
 
-def link_report(state: NetworkState) -> LinkReport:
-    """Each user's SINR and throughput under max-SINR association."""
-    xy = user_xy(state)
+def link_report(state: NetworkState) -> Tuple[np.ndarray, np.ndarray]:
+    """Each user's linear SINR and throughput (bits/s/Hz) under max-SINR association."""
+    xy = state.users.xy
     ground_sum, ground_max = _ground_totals(state, xy)
     if state.aerial_pos is not None:
         ap = state.aerial_pos
@@ -110,14 +95,14 @@ def link_report(state: NetworkState) -> LinkReport:
         raise ValueError("network has no active base station")
     s = _strongest_sinr(dbm_to_mw(state.radio.noise_power), ground_sum, ground_max,
                         aerial)
-    return LinkReport(sinr=s, throughput=throughput(s))
+    return s, throughput(s)
 
 
 def aggregate_qos(state: NetworkState) -> float:
     """Sum of per-user spectral efficiency under max-SINR association."""
     if not state.users:
         return 0.0
-    return float(link_report(state).throughput.sum())
+    return float(link_report(state)[1].sum())
 
 
 # Bytes of the (states, users) aerial-power block that qos_map holds per
@@ -144,7 +129,7 @@ def qos_map(snapshot: NetworkState, grid: PlacementGrid) -> np.ndarray:
     columns, and the horizontal user distance is computed once per column
     and shared by its heights.
     """
-    xy = user_xy(snapshot)
+    xy = snapshot.users.xy
     n_users = xy.shape[0]
     out = np.zeros(grid.n_states)
     if n_users == 0:

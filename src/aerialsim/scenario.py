@@ -194,8 +194,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         """(aggregate QoS, per-user SINR) from one link report."""
         if not state.users:
             return 0.0, np.empty(0)
-        rep = link_report(state)
-        return float(rep.throughput.sum()), rep.sinr
+        sinr, tput = link_report(state)
+        return float(tput.sum()), sinr
 
     # Threshold snapshot: full ground network, no aerial.
     qos_th, sinr0 = evaluate(net)
@@ -230,7 +230,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
             result = learn_placement(aerial_state, state, qtable, cfg.learning,
                                      grid, rng_learn)
             aerial_state = result.best_state
-            qtable = result.qtable
             traces.append(result.rewards)
             triggered = True
             net = replace(net, aerial_pos=grid_index_to_position(grid, aerial_state))

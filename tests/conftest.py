@@ -1,9 +1,11 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import aerialsim as a
 from aerialsim.channel import AtgEnvironment, RadioParams
+from aerialsim.mobility import Users
 from aerialsim.scenario import ScenarioConfig, build_network, disable_site
 
 
@@ -43,3 +45,10 @@ def make_snapshot(seed, area, n_users=50, n_rings=1, disabled=0):
     if disabled is not None:
         snap = replace(snap, ground_bs=disable_site(snap.ground_bs, cfg))
     return snap, rng_learn
+
+
+def users_at(points) -> Users:
+    """Users standing still at the given points (each with .x and .y), in order."""
+    xy = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+    zero = np.zeros(len(xy))
+    return Users(xy[:, 0], xy[:, 1], zero, zero, zero)

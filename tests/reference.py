@@ -13,7 +13,7 @@ temporal-difference backup, and the greedy rollout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -23,7 +23,8 @@ from aerialsim.deployment import PlacementGrid
 from aerialsim.geometry import ConfigurationError
 from aerialsim.placement import N_ACTIONS, Action, QTable
 from aerialsim.radio import (NetworkState, _aerial_power, _horizontal_distance,
-                             throughput, user_xy)
+                             throughput)
+from tests.conftest import users_at
 
 AERIAL_ID = -1  # BS identifier reserved for the aerial station
 
@@ -63,7 +64,7 @@ def sinr_matrix(state: NetworkState) -> np.ndarray:
     last. A user's total received power is the sum of its ground columns,
     then plus its aerial column.
     """
-    xy = user_xy(state)
+    xy = state.users.xy
     p = ground_power(state, xy)
     total = p.sum(axis=1)
     if state.aerial_pos is not None:
@@ -79,9 +80,7 @@ def sinr_matrix(state: NetworkState) -> np.ndarray:
 
 def sinr(user, serving: int, state: NetworkState) -> float:
     """SINR of a single user served by the given BS id."""
-    probe = NetworkState(ground_bs=state.ground_bs, users=[user], env=state.env,
-                         radio=state.radio, aerial_pos=state.aerial_pos,
-                         aerial_tx_power=state.aerial_tx_power)
+    probe = replace(state, users=users_at([user]))
     ids = active_bs_ids(probe)
     if serving not in ids:
         raise ValueError(f"serving BS {serving} is not active")

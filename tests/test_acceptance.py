@@ -23,7 +23,7 @@ from aerialsim.placement import (LearningConfig, QTable, learn_placement,
 from aerialsim.radio import NetworkState, aggregate_qos
 from aerialsim.scenario import (build_config, emit_outputs,
                                 per_user_mean_sinr_db, run_scenario)
-from tests.conftest import make_snapshot
+from tests.conftest import make_snapshot, users_at
 from tests.reference import sinr_matrix
 
 N_SEEDS = 20
@@ -43,21 +43,22 @@ def learning_battery(desk_area_mod, desk_grid_mod):
     runs = []
     for seed in range(N_SEEDS):
         snap, rng = make_snapshot(seed, desk_area_mod, n_users=50)
-        orc = exhaustive_search(snap, desk_grid_mod)
+        best, orc_qos = exhaustive_search(snap, desk_grid_mod)
+        optimum = float(orc_qos[best])
         cfg = LearningConfig()
-        cold = learn_placement(desk_grid_mod.center_state(), snap,
-                               QTable.zeros(desk_grid_mod.n_states),
+        cold_q = QTable.zeros(desk_grid_mod.n_states)
+        cold = learn_placement(desk_grid_mod.center_state(), snap, cold_q,
                                cfg, desk_grid_mod, rng)
         warm = learn_placement(desk_grid_mod.center_state(), snap,
-                               cold.qtable.copy(), cfg, desk_grid_mod, rng)
+                               cold_q.copy(), cfg, desk_grid_mod, rng)
         qos = make_qos_table(snap, desk_grid_mod)
         runs.append({
             "seed": seed,
-            "optimum": orc.best_qos,
+            "optimum": optimum,
             "cold_qos": qos(cold.best_state),
             "cold_rewards": cold.rewards,
-            "cold_eps": cold.episodes_to_reach(0.99 * orc.best_qos),
-            "warm_eps": warm.episodes_to_reach(0.99 * orc.best_qos),
+            "cold_eps": cold.episodes_to_reach(0.99 * optimum),
+            "warm_eps": warm.episodes_to_reach(0.99 * optimum),
         })
     return runs
 
@@ -77,7 +78,7 @@ def test_criterion_1_channel_hand_values():
     radio = RadioParams()
     v90 = a.p_los(math.pi / 2, urban)
     v0 = a.p_los(1e-12, urban)
-    atg = a.atg_pathloss(Position3D(0, 0, 100.0), Position2D(0, 0), urban, radio)
+    atg = a.atg_pathloss_hl(100.0, 0.0, urban, radio)
     ok = (abs(v90 - 0.999975) <= 1e-6 and abs(v0 - 0.02188) <= 1e-4
           and abs(atg - 79.47) <= 0.01)
     assert _report("1 channel hand-values", ok,
@@ -161,7 +162,7 @@ def test_criterion_7_association_optimality(urban):
         bss = [GroundBS(id=i, pos=Position3D(*rng.uniform(-800, 800, 2), 25.0))
                for i in range(n_bs)]
         users = [Position2D(*rng.uniform(-900, 900, 2)) for _ in range(n_users)]
-        state = NetworkState(ground_bs=bss, users=users, env=urban,
+        state = NetworkState(ground_bs=bss, users=users_at(users), env=urban,
                              radio=RadioParams())
         achieved = aggregate_qos(state)
         s = sinr_matrix(state)

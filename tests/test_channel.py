@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from aerialsim.channel import (SPEED_OF_LIGHT, AtgEnvironment, RadioParams,
-                               atg_pathloss, atg_pathloss_hl, elevation_angle,
-                               free_space_pathloss, ground_pathloss,
+from aerialsim.channel import (AtgEnvironment, atg_pathloss_hl, dbm_to_mw,
+                               elevation_angle, free_space_pathloss,
                                ground_pathloss_d, p_los)
 from aerialsim.deployment import GroundBS
 from aerialsim.geometry import DegenerateGeometryError, Position2D, Position3D
+from aerialsim.radio import NetworkState, _ground_power
+from tests.conftest import users_at
 
 
 class TestElevationAngle:
@@ -62,16 +63,16 @@ class TestPLos:
 
 class TestAtgPathloss:
     def test_100m_overhead(self, urban, radio):
-        pl = atg_pathloss(Position3D(0, 0, 100.0), Position2D(0, 0), urban, radio)
+        pl = atg_pathloss_hl(100.0, 0.0, urban, radio)
         assert pl == pytest.approx(79.47, abs=0.01)
 
     def test_chained_from_atg(self, urban, radio):
         # Received power (dBm) of a 36 dBm aerial 100 m overhead.
-        pl = atg_pathloss(Position3D(0, 0, 100.0), Position2D(0, 0), urban, radio)
+        pl = atg_pathloss_hl(100.0, 0.0, urban, radio)
         assert 36.0 - pl == pytest.approx(-43.47, abs=0.01)
 
     def test_1000m_overhead(self, urban, radio):
-        pl = atg_pathloss(Position3D(0, 0, 1000.0), Position2D(0, 0), urban, radio)
+        pl = atg_pathloss_hl(1000.0, 0.0, urban, radio)
         assert pl == pytest.approx(99.46, abs=0.01)
 
     def test_equal_excess_losses_reduce_to_fspl_plus_eta(self, radio):
@@ -107,10 +108,11 @@ class TestAtgPathloss:
     def test_translation_invariance(self, urban, radio):
         aerial = Position3D(120.0, -40.0, 300.0)
         user = Position2D(-500.0, 250.0)
-        base = atg_pathloss(aerial, user, urban, radio)
-        shifted = atg_pathloss(Position3D(aerial.x + 1234.5, aerial.y - 987.0, aerial.h),
-                               Position2D(user.x + 1234.5, user.y - 987.0),
+        base = atg_pathloss_hl(aerial.h, np.hypot(aerial.x - user.x, aerial.y - user.y),
                                urban, radio)
+        l = np.hypot((aerial.x + 1234.5) - (user.x + 1234.5),
+                     (aerial.y - 987.0) - (user.y - 987.0))
+        shifted = atg_pathloss_hl(aerial.h, l, urban, radio)
         assert shifted == pytest.approx(base, rel=1e-12)
 
 
@@ -127,11 +129,13 @@ class TestGroundPathloss:
         delta = ground_pathloss_d(2 * d, radio) - ground_pathloss_d(d, radio)
         assert delta == pytest.approx(10 * 3.5 * math.log10(2), rel=1e-12)
 
-    def test_bs_user_geometry(self, radio):
+    def test_bs_user_geometry(self, urban, radio):
+        # The radio's site-to-user distance: 30 m up and 40 m across is 50 m.
         bs = GroundBS(id=0, pos=Position3D(0, 0, 30.0))
-        user = Position2D(40.0, 0.0)
-        assert ground_pathloss(bs, user, radio) == pytest.approx(
-            ground_pathloss_d(50.0, radio), rel=1e-12)
+        state = NetworkState(ground_bs=[bs], users=users_at([Position2D(40.0, 0.0)]),
+                             env=urban, radio=radio)
+        assert _ground_power(state, state.users.xy)[0, 0] == pytest.approx(
+            dbm_to_mw(bs.tx_power - ground_pathloss_d(50.0, radio)), rel=1e-12)
 
     def test_zero_distance_rejected(self, radio):
         with pytest.raises(DegenerateGeometryError):

@@ -383,6 +383,12 @@ def test_malformed_yaml_exits_nonzero(tmp_path, capsys):
     ("antenna_height: 1.0e+300", "antenna height must be positive and at most 1e+06 m"),
     ("h_max: 1.0e+300", "service area must lie within 1e+06 m of 0"),
     ("area_side: 1.0e+160", "service area must lie within 1e+06 m of 0"),
+    # The free-space ratio 4*pi*f*d/c overflows (an overflow warning, then a
+    # run that exited 0) or underflows to 0 (a divide warning in log10).
+    ("radio: {carrier_freq: 1.0e+306}", "carrier frequency 1e+306 Hz must keep 4*pi*f*d/c "
+     "a positive finite float for every link distance d from 5e-324 to 3e+06 m"),
+    ("radio: {carrier_freq: 5.0e-324}", "carrier frequency 5e-324 Hz must keep 4*pi*f*d/c "
+     "a positive finite float for every link distance d from 5e-324 to 3e+06 m"),
 ])
 def test_unbounded_run_exits_nonzero(tmp_path, config, message):
     cfg = tmp_path / "huge.yaml"
@@ -427,7 +433,7 @@ _VALID = {
                  "episode_start": st.sampled_from(["chain", "fixed"])},
 }
 _JUNK = st.sampled_from([None, True, "x", [], {}, [1.0], -1, 0, 10**30, -0.5, 1e-12,
-                         1e300, math.nan, math.inf, -math.inf])
+                         1e300, 1e306, 5e-324, math.nan, math.inf, -math.inf])
 # The desk preset's counts, cut down; a drawn section is merged into these.
 _CHEAP = {"n_users": 20, "sim_duration": 30.0, "grid": {"n_x": 3, "n_y": 3, "n_h": 2},
           "learning": {"max_episodes": 10, "max_steps": 5}}

@@ -1,15 +1,13 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-import aerialsim as a
 from aerialsim.deployment import (PlacementGrid, drop_users_ppp,
                                   grid_index_to_position, hex_layout,
                                   inter_site_distance, position_to_grid_index)
-from aerialsim.geometry import ConfigurationError, Position3D, ServiceArea
+from aerialsim.geometry import ConfigurationError, ServiceArea
 
 
 class TestHexLayout:
@@ -66,25 +64,33 @@ class TestHexLayout:
 
 class TestDropUsers:
     def test_zero_count(self, desk_area):
-        assert drop_users_ppp(0, desk_area, np.random.default_rng(0)) == []
+        xy = drop_users_ppp(0, desk_area, np.random.default_rng(0))
+        assert xy.shape == (0, 2) and xy.dtype == float
 
     def test_count_and_bounds(self, desk_area):
-        users = drop_users_ppp(150, desk_area, np.random.default_rng(1))
-        assert len(users) == 150
-        assert all(desk_area.contains_2d(u) for u in users)
+        xy = drop_users_ppp(150, desk_area, np.random.default_rng(1))
+        assert xy.shape == (150, 2) and xy.dtype == float
+        assert np.all((desk_area.x_min <= xy[:, 0]) & (xy[:, 0] <= desk_area.x_max))
+        assert np.all((desk_area.y_min <= xy[:, 1]) & (xy[:, 1] <= desk_area.y_max))
+
+    def test_the_two_uniform_draws(self, desk_area):
+        xy = drop_users_ppp(64, desk_area, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        assert xy[:, 0].tolist() == rng.uniform(desk_area.x_min, desk_area.x_max, 64).tolist()
+        assert xy[:, 1].tolist() == rng.uniform(desk_area.y_min, desk_area.y_max, 64).tolist()
 
     def test_quadrant_uniformity_chi_square(self, desk_area):
-        users = drop_users_ppp(10_000, desk_area, np.random.default_rng(42))
+        xy = drop_users_ppp(10_000, desk_area, np.random.default_rng(42))
         counts = [0, 0, 0, 0]
-        for u in users:
-            counts[(u.x >= 0) * 2 + (u.y >= 0)] += 1
+        for x, y in xy.tolist():
+            counts[(x >= 0) * 2 + (y >= 0)] += 1
         _, p = stats.chisquare(counts)
         assert p > 0.01
 
     def test_seeded_reproducibility(self, desk_area):
         u1 = drop_users_ppp(64, desk_area, np.random.default_rng(9))
         u2 = drop_users_ppp(64, desk_area, np.random.default_rng(9))
-        assert u1 == u2
+        assert np.array_equal(u1, u2)
 
 
 class TestPlacementGrid:

@@ -211,8 +211,8 @@ class TestStepMatchesScalarReference:
         positions = a.drop_users_ppp(50, desk_area, np.random.default_rng(0))
         users = init_users(positions, params, np.random.default_rng(1))
         ref_rng = np.random.default_rng(1)
-        for i, (p, u) in enumerate(zip(positions, users)):
-            assert (u.id, u.pos) == (i, p)
+        for i, ((x, y), u) in enumerate(zip(positions.tolist(), users)):
+            assert (u.id, u.pos) == (i, Position2D(x, y))
             assert (u.speed, u.direction) == ref_draw_velocity(params, ref_rng)
             assert u.hold_remaining == params.hold_time
 
@@ -242,7 +242,7 @@ class TestUsers:
 
     def test_no_users(self, desk_area):
         rng = np.random.default_rng(0)
-        users = init_users([], MobilityParams(), rng)
+        users = init_users(np.empty((0, 2)), MobilityParams(), rng)
         assert len(users) == 0 and not users
         assert users.xy.shape == (0, 2)
         assert list(users) == []

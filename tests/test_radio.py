@@ -12,16 +12,15 @@ from aerialsim.deployment import (GroundBS, PlacementGrid,
                                   grid_index_to_position)
 from aerialsim.geometry import Position2D, Position3D, square_area
 from aerialsim.radio import (NetworkState, _ground_power, aggregate_qos,
-                             link_report, qos_map, qos_map_chunk, throughput,
-                             user_xy)
-from tests.conftest import make_snapshot
+                             link_report, qos_map, qos_map_chunk, throughput)
+from tests.conftest import make_snapshot, users_at
 from tests.reference import (AERIAL_ID, associate_max_sinr, ground_power,
                              served_sinr, sinr, sinr_matrix)
 from tests.reference import aggregate_qos as reference_qos
 
 
 def make_state(bss, users, urban, radio, aerial=None, aerial_tx=36.0):
-    return NetworkState(ground_bs=bss, users=users, env=urban, radio=radio,
+    return NetworkState(ground_bs=bss, users=users_at(users), env=urban, radio=radio,
                         aerial_pos=aerial, aerial_tx_power=aerial_tx)
 
 
@@ -115,30 +114,30 @@ class TestLinkReport:
         bss = [bs_at(i, *rng.uniform(-800, 800, 2)) for i in range(4)]
         users = [Position2D(*rng.uniform(-900, 900, 2)) for _ in range(30)]
         state = make_state(bss, users, urban, radio, aerial=Position3D(0, 0, 200.0))
-        rep = link_report(state)
+        user_sinr, tput = link_report(state)
         assoc = associate_max_sinr(state)
         s = sinr_matrix(state)
         col = {b: k for k, b in enumerate([0, 1, 2, 3, AERIAL_ID])}
-        assert rep.sinr.tolist() == [s[i, col[b]] for i, b in enumerate(assoc.assign)]
-        assert aggregate_qos(state) == float(rep.throughput.sum())
+        assert user_sinr.tolist() == [s[i, col[b]] for i, b in enumerate(assoc.assign)]
+        assert aggregate_qos(state) == float(tput.sum())
 
     def test_users_record_matches_positions(self, desk_area, urban, radio):
         snap, _ = make_snapshot(6, desk_area, n_users=40)
-        as_positions = replace(snap, users=[u.pos for u in snap.users])
+        as_positions = replace(snap, users=users_at([u.pos for u in snap.users]))
         for aerial in (None, Position3D(100.0, -200.0, 150.0)):
             got = replace(snap, aerial_pos=aerial)
             want = replace(as_positions, aerial_pos=aerial)
             assert associate_max_sinr(got) == associate_max_sinr(want)
-            assert link_report(got).sinr.tolist() == link_report(want).sinr.tolist()
+            assert link_report(got)[0].tolist() == link_report(want)[0].tolist()
 
     def test_zero_users(self, urban, radio):
         state = make_state([bs_at(0, 0, 0)], [], urban, radio)
-        rep = link_report(state)
-        assert associate_max_sinr(state).assign == [] and rep.sinr.shape == (0,)
+        user_sinr, tput = link_report(state)
+        assert associate_max_sinr(state).assign == [] and user_sinr.shape == tput.shape == (0,)
 
     @staticmethod
     def assert_matches_reference(state):
-        xy = user_xy(state)
+        xy = state.users.xy
         assert np.array_equal(_ground_power(state, xy).T, ground_power(state, xy))
         n_servers = sum(b.active for b in state.ground_bs) + (state.aerial_pos is not None)
         if n_servers == 0:
@@ -147,10 +146,10 @@ class TestLinkReport:
             with pytest.raises(ValueError, match="no active base station"):
                 served_sinr(state)
             return
-        rep = link_report(state)
+        user_sinr, tput = link_report(state)
         want = served_sinr(state)
-        assert rep.sinr.tolist() == want.tolist()
-        assert rep.throughput.tolist() == throughput(want).tolist()
+        assert user_sinr.tolist() == want.tolist()
+        assert tput.tolist() == throughput(want).tolist()
 
     # Server counts (sites plus the aerial) of 8 and 16 fill numpy's 8-wide
     # pairwise-sum block, and 128 or more make it recurse.
@@ -175,7 +174,7 @@ class TestLinkReport:
         aerial_pos = (Position3D(*rng.uniform(-1000, 1000, 2), rng.uniform(25, 525))
                       if aerial else None)
         self.assert_matches_reference(NetworkState(
-            ground_bs=bss, users=users, env=AtgEnvironment(), radio=RadioParams(),
+            ground_bs=bss, users=users_at(users), env=AtgEnvironment(), radio=RadioParams(),
             aerial_pos=aerial_pos, aerial_tx_power=rng.uniform(20, 40)))
 
     @pytest.mark.parametrize("aerial", [None, Position3D(1500.0, 1500.0, 500.0)])
@@ -256,8 +255,8 @@ class TestAggregateQos:
                            aerial=Position3D(0, 0, 100.0))
         assoc = associate_max_sinr(state)
         assert assoc.assign == [AERIAL_ID]
-        rep = link_report(state)
-        assert rep.throughput[0] == pytest.approx(math.log2(1 + rep.sinr[0]))
+        user_sinr, tput = link_report(state)
+        assert tput[0] == pytest.approx(math.log2(1 + user_sinr[0]))
 
 
 class TestQosMap:
@@ -333,6 +332,6 @@ class TestQosMap:
                      tx=rng.uniform(20, 50), active=not (first_off and i == 0))
                for i in range(n_sites)]
         users = [Position2D(*rng.uniform(-1000, 1000, 2)) for _ in range(n_users)]
-        snap = NetworkState(ground_bs=bss, users=users, env=AtgEnvironment(),
+        snap = NetworkState(ground_bs=bss, users=users_at(users), env=AtgEnvironment(),
                             radio=RadioParams(), aerial_tx_power=rng.uniform(20, 40))
         self.assert_equals_reference(snap, PlacementGrid(area, *shape), reference_qos)

@@ -1,13 +1,12 @@
 import csv
 import io
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from aerialsim import scenario
-from aerialsim.geometry import ConfigurationError, Position3D
+from aerialsim.geometry import ConfigurationError
 from aerialsim.mobility import MobilityParams, Users
 from aerialsim.placement import LearningConfig
 from aerialsim.radio import aggregate_qos
