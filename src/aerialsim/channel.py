@@ -2,7 +2,7 @@
 
 All functions accept scalars or numpy arrays and return matching shapes, so
 the single-link operations and the vectorized network evaluation share one
-code path.
+code path. Given ``out``, they compute into that array by the same operations.
 """
 
 from __future__ import annotations
@@ -72,33 +72,48 @@ class RadioParams:
             raise ValueError("ground path-loss exponent must be positive")
 
 
-def elevation_angle(h, l):
+def elevation_angle(h, l, out=None):
     """Elevation angle arctan(h/l) in radians; pi/2 when directly overhead."""
-    return np.arctan2(h, l)
+    return np.arctan2(h, l, out=out)
 
 
-def p_los(theta, env: AtgEnvironment):
+def p_los(theta, env: AtgEnvironment, out=None):
     """LoS probability as a sigmoid in the elevation angle (radians)."""
-    theta_deg = np.degrees(theta)
+    t = np.degrees(theta, out=out)
     if env.literal_los_exponent:
-        exponent = -env.zeta * theta_deg - env.kappa
+        t *= -env.zeta
+        t -= env.kappa
     else:
-        exponent = -env.zeta * (theta_deg - env.kappa)
-    return 1.0 / (1.0 + env.kappa * np.exp(exponent))
+        t -= env.kappa
+        t *= -env.zeta
+    t = np.exp(t, out=out)
+    t *= env.kappa
+    t += 1.0
+    return np.divide(1.0, t, out=out)
 
 
-def free_space_pathloss(d, carrier_freq):
-    return 20.0 * np.log10(4.0 * np.pi * carrier_freq * d / SPEED_OF_LIGHT)
+def free_space_pathloss(d, carrier_freq, out=None):
+    ratio = np.multiply(4.0 * np.pi * carrier_freq, d, out=out)
+    ratio /= SPEED_OF_LIGHT
+    return np.multiply(20.0, np.log10(ratio, out=out), out=out)
 
 
-def atg_pathloss_hl(h, l, env: AtgEnvironment, radio: RadioParams):
-    """Air-to-ground path loss (dB) from altitude h and horizontal distance l."""
-    d = np.hypot(h, l)
+def atg_pathloss_hl(h, l, env: AtgEnvironment, radio: RadioParams, out=None, work=None):
+    """Air-to-ground path loss (dB) from altitude h and horizontal distance l.
+
+    work, if given, holds two more arrays of out's shape.
+    """
+    d = np.hypot(h, l, out=out)
     if np.any(d <= 0):
         raise DegenerateGeometryError("air-to-ground distance must be positive")
-    p = p_los(elevation_angle(h, l), env)
-    return free_space_pathloss(d, radio.carrier_freq) \
-        + p * env.eta_los + (1.0 - p) * env.eta_nlos
+    w_p, w_t = work or (None, None)
+    p = p_los(elevation_angle(h, l, out=w_p), env, out=w_p)
+    pl = free_space_pathloss(d, radio.carrier_freq, out=out)
+    pl += np.multiply(p, env.eta_los, out=w_t)
+    p = np.subtract(1.0, p, out=w_p)
+    p *= env.eta_nlos
+    pl += p
+    return pl
 
 
 def ground_pathloss_d(d, radio: RadioParams):
@@ -108,5 +123,5 @@ def ground_pathloss_d(d, radio: RadioParams):
     return radio.ground_ref_loss + 10.0 * radio.ground_pathloss_exponent * np.log10(d)
 
 
-def dbm_to_mw(dbm):
-    return np.power(10.0, np.asarray(dbm, dtype=float) / 10.0)
+def dbm_to_mw(dbm, out=None):
+    return np.power(10.0, np.divide(np.asarray(dbm, dtype=float), 10.0, out=out), out=out)

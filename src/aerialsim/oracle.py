@@ -30,11 +30,12 @@ def exhaustive_search(snapshot: NetworkState,
 
 def export_qos_csv(qos: np.ndarray, grid: PlacementGrid, path) -> None:
     """One row per state: its grid position (as grid_index_to_position) and QoS."""
-    ix, iy, ih = np.unravel_index(np.arange(grid.n_states),
-                                  (grid.n_x, grid.n_y, grid.n_h))
-    rows = zip(range(grid.n_states), grid.xs[ix].tolist(), grid.ys[iy].tolist(),
-               grid.hs[ih].tolist(), qos.tolist())
+    idx = np.unravel_index(np.arange(grid.n_states), (grid.n_x, grid.n_y, grid.n_h))
+    # Each axis value is repr'd once, not once per row.
+    x, y, h = (np.array([repr(v) for v in axis.tolist()])[i].tolist()
+               for axis, i in zip((grid.xs, grid.ys, grid.hs), idx))
+    rows = zip(range(grid.n_states), x, y, h, qos.tolist())
     # The rows csv.writer would write: no field needs quoting.
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write("state,x,y,h,qos\n")
-        f.writelines("%d,%r,%r,%r,%r\n" % row for row in rows)
+        f.writelines("%d,%s,%s,%s,%r\n" % row for row in rows)

@@ -59,27 +59,31 @@ def _horizontal_distance(xy: np.ndarray, x, y) -> np.ndarray:
     return np.hypot(xy[:, 0] - x, xy[:, 1] - y)
 
 
-def _aerial_power(state: NetworkState, h, l) -> np.ndarray:
+def _aerial_power(state: NetworkState, h, l, out=None, work=None) -> np.ndarray:
     """Linear received power (mW) from the aerial at altitude h, horizontal distance l."""
-    pl = atg_pathloss_hl(h, l, state.env, state.radio)
-    return dbm_to_mw(state.aerial_tx_power - pl)
+    pl = atg_pathloss_hl(h, l, state.env, state.radio, out=out, work=work)
+    return dbm_to_mw(np.subtract(state.aerial_tx_power, pl, out=out), out=out)
 
 
-def _strongest_sinr(noise_mw, ground_sum, ground_max, aerial):
+def _strongest_sinr(noise_mw, ground_sum, ground_max, aerial, out=None, work=None):
     """Per-user SINR of the strongest server, with aerial = 0.0 when there is none.
 
     Under full-buffer reuse-1 a server's SINR p / (noise + total - p) rises
     with its power p, and rounding keeps that order, so the max-SINR server
     is the strongest one; ties do not change the value. The total is the
     ground sum, then plus the aerial. With no aerial, adding 0.0 and taking
-    the maximum with 0.0 change no bit.
+    the maximum with 0.0 change no bit. work, if given, is an array of out's
+    shape for the strongest power.
     """
-    best = np.maximum(ground_max, aerial)
-    return best / (noise_mw + (ground_sum + aerial) - best)
+    best = np.maximum(ground_max, aerial, out=work)
+    total = np.add(ground_sum, aerial, out=out)
+    total += noise_mw
+    total -= best
+    return np.divide(best, total, out=out)
 
 
-def throughput(sinr_linear) -> float:
-    return np.log2(1.0 + sinr_linear)
+def throughput(sinr_linear, out=None):
+    return np.log2(np.add(1.0, sinr_linear, out=out), out=out)
 
 
 def link_report(state: NetworkState) -> Tuple[np.ndarray, np.ndarray]:
@@ -105,8 +109,8 @@ def aggregate_qos(state: NetworkState) -> float:
     return float(link_report(state)[1].sum())
 
 
-# Bytes of the (states, users) aerial-power block that qos_map holds per
-# chunk of grid states; its few temporaries of that size stay in cache.
+# Bytes of one of the three (states, users) working arrays in which qos_map
+# evaluates each chunk of grid states; they stay in cache.
 QOS_MAP_CHUNK_BYTES = 256 * 1024
 
 
@@ -127,13 +131,13 @@ def qos_map(snapshot: NetworkState, grid: PlacementGrid) -> np.ndarray:
     the map computes once, so per state only the aerial column is new and
     the cost is states x users. States go in chunks of whole (x, y)
     columns, and the horizontal user distance is computed once per column
-    and shared by its heights.
+    and shared by its heights. Chunks are computed in three working arrays.
     """
     xy = snapshot.users.xy
     n_users = xy.shape[0]
-    out = np.zeros(grid.n_states)
+    qos = np.zeros(grid.n_states)
     if n_users == 0:
-        return out
+        return qos
     ground_sum, ground_max = _ground_totals(snapshot, xy)  # max 0: the aerial wins
     noise_mw = dbm_to_mw(snapshot.radio.noise_power)
     n_cols, n_h = grid.n_x * grid.n_y, grid.n_h
@@ -141,11 +145,13 @@ def qos_map(snapshot: NetworkState, grid: PlacementGrid) -> np.ndarray:
     xs, ys = grid.xs[ix, None], grid.ys[iy, None]
     hs = grid.hs[:, None]
 
-    cols_per_chunk = max(1, qos_map_chunk(n_users) // n_h)
+    cols_per_chunk = min(n_cols, max(1, qos_map_chunk(n_users) // n_h))
+    work = np.empty((3, cols_per_chunk, n_h, n_users))
     for lo in range(0, n_cols, cols_per_chunk):
         hi = min(lo + cols_per_chunk, n_cols)
+        a, b, c = work[:, :hi - lo]
         l = _horizontal_distance(xy, xs[lo:hi], ys[lo:hi])
-        a = _aerial_power(snapshot, hs, l[:, None, :]).reshape(-1, n_users)
-        s = _strongest_sinr(noise_mw, ground_sum, ground_max, a)
-        out[lo * n_h:hi * n_h] = throughput(s).sum(axis=-1)
-    return out
+        _aerial_power(snapshot, hs, l[:, None, :], out=a, work=(b, c))
+        s = _strongest_sinr(noise_mw, ground_sum, ground_max, a, out=b, work=c)
+        throughput(s, out=s).sum(axis=-1, out=qos[lo * n_h:hi * n_h].reshape(hi - lo, n_h))
+    return qos

@@ -119,10 +119,12 @@ class ScenarioConfig:
                         + dbm_to_mw(self.aerial_tx_power - self.env.eta_los
                                     - free_space_pathloss(self.h_min,
                                                           self.radio.carrier_freq)))
-                if not peak / noise_mw < 2.0 ** 52:
+                ratio = peak / noise_mw
+                if not ratio < 2.0 ** 52:
+                    level = (f"reach {10 * np.log10(ratio):.1f} dB over the noise power"
+                             if np.isfinite(ratio) else "over the noise power overflow a float")
                     raise ConfigurationError(
-                        f"transmit powers reach {10 * np.log10(peak / noise_mw):.1f} dB "
-                        f"over the noise power; a finite SINR needs less than "
+                        f"transmit powers {level}; a finite SINR needs less than "
                         f"{10 * np.log10(2.0 ** 52):.1f} dB")
         # One step then moves a user at most one area width, so a single
         # mirror fold brings it back inside.

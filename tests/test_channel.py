@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from aerialsim.channel import (AtgEnvironment, atg_pathloss_hl, dbm_to_mw,
-                               elevation_angle, free_space_pathloss,
+from aerialsim.channel import (URBAN, AtgEnvironment, RadioParams, atg_pathloss_hl,
+                               dbm_to_mw, elevation_angle, free_space_pathloss,
                                ground_pathloss_d, p_los)
 from aerialsim.deployment import GroundBS
 from aerialsim.geometry import DegenerateGeometryError, Position2D, Position3D
-from aerialsim.radio import NetworkState, _ground_power
+from aerialsim.radio import (NetworkState, _aerial_power, _ground_power, _strongest_sinr,
+                             throughput)
 from tests.conftest import users_at
 
 
@@ -147,3 +148,68 @@ def test_environment_validation():
         AtgEnvironment(kappa=0.0)
     with pytest.raises(ValueError):
         AtgEnvironment(eta_los=5.0, eta_nlos=1.0)
+
+
+# Inputs shaped as qos_map passes them: heights (n_h, 1) and horizontal
+# distances (columns, 1, users), which broadcast to columns x heights x users.
+_RNG = np.random.default_rng(0)
+_H = _RNG.uniform(25.0, 525.0, (3, 1))
+_L = np.concatenate([np.zeros((1, 1, 5)), _RNG.uniform(0.0, 2000.0, (3, 1, 5))])
+_SHAPE = (4, 3, 5)
+_X = _RNG.uniform(0.01, 1.5, _SHAPE)            # angles, distances, SINRs
+_DBM = _RNG.uniform(-120.0, 40.0, _SHAPE)
+_GSUM, _GMAX = _RNG.uniform(0.0, 1e-9, (2, 5))   # a user's ground sum and maximum
+
+
+def _formula_calls(env, radio=RadioParams()):
+    """name -> (function, array args, scalar args, keywords) for each formula with out."""
+    state = NetworkState(ground_bs=[], users=users_at([]), env=env, radio=radio)
+    work2 = (np.empty(_SHAPE), np.empty(_SHAPE))
+    return {
+        "elevation_angle": (elevation_angle, (_H, _L), (100.0, 30.0), {}),
+        "p_los": (p_los, (_X, env), (0.3, env), {}),
+        "free_space_pathloss": (free_space_pathloss, (_X, radio.carrier_freq),
+                                (120.0, radio.carrier_freq), {}),
+        "atg_pathloss_hl": (atg_pathloss_hl, (_H, _L, env, radio),
+                            (100.0, 30.0, env, radio), {}),
+        "atg_pathloss_hl work": (atg_pathloss_hl, (_H, _L, env, radio),
+                                 (100.0, 30.0, env, radio), {"work": work2}),
+        "dbm_to_mw": (dbm_to_mw, (_DBM,), (-60.0,), {}),
+        "_aerial_power": (_aerial_power, (state, _H, _L), (state, 100.0, 30.0), {}),
+        "_aerial_power work": (_aerial_power, (state, _H, _L), (state, 100.0, 30.0),
+                               {"work": work2}),
+        "_strongest_sinr": (_strongest_sinr, (1e-13, _GSUM, _GMAX, _X * 1e-9),
+                            (1e-13, 2e-10, 1e-10, 3e-10), {}),
+        "_strongest_sinr work": (_strongest_sinr, (1e-13, _GSUM, _GMAX, _X * 1e-9),
+                                 (1e-13, 2e-10, 1e-10, 3e-10), {"work": np.empty(_SHAPE)}),
+        "throughput": (throughput, (_X,), (3.0,), {}),
+    }
+
+
+_FORMULAS = list(_formula_calls(URBAN))
+
+
+@pytest.mark.parametrize("literal", [False, True])
+@pytest.mark.parametrize("name", _FORMULAS)
+def test_out_gives_the_same_bits(name, literal):
+    env = AtgEnvironment(literal_los_exponent=literal)
+    fn, args, scalar_args, kw = _formula_calls(env)[name]
+    want = fn(*args)
+    assert want.shape == _SHAPE
+    out = np.full(_SHAPE, np.nan)
+    got = fn(*args, out=out, **kw)
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+    # Without out, scalar input still gives a scalar, not a 0-d array.
+    value = fn(*scalar_args)
+    assert isinstance(value, np.float64) and not isinstance(value, np.ndarray)
+
+
+@pytest.mark.parametrize("fn, args", [
+    (p_los, (URBAN,)), (free_space_pathloss, (2.0e9,)), (dbm_to_mw, ()), (throughput, ()),
+])
+def test_out_may_be_the_input(fn, args):
+    # qos_map runs these in place on its working arrays.
+    x = _X.copy()
+    assert fn(x, *args, out=x) is x
+    assert x.tobytes() == fn(_X, *args).tobytes()

@@ -389,6 +389,10 @@ def test_malformed_yaml_exits_nonzero(tmp_path, capsys):
      "a positive finite float for every link distance d from 5e-324 to 3e+06 m"),
     ("radio: {carrier_freq: 5.0e-324}", "carrier frequency 5e-324 Hz must keep 4*pi*f*d/c "
      "a positive finite float for every link distance d from 5e-324 to 3e+06 m"),
+    # The aerial overhead at h_min gains about 6000 dB: its power overflows,
+    # and the message must not quote inf dB.
+    ("h_min: 1.0e-300", "transmit powers over the noise power overflow a float; a finite "
+                        "SINR needs less than 156.5 dB"),
 ])
 def test_unbounded_run_exits_nonzero(tmp_path, config, message):
     cfg = tmp_path / "huge.yaml"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,9 @@ from aerialsim.channel import AtgEnvironment, RadioParams
 from aerialsim.deployment import (GroundBS, PlacementGrid,
                                   grid_index_to_position)
 from aerialsim.geometry import Position2D, Position3D, square_area
-from aerialsim.radio import (NetworkState, _ground_power, aggregate_qos,
-                             link_report, qos_map, qos_map_chunk, throughput)
+from aerialsim.radio import (QOS_MAP_CHUNK_BYTES, NetworkState, _ground_power,
+                             aggregate_qos, link_report, qos_map, qos_map_chunk,
+                             throughput)
 from tests.conftest import make_snapshot, users_at
 from tests.reference import (AERIAL_ID, associate_max_sinr, ground_power,
                              served_sinr, sinr, sinr_matrix)
@@ -310,6 +312,23 @@ class TestQosMap:
         chunk = qos_map_chunk(150) // grid.n_h * grid.n_h
         assert grid.n_states > chunk and grid.n_states % chunk
         self.assert_equals_reference(snap, grid)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_three_working_arrays(self, seed):
+        # qos_map computes the two chunks of the case above in three
+        # chunk-sized working arrays; its smaller temporaries (the user
+        # distances of a chunk's columns, a mask) stay below two more.
+        area = square_area(2000.0)
+        snap, _ = make_snapshot(seed, area, n_users=150, n_rings=2)
+        grid = PlacementGrid(area, 9, 9, 4)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            qos_map(snap, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 5 * QOS_MAP_CHUNK_BYTES
 
     # Random sites reach the server counts the hex layouts cannot: multiples
     # of 8, where numpy's pairwise sum of a whole row would differ from the
