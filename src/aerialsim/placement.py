@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from typing import Callable, Optional
@@ -19,9 +19,11 @@ from .radio import NetworkState, aggregate_qos, qos_map  # noqa: F401
 
 N_ACTIONS = 6
 
-ALPHA_MODES = ("inverse_visits", "constant")
-
 QTABLE_FORMAT_VERSION = 2  # 2: bound to its grid's counts and area
+# A loaded visit count must lie below this. One trigger adds at most
+# max_episodes * max_steps visits, as many as its reward array holds, so
+# counts stay far below int64's maximum.
+MAX_VISIT_COUNT = 2**62
 
 
 class Action(IntEnum):
@@ -49,27 +51,22 @@ _ACTION_DELTAS = {
 class QTable:
     values: np.ndarray        # (n_states, 6)
     visit_counts: np.ndarray  # (n_states, 6), int64
-    gamma: float = 0.9
-    epsilon: float = 0.9
-    alpha_mode: str = "inverse_visits"  # inverse_visits | constant
-    alpha: float = 0.5                  # used in constant mode
-    literal_update: bool = False        # printed-form update without the Q(s,a) base
 
     @classmethod
-    def zeros(cls, n_states: int, **kwargs) -> "QTable":
+    def zeros(cls, n_states: int) -> "QTable":
         return cls(values=np.zeros((n_states, N_ACTIONS)),
-                   visit_counts=np.zeros((n_states, N_ACTIONS), dtype=np.int64),
-                   **kwargs)
+                   visit_counts=np.zeros((n_states, N_ACTIONS), dtype=np.int64))
 
     def copy(self) -> "QTable":
-        return replace(self, values=self.values.copy(),
-                       visit_counts=self.visit_counts.copy())
+        return QTable(values=self.values.copy(), visit_counts=self.visit_counts.copy())
 
 
 @dataclass(frozen=True)
 class LearningConfig:
     max_episodes: int = 2500
     max_steps: int = 30
+    gamma: float = 0.9             # discount
+    epsilon: float = 0.9           # exploration rate of each trigger's first episode
     epsilon_decay: float = 0.998   # multiplier per episode
     epsilon_floor: float = 0.02
     # "chain": each episode starts where the previous one ended (the agent's
@@ -79,6 +76,10 @@ class LearningConfig:
     def __post_init__(self):
         if self.max_episodes <= 0 or self.max_steps <= 0:
             raise ConfigurationError("episode/step counts must be positive")
+        if not 0 <= self.gamma < 1:
+            raise ConfigurationError("gamma must be in [0, 1)")
+        if not 0 <= self.epsilon <= 1:
+            raise ConfigurationError("epsilon must be in [0, 1]")
         if not 0 < self.epsilon_decay <= 1:
             raise ConfigurationError("epsilon_decay must be in (0, 1]")
         if not 0 <= self.epsilon_floor <= 1:
@@ -169,10 +170,11 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     q is written back in place at the end. Each step is an epsilon-greedy
     choice (one rng.random() against epsilon, then one rng.integers(6) when
     it explores), the clamped move, the QoS difference as reward and one
-    temporal-difference backup, with the RNG calls and float operations of
-    the single-step loop in tests/reference.py, so the two are bit-identical.
-    Each episode's rollout and the final pick are greedy_rollout's, on the
-    flat tables.
+    temporal-difference backup with step size 1/visits and discount
+    cfg.gamma; epsilon starts at cfg.epsilon. The RNG calls and float
+    operations are those of the single-step loop in tests/reference.py, so
+    the two are bit-identical. Each episode's rollout and the final pick
+    are greedy_rollout's, on the flat tables.
 
     vmax[s] is kept == the maximum of row s: an update raises it when the
     new value is larger, and rescans the row only when it lowers the row's
@@ -185,25 +187,20 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     if grid.n_states < 1:
         raise ConfigurationError("placement grid is empty")
     grid.unravel(initial_state)  # validates
-    if q.alpha_mode not in ALPHA_MODES:
-        raise ConfigurationError(f"unknown alpha_mode {q.alpha_mode!r}")
 
     qos = qos_map(snapshot, grid).tolist()
     nxt = next_state_table(grid).ravel().tolist()
     values = q.values.ravel().tolist()
     vmax = q.values.max(axis=1).tolist()
     visits = q.visit_counts.ravel().tolist()
-    gamma = q.gamma
-    inverse_visits = q.alpha_mode == "inverse_visits"
-    alpha = q.alpha
-    literal = q.literal_update
+    gamma = cfg.gamma
     fixed_start = cfg.episode_start == "fixed"
     rollout_steps = grid.n_x + grid.n_y + grid.n_h
     random, integers = rng.random, rng.integers
 
     rewards = np.empty(cfg.max_episodes * cfg.max_steps)
     episode_qos = np.empty(cfg.max_episodes)
-    epsilon = q.epsilon
+    epsilon = cfg.epsilon
     s = initial_state
     i = 0
     for ep in range(cfg.max_episodes):
@@ -220,12 +217,10 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
             qos_next = qos[s_next]
             r = qos_next - qos_s
             visits[k] += 1
-            if inverse_visits:
-                alpha = 1.0 / visits[k]
             old = values[k]
             # Read vmax[s_next] before values[k] changes: s_next may be s.
             target_err = r + gamma * vmax[s_next] - old
-            new = alpha * target_err if literal else old + alpha * target_err
+            new = old + (1.0 / visits[k]) * target_err
             values[k] = new
             m = vmax[s]
             if new > m:
@@ -265,37 +260,38 @@ def save_qtable(path, q: QTable, grid: PlacementGrid) -> None:
     try:
         with open(tmp, "wb") as f:
             np.savez(f, format_version=QTABLE_FORMAT_VERSION, grid_counts=counts,
-                     grid_area=box, values=q.values,
-                     visit_counts=q.visit_counts, gamma=q.gamma, epsilon=q.epsilon,
-                     alpha_mode=q.alpha_mode, alpha=q.alpha,
-                     literal_update=q.literal_update)
+                     grid_area=box, values=q.values, visit_counts=q.visit_counts)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
 def load_qtable(path, grid: PlacementGrid) -> QTable:
-    """Load a Q-table saved by save_qtable; it must have been learned on grid."""
+    """Load a Q-table saved by save_qtable; it must have been learned on grid.
+
+    The visit counts are held as int64. Other keys in the file are ignored.
+    """
     try:
         # np.load(path) would leave its own handle open when the archive is
         # rejected; this one closes either way.
         with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as f:
             d = dict(f)
-        version = int(d["format_version"])
+        version = d["format_version"]
     except (OSError, KeyError, ValueError, zipfile.BadZipFile) as e:
         raise ConfigurationError(f"cannot read Q-table {path}: {e!r}") from e
-    if version != QTABLE_FORMAT_VERSION:
-        raise ConfigurationError(f"Q-table {path} has format version {version}, "
+    if version.shape or version.dtype.kind not in "iu" or version != QTABLE_FORMAT_VERSION:
+        raise ConfigurationError(f"Q-table {path} has format version {version.tolist()!r}, "
                                  f"expected {QTABLE_FORMAT_VERSION}")
     try:
-        grid_counts, grid_area = d["grid_counts"], d["grid_area"]
-        q = QTable(values=d["values"], visit_counts=d["visit_counts"],
-                   gamma=float(d["gamma"]), epsilon=float(d["epsilon"]),
-                   alpha_mode=str(d["alpha_mode"]), alpha=float(d["alpha"]),
-                   literal_update=bool(d["literal_update"]))
-    except (KeyError, TypeError, ValueError) as e:
+        grid_counts, grid_area, values, visits = (
+            d[k] for k in ("grid_counts", "grid_area", "values", "visit_counts"))
+    except KeyError as e:
         raise ConfigurationError(f"cannot read Q-table {path}: {e!r}") from e
     counts, box = _grid_record(grid)
+    if grid_counts.shape != counts.shape or grid_area.shape != box.shape:
+        raise ConfigurationError(
+            f"Q-table {path} has a grid record of shapes {grid_counts.shape} and "
+            f"{grid_area.shape}, expected {counts.shape} and {box.shape}")
     if not (np.array_equal(grid_counts, counts) and np.array_equal(grid_area, box)):
         got = "x".join(map(str, grid_counts.tolist()))
         raise ConfigurationError(
@@ -303,21 +299,13 @@ def load_qtable(path, grid: PlacementGrid) -> QTable:
             f"{grid_area.tolist()}, not this run's "
             f"{grid.n_x}x{grid.n_y}x{grid.n_h} grid over {box.tolist()}")
     shape = (grid.n_states, N_ACTIONS)
-    if q.values.shape != shape or q.visit_counts.shape != shape:
-        problem = (f"has values of shape {q.values.shape} and visit counts of "
-                   f"shape {q.visit_counts.shape}, expected {shape}")
-    elif q.values.dtype.kind != "f" or not np.isfinite(q.values).all():
+    if values.shape != shape or visits.shape != shape:
+        problem = (f"has values of shape {values.shape} and visit counts of "
+                   f"shape {visits.shape}, expected {shape}")
+    elif values.dtype.kind != "f" or not np.isfinite(values).all():
         problem = "has values that are not all finite floats"
-    elif q.visit_counts.dtype.kind not in "iu" or (q.visit_counts < 0).any():
-        problem = "has visit counts that are not all non-negative integers"
-    elif q.alpha_mode not in ALPHA_MODES:
-        problem = f"has unknown alpha_mode {q.alpha_mode!r}"
-    elif not 0 <= q.gamma < 1:
-        problem = f"has gamma {q.gamma!r} outside [0, 1)"
-    elif not 0 <= q.epsilon <= 1:
-        problem = f"has epsilon {q.epsilon!r} outside [0, 1]"
-    elif not 0 < q.alpha <= 1:
-        problem = f"has alpha {q.alpha!r} outside (0, 1]"
+    elif visits.dtype.kind not in "iu" or ((visits < 0) | (visits >= MAX_VISIT_COUNT)).any():
+        problem = "has visit counts that are not all non-negative integers below 2**62"
     else:
-        return q
+        return QTable(values=values, visit_counts=visits.astype(np.int64))
     raise ConfigurationError(f"Q-table {path} {problem}")

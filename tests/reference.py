@@ -20,7 +20,6 @@ import numpy as np
 
 from aerialsim.channel import dbm_to_mw, ground_pathloss_d
 from aerialsim.deployment import PlacementGrid
-from aerialsim.geometry import ConfigurationError
 from aerialsim.placement import N_ACTIONS, Action, QTable
 from aerialsim.radio import (NetworkState, _aerial_power, _horizontal_distance,
                              throughput)
@@ -144,20 +143,12 @@ def reward(qos_t: float, qos_prev: float) -> float:
     return qos_t - qos_prev
 
 
-def q_update(q: QTable, s: int, a: int, r: float, s_next: int) -> QTable:
-    """One temporal-difference backup; increments the (s, a) visit count."""
+def q_update(q: QTable, s: int, a: int, r: float, s_next: int, gamma: float) -> QTable:
+    """One temporal-difference backup with step size 1 / visits; increments
+    the (s, a) visit count first."""
     q.visit_counts[s, a] += 1
-    if q.alpha_mode == "inverse_visits":
-        alpha = 1.0 / q.visit_counts[s, a]
-    elif q.alpha_mode == "constant":
-        alpha = q.alpha
-    else:
-        raise ConfigurationError(f"unknown alpha_mode {q.alpha_mode!r}")
-    target_err = r + q.gamma * np.max(q.values[s_next]) - q.values[s, a]
-    if q.literal_update:
-        q.values[s, a] = alpha * target_err
-    else:
-        q.values[s, a] += alpha * target_err
+    target_err = r + gamma * np.max(q.values[s_next]) - q.values[s, a]
+    q.values[s, a] += (1.0 / q.visit_counts[s, a]) * target_err
     return q
 
 

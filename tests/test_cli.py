@@ -20,7 +20,8 @@ from aerialsim import cli
 from aerialsim.cli import main
 from aerialsim.placement import QTable, save_qtable
 from aerialsim.radio import qos_map
-from aerialsim.scenario import build_config, build_network, disable_site
+from aerialsim.scenario import (build_config, build_network, config_from_dict,
+                                disable_site)
 
 
 @pytest.fixture
@@ -206,6 +207,12 @@ def test_qtable_from_another_grid_rejected(tmp_path, capsys):
 @pytest.mark.parametrize("field, bad, message", [
     ("values", np.zeros((3, 6)), "has values of shape (3, 6)"),
     ("values", np.full((75, 6), np.nan), "has values that are not all finite"),
+    ("format_version", np.array([2, 2]), "has format version [2, 2], expected 2"),
+    ("format_version", 2.5, "has format version 2.5, expected 2"),
+    ("grid_counts", np.array(5), "has a grid record of shapes () and (6,)"),
+    ("grid_area", np.zeros(5), "has a grid record of shapes (3,) and (5,)"),
+    ("visit_counts", np.full((75, 6), np.iinfo(np.int64).max),
+     "has visit counts that are not all non-negative integers below 2**62"),
 ])
 def test_malformed_qtable_exits_nonzero(tmp_path, capsys, field, bad, message):
     # The grid record matches the desk grid; only the table itself is bad.
@@ -234,6 +241,38 @@ def test_epsilon_floor_above_one_exits_nonzero(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: epsilon_floor must be in [0, 1]"]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("learning: {gamma: 1.0}", "gamma must be in [0, 1)"),
+    ("learning: {epsilon: 1.5}", "epsilon must be in [0, 1]"),
+])
+def test_gamma_or_epsilon_out_of_range_exits_nonzero(tmp_path, capsys, line, message):
+    cfg = tmp_path / "learning.yaml"
+    cfg.write_text(line + "\n")
+    rc = main(["run", "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("preset, seed, config", [
+    ("desk", 7, {}),
+    ("paper", 0, {"sim_duration": 20.0, "learning": {"max_episodes": 20}}),
+    ("desk", 3, {"sim_duration": 30.0, "qtable_path": "q.npz",
+                 "learning": {"gamma": 0.5, "epsilon": 0.25}}),
+])
+def test_summary_config_reads_back_as_the_run_config(tmp_path, monkeypatch, preset,
+                                                    seed, config):
+    monkeypatch.chdir(tmp_path)  # the Q-table path is relative
+    Path("cfg.yaml").write_text(yaml.safe_dump(config))
+    want = build_config(preset=preset, config_file="cfg.yaml", overrides={"seed": seed})
+    for _ in range(2 if want.qtable_path else 1):  # the second run warm-starts
+        assert main(["run", "--preset", preset, "--config", "cfg.yaml",
+                     "--seed", str(seed), "--out-dir", "o"]) == 0
+    summary = yaml.safe_load(Path("o/summary.yaml").read_text())
+    assert {"gamma", "epsilon"} <= set(summary["config"]["learning"])
+    assert config_from_dict(summary["config"]) == want
 
 
 @pytest.mark.parametrize("line, message", [
@@ -433,6 +472,8 @@ _VALID = {
     "mobility": {"c_max": st.floats(0.0, 50.0), "hold_time": st.floats(0.1, 20.0),
                  "boundary_policy": st.sampled_from(["reflect", "wrap"])},
     "learning": {"max_episodes": st.integers(1, 20), "max_steps": st.integers(1, 10),
+                 "gamma": st.floats(0.0, 1.0, exclude_max=True),
+                 "epsilon": st.floats(0.0, 1.0),
                  "epsilon_decay": st.floats(0.5, 1.0), "epsilon_floor": st.floats(0.0, 1.0),
                  "episode_start": st.sampled_from(["chain", "fixed"])},
 }

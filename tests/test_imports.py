@@ -1,14 +1,23 @@
-"""Import lint: every name a module imports is used in that module.
+"""Name lints.
 
-The package's re-exports in __init__.py are exempt, and so is an import
-statement with "# noqa: F401" on any of its lines.
+Imports: every name a module imports is used in that module. The package's
+re-exports in __init__.py are exempt, and so is an import statement with
+"# noqa: F401" on any of its lines.
+
+Definitions: every module-level function, class and constant of
+src/aerialsim/*.py is named, as a whole word, somewhere in the .py files
+under src, tests or bench, apart from its own definition line and the
+re-exports in __init__.py.
 """
 
 import ast
+import re
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LINTED = sorted(p for p in (ROOT / "src" / "aerialsim").glob("*.py")
+PACKAGE = ROOT / "src" / "aerialsim"
+LINTED = sorted(p for p in PACKAGE.glob("*.py")
                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -50,3 +59,53 @@ def test_every_import_is_used():
     found = {f"{p.parent.name}/{p.name}": unused_imports(p.read_text(encoding="utf-8"))
              for p in LINTED}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def defined_names(source: str) -> list:
+    """(line, name) of each module-level function, class and assigned name."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(n.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)]
+    return found
+
+
+def unused_definitions(defined: dict, sources: dict) -> list:
+    """(module, line, name) of each defined name that no other line names.
+
+    defined maps a module to its defined_names; sources maps every scanned
+    file to its text.
+    """
+    seen = defaultdict(set)  # word -> {(file, line)}
+    for f, text in sources.items():
+        for i, line in enumerate(text.splitlines(), 1):
+            for word in set(re.findall(r"\w+", line)):
+                seen[word].add((f, i))
+    return [(m, line, name) for m, names in defined.items() for line, name in names
+            if not seen[name] - {(m, line)}]
+
+
+def test_unused_definitions_are_found():
+    source = ("import os\n"
+              "A, (B, C) = 1, (2, 3)\n"
+              "D: int = 4\n"
+              "def f():\n"
+              "    return A\n"
+              "class K:\n"
+              "    x = B\n")
+    sources = {"m": source, "other": "f(D)  # K\nBC = 0\n"}
+    assert unused_definitions({"m": defined_names(source)}, sources) == [("m", 2, "C")]
+
+
+def test_every_definition_is_named_elsewhere():
+    scanned = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))
+               if p != PACKAGE / "__init__.py"]
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
+               for p in scanned}
+    defined = {f"src/aerialsim/{p.name}": defined_names(sources[f"src/aerialsim/{p.name}"])
+               for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    assert unused_definitions(defined, sources) == []

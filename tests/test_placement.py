@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,10 +9,10 @@ import aerialsim as a
 from aerialsim.deployment import PlacementGrid
 from aerialsim.geometry import ConfigurationError, square_area
 from aerialsim.oracle import exhaustive_search
-from aerialsim.placement import (ALPHA_MODES, N_ACTIONS, Action, LearningConfig,
-                                 QTable, greedy_rollout, learn_placement,
-                                 load_qtable, make_qos_table, next_state_table,
-                                 save_qtable)
+from aerialsim.placement import (MAX_VISIT_COUNT, N_ACTIONS, Action,
+                                 LearningConfig, QTable, greedy_rollout,
+                                 learn_placement, load_qtable, make_qos_table,
+                                 next_state_table, save_qtable)
 from tests.conftest import make_snapshot
 from tests.reference import apply_action, q_update, reward, select_action
 from tests.reference import greedy_rollout as reference_rollout
@@ -56,50 +58,44 @@ class TestReward:
 
 
 class TestQUpdate:
-    def make_q(self, n=4, **kw):
-        kw.setdefault("alpha_mode", "constant")
-        kw.setdefault("alpha", 0.5)
-        return QTable.zeros(n, **kw)
+    # The step size is 1 / visits, the visit count after the increment.
 
     def test_single_update_from_zero(self):
-        q = self.make_q()
-        q_update(q, 0, 2, 1.0, 1)
-        assert q.values[0, 2] == pytest.approx(0.5)
+        q = QTable.zeros(4)
+        q_update(q, 0, 2, 1.0, 1, 0.9)  # step 1: Q = r + 0.9 * 0
+        assert q.values[0, 2] == 1.0
         assert q.visit_counts[0, 2] == 1
 
     def test_fixed_point(self):
-        q = self.make_q()
+        q = QTable.zeros(4)
         q.values[0, 1] = 0.7
+        q.visit_counts[0, 1] = 3
         q.values[3, :] = 0.7 / 0.9  # gamma * max Q(s') == Q(s, a), r = 0
-        q_update(q, 0, 1, 0.0, 3)
+        q_update(q, 0, 1, 0.0, 3, 0.9)
         assert q.values[0, 1] == pytest.approx(0.7)
+        assert q.visit_counts[0, 1] == 4
 
     def test_two_state_chain_hand_sequence(self):
-        # alpha=0.5, gamma=0.9, visiting (s0,a0) r=1 -> (s1,a0) r=0 -> (s0,a0) r=1:
-        #   u1: 0 + 0.5*(1 + 0.9*0 - 0)          = 0.5
-        #   u2: 0 + 0.5*(0 + 0.9*0.5 - 0)        = 0.225
-        #   u3: 0.5 + 0.5*(1 + 0.9*0.225 - 0.5)  = 0.85125
-        q = self.make_q(n=2)
-        q_update(q, 0, 0, 1.0, 1)
-        assert q.values[0, 0] == pytest.approx(0.5)
-        q_update(q, 1, 0, 0.0, 0)
-        assert q.values[1, 0] == pytest.approx(0.225)
-        q_update(q, 0, 0, 1.0, 1)
-        assert q.values[0, 0] == pytest.approx(0.85125)
+        # gamma=0.9, visiting (s0,a0) r=1 -> (s1,a0) r=0 -> (s0,a0) r=1:
+        #   u1, step 1:   0 + 1*(1 + 0.9*0 - 0)          = 1.0
+        #   u2, step 1:   0 + 1*(0 + 0.9*1.0 - 0)        = 0.9
+        #   u3, step 1/2: 1.0 + 0.5*(1 + 0.9*0.9 - 1.0)  = 1.405
+        q = QTable.zeros(2)
+        q_update(q, 0, 0, 1.0, 1, 0.9)
+        assert q.values[0, 0] == pytest.approx(1.0)
+        q_update(q, 1, 0, 0.0, 0, 0.9)
+        assert q.values[1, 0] == pytest.approx(0.9)
+        q_update(q, 0, 0, 1.0, 1, 0.9)
+        assert q.values[0, 0] == pytest.approx(1.405)
 
     def test_inverse_visits_schedule(self):
-        q = QTable.zeros(2, alpha_mode="inverse_visits")
-        q_update(q, 0, 0, 1.0, 1)   # alpha = 1
+        q = QTable.zeros(2)
+        q_update(q, 0, 0, 1.0, 1, 0.9)   # step 1
         assert q.values[0, 0] == pytest.approx(1.0)
-        q_update(q, 0, 0, 0.0, 1)   # alpha = 1/2, target = 0 + 0.9*0
+        q_update(q, 0, 0, 0.0, 1, 0.9)   # step 1/2, target = 0 + 0.9*0
         assert q.values[0, 0] == pytest.approx(0.5)
-
-    def test_literal_update_form(self):
-        q = self.make_q(literal_update=True)
-        q.values[0, 0] = 0.8
-        q_update(q, 0, 0, 1.0, 1)
-        # printed form: Q <- alpha * (r + gamma max Q(s') - Q)
-        assert q.values[0, 0] == pytest.approx(0.5 * (1.0 - 0.8))
+        q_update(q, 0, 0, 0.0, 1, 0.9)   # step 1/3: the mean of the targets
+        assert q.values[0, 0] == pytest.approx(1.0 / 3.0)
 
 
 class TestSelectAction:
@@ -160,7 +156,7 @@ class TestLearnPlacement:
         q = QTable.zeros(desk_grid.n_states)
         res = learn_placement(desk_grid.center_state(), snap, q, cfg, desk_grid, rng)
         r_max = np.max(np.abs(res.rewards))
-        bound = r_max / (1.0 - q.gamma) + 1e-9
+        bound = r_max / (1.0 - cfg.gamma) + 1e-9
         assert np.all(np.abs(q.values) <= bound)
 
     def test_greedy_terminal_is_local_qos_maximum(self, desk_area, desk_grid):
@@ -195,21 +191,19 @@ class TestLearnPlacement:
 
 class TestQTableIO:
     def test_round_trip(self, tmp_path):
-        q = QTable.zeros(30, gamma=0.85, epsilon=0.7, alpha_mode="constant",
-                         alpha=0.3, literal_update=True)
+        q = QTable.zeros(30)
         rng = np.random.default_rng(0)
         q.values[:] = rng.normal(size=q.values.shape)
         q.visit_counts[:] = rng.integers(0, 50, size=q.visit_counts.shape)
         grid = PlacementGrid(square_area(2000.0), 5, 3, 2)
         path = tmp_path / "qtable.npz"
         save_qtable(path, q, grid)
+        with np.load(path) as f:
+            assert sorted(f) == ["format_version", "grid_area", "grid_counts",
+                                 "values", "visit_counts"]
         loaded = load_qtable(path, grid)
         assert np.array_equal(loaded.values, q.values)
         assert np.array_equal(loaded.visit_counts, q.visit_counts)
-        assert (loaded.gamma, loaded.epsilon) == (0.85, 0.7)
-        assert loaded.alpha_mode == "constant"
-        assert loaded.alpha == 0.3
-        assert loaded.literal_update is True
 
     @pytest.mark.parametrize("other", [
         PlacementGrid(square_area(2000.0), 3, 5, 2),        # same n_states
@@ -227,11 +221,22 @@ class TestQTableIO:
         path = tmp_path / "qtable.npz"
         with open(path, "wb") as f:  # the version-1 layout: no grid record
             np.savez(f, format_version=1, values=q.values,
-                     visit_counts=q.visit_counts, gamma=q.gamma, epsilon=q.epsilon,
-                     alpha_mode=q.alpha_mode, alpha=q.alpha,
-                     literal_update=q.literal_update)
+                     visit_counts=q.visit_counts, gamma=0.9, epsilon=0.9)
         with pytest.raises(ConfigurationError, match="format version 1, expected 2"):
             load_qtable(path, PlacementGrid(square_area(2000.0), 5, 3, 2))
+
+    def test_other_keys_ignored(self, tmp_path):
+        # Files from before the learning values moved to LearningConfig carry
+        # them beside the table; they load to the same table.
+        grid = PlacementGrid(square_area(2000.0), 5, 3, 2)
+        path = tmp_path / "qtable.npz"
+        _write_qtable_file(path, grid, values=np.full((30, 6), 0.25),
+                           visit_counts=np.full((30, 6), 3, dtype=np.int32),
+                           gamma=1.5, epsilon=-1.0, note="x")
+        q = load_qtable(path, grid)
+        assert q.values.tolist() == np.full((30, 6), 0.25).tolist()
+        assert q.visit_counts.dtype == np.int64
+        assert q.visit_counts.tolist() == np.full((30, 6), 3).tolist()
 
     def test_unreadable_file_rejected(self, tmp_path):
         path = tmp_path / "qtable.npz"
@@ -242,7 +247,9 @@ class TestQTableIO:
     def test_failed_write_keeps_the_previous_table(self, tmp_path, monkeypatch):
         grid = PlacementGrid(square_area(2000.0), 5, 3, 2)
         path = tmp_path / "qtable.npz"
-        save_qtable(path, QTable.zeros(30, gamma=0.5), grid)
+        kept = QTable.zeros(30)
+        kept.values[:] = 0.5
+        save_qtable(path, kept, grid)
 
         def broken_savez(f, **arrays):
             f.write(b"partial")
@@ -250,9 +257,9 @@ class TestQTableIO:
 
         monkeypatch.setattr(np, "savez", broken_savez)
         with pytest.raises(OSError, match="disk full"):
-            save_qtable(path, QTable.zeros(30, gamma=0.9), grid)
+            save_qtable(path, QTable.zeros(30), grid)
         monkeypatch.undo()
-        assert load_qtable(path, grid).gamma == 0.5
+        assert load_qtable(path, grid).values.tolist() == kept.values.tolist()
         assert [p.name for p in tmp_path.iterdir()] == ["qtable.npz"]
 
 
@@ -327,7 +334,7 @@ def reference_learn(initial_state, snapshot, q, cfg, grid, rng):
     qos = make_qos_table(snapshot, grid)
     rewards = []
     episode_qos = np.empty(cfg.max_episodes)
-    epsilon = q.epsilon
+    epsilon = cfg.epsilon
     s = initial_state
     for ep in range(cfg.max_episodes):
         if cfg.episode_start == "fixed":
@@ -338,7 +345,7 @@ def reference_learn(initial_state, snapshot, q, cfg, grid, rng):
             s_next = apply_action(s, act, grid)
             qos_next = qos(s_next)
             r = reward(qos_next, qos_s)
-            q_update(q, s, act, r, s_next)
+            q_update(q, s, act, r, s_next, cfg.gamma)
             rewards.append(r)
             s, qos_s = s_next, qos_next
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
@@ -350,18 +357,15 @@ def reference_learn(initial_state, snapshot, q, cfg, grid, rng):
 def learning_cases(draw):
     dims = draw(grid_dims)
     grid = PlacementGrid(square_area(2000.0), *dims)
-    q = QTable.zeros(grid.n_states,
-                     gamma=draw(st.sampled_from([0.0, 0.5, 0.9])),
-                     epsilon=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
-                     alpha_mode=draw(st.sampled_from(ALPHA_MODES)),
-                     alpha=draw(st.floats(0.05, 1.0)),
-                     literal_update=draw(st.booleans()))
+    q = QTable.zeros(grid.n_states)
     if draw(st.booleans()):  # warm table: few distinct values, so rows tie
         table_rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         q.values[:] = table_rng.choice(TABLE_VALUES, size=q.values.shape)
         q.visit_counts[:] = table_rng.integers(0, 4, size=q.visit_counts.shape)
     cfg = LearningConfig(max_episodes=draw(st.integers(1, 12)),
                          max_steps=draw(st.integers(1, 8)),
+                         gamma=draw(st.sampled_from([0.0, 0.5, 0.9])),
+                         epsilon=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
                          epsilon_decay=draw(st.sampled_from([1.0, 0.9, 0.5])),
                          epsilon_floor=draw(st.sampled_from([0.0, 0.02, 1.0])),
                          episode_start=draw(st.sampled_from(["fixed", "chain"])))
@@ -370,10 +374,10 @@ def learning_cases(draw):
             draw(st.booleans()))
 
 
-def example_case(dims, start, snap_seed, n_users, cfg, rows=None, **q_fields):
+def example_case(dims, start, snap_seed, n_users, cfg, rows=None):
     """A learning_cases value; rows, if given, fills the Q-table cyclically."""
     grid = PlacementGrid(square_area(2000.0), *dims)
-    q = QTable.zeros(grid.n_states, **q_fields)
+    q = QTable.zeros(grid.n_states)
     if rows is not None:
         q.values[:] = [rows[s % len(rows)] for s in range(grid.n_states)]
     return grid, q, cfg, start, snap_seed, n_users, False
@@ -381,20 +385,21 @@ def example_case(dims, start, snap_seed, n_users, cfg, rows=None, **q_fields):
 
 # On snapshot 3 with 1 user, the centre of a 3x3x3 grid (state 13) has a
 # strictly higher QoS than its six neighbours. Restarting there with one
-# exploring step per episode, every reward is negative, so literal updates
-# keep lowering the row maximum until the whole row is negative.
+# exploring step per episode, every reward is negative and the neighbours'
+# rows stay 0, so each update lowers a value of row 13 below 0; the row
+# maximum is rescanned down until the whole row is negative.
 NEGATIVE_REWARDS = example_case(
     (3, 3, 3), 13, 3, 1,
-    LearningConfig(max_episodes=30, max_steps=1, epsilon_decay=1.0,
-                   epsilon_floor=1.0, episode_start="fixed"),
-    epsilon=1.0, literal_update=True, gamma=0.9)
+    LearningConfig(max_episodes=30, max_steps=1, gamma=0.9, epsilon=1.0,
+                   epsilon_decay=1.0, epsilon_floor=1.0, episode_start="fixed"))
 
-# Greedy steps on a warm table whose rows each hold one maximum of 2.0: every
-# update lowers it, so the maximum moves to the row's next value.
+# Greedy steps on a warm table whose rows each hold one maximum of 2.0, with
+# no discount: a first visit sets the value to its reward, below 2.0, so the
+# maximum moves to the row's next value.
 LOWERED_MAXIMUM = example_case(
-    (2, 2, 2), 0, 0, 1, LearningConfig(max_episodes=6, max_steps=5),
-    rows=[[2.0, 1.0, -1.0, -0.0, 0.5, -1.0], [-0.0, 0.5, 1.0, -1.0, 2.0, 0.0]],
-    epsilon=0.0, alpha_mode="constant", alpha=1.0, literal_update=True, gamma=0.0)
+    (2, 2, 2), 0, 0, 1,
+    LearningConfig(max_episodes=6, max_steps=5, gamma=0.0, epsilon=0.0),
+    rows=[[2.0, 1.0, -1.0, -0.0, 0.5, -1.0], [-0.0, 0.5, 1.0, -1.0, 2.0, 0.0]])
 
 
 class TestFlatLearnerMatchesReference:
@@ -435,8 +440,8 @@ class TestFlatLearnerMatchesReference:
     def test_single_state_grid_matches_reference(self, desk_area):
         grid = PlacementGrid(desk_area, 1, 1, 1)
         snap, _ = make_snapshot(0, desk_area, n_users=5)
-        cfg = LearningConfig(max_episodes=4, max_steps=3)
-        q, q_ref = QTable.zeros(1, epsilon=0.5), QTable.zeros(1, epsilon=0.5)
+        cfg = LearningConfig(max_episodes=4, max_steps=3, epsilon=0.5)
+        q, q_ref = QTable.zeros(1), QTable.zeros(1)
         res = learn_placement(0, snap, q, cfg, grid, np.random.default_rng(1))
         _, rewards, _ = reference_learn(0, snap, q_ref, cfg, grid,
                                         np.random.default_rng(1))
@@ -444,14 +449,15 @@ class TestFlatLearnerMatchesReference:
         assert q.visit_counts.tolist() == q_ref.visit_counts.tolist()
         assert q.values.tolist() == q_ref.values.tolist()
 
-    def test_unknown_alpha_mode_rejected_before_the_loop(self, desk_area, desk_grid):
-        snap, rng = make_snapshot(0, desk_area, n_users=5)
-        q = QTable.zeros(desk_grid.n_states, alpha_mode="bogus")
-        state = rng.bit_generator.state
-        with pytest.raises(ConfigurationError, match="unknown alpha_mode 'bogus'"):
-            learn_placement(0, snap, q, LearningConfig(max_episodes=2), desk_grid, rng)
-        assert rng.bit_generator.state == state
-        assert not q.visit_counts.any()
+    def test_negative_rewards_rescan_the_row_maximum(self):
+        # Only a rescan lets vmax[13] follow the row below 0: a stale 0 would
+        # match no value in the row when the rollout looks it up.
+        grid, q, cfg, start, snap_seed, n_users, _ = NEGATIVE_REWARDS
+        snap, _ = make_snapshot(snap_seed, grid.area, n_users=n_users)
+        q = q.copy()
+        res = learn_placement(start, snap, q, cfg, grid, np.random.default_rng(0))
+        assert (res.rewards < 0).all()
+        assert (q.values[13] < 0).all()
 
 
 def _write_qtable_file(path, grid, **fields):
@@ -477,15 +483,20 @@ class TestMalformedQTableRejected:
         ({"values": np.full((30, 6), "x")}, "not all finite floats"),
         ({"visit_counts": np.full((30, 6), -1)}, "not all non-negative integers"),
         ({"visit_counts": np.full((30, 6), 0.5)}, "not all non-negative integers"),
-        ({"alpha_mode": "bogus"}, "unknown alpha_mode 'bogus'"),
-        ({"gamma": 1.0}, r"gamma 1.0 outside \[0, 1\)"),
-        ({"gamma": -0.1}, r"gamma -0.1 outside \[0, 1\)"),
-        ({"gamma": np.nan}, r"gamma nan outside \[0, 1\)"),
-        ({"epsilon": 1.5}, r"epsilon 1.5 outside \[0, 1\]"),
-        ({"epsilon": -0.5}, r"epsilon -0.5 outside \[0, 1\]"),
-        ({"alpha": np.nan}, r"alpha nan outside \(0, 1\]"),
-        ({"alpha": 0.0}, r"alpha 0.0 outside \(0, 1\]"),
-        ({"gamma": np.zeros(2)}, "cannot read Q-table"),
+        ({"format_version": np.array([2, 2])}, r"format version \[2, 2\], expected 2$"),
+        ({"format_version": 2.5}, "format version 2.5, expected 2$"),
+        ({"format_version": 2.0}, "format version 2.0, expected 2$"),
+        ({"format_version": "2"}, "format version '2', expected 2$"),
+        ({"grid_counts": np.array(5)},
+         r"grid record of shapes \(\) and \(6,\), expected \(3,\) and \(6,\)$"),
+        ({"grid_area": np.zeros((2, 3))},
+         r"grid record of shapes \(3,\) and \(2, 3\), expected \(3,\) and \(6,\)$"),
+        ({"visit_counts": np.full((30, 6), MAX_VISIT_COUNT)}, r"integers below 2\*\*62$"),
+        ({"visit_counts": np.full((30, 6), np.iinfo(np.int64).max)},
+         r"integers below 2\*\*62$"),
+        ({"visit_counts": np.full((30, 6), 2**63, dtype=np.uint64)},
+         r"integers below 2\*\*62$"),
+        ({"visit_counts": np.full((30, 6), True)}, r"integers below 2\*\*62$"),
     ])
     def test_rejected_with_reason(self, tmp_path, fields, message):
         path = tmp_path / "q.npz"
@@ -493,7 +504,8 @@ class TestMalformedQTableRejected:
         with pytest.raises(ConfigurationError, match=message):
             load_qtable(path, self.GRID)
 
-    @pytest.mark.parametrize("key", ["values", "visit_counts", "gamma", "grid_area"])
+    @pytest.mark.parametrize("key", ["values", "visit_counts", "format_version",
+                                     "grid_counts", "grid_area"])
     def test_missing_field_rejected(self, tmp_path, key):
         path = tmp_path / "q.npz"
         _write_qtable_file(path, self.GRID)
@@ -505,13 +517,16 @@ class TestMalformedQTableRejected:
             load_qtable(path, self.GRID)
 
     @pytest.mark.parametrize("fields", [
-        {"gamma": 0.0, "epsilon": 0.0}, {"epsilon": 1.0, "alpha": 1.0},
+        {"visit_counts": np.full((30, 6), MAX_VISIT_COUNT - 1)},
+        {"format_version": np.uint8(2), "visit_counts": np.full((30, 6), 5, dtype=np.uint16)},
         {"visit_counts": np.full((30, 6), 7, dtype=np.int32)},
     ])
     def test_edge_values_accepted(self, tmp_path, fields):
         path = tmp_path / "q.npz"
         _write_qtable_file(path, self.GRID, **fields)
-        load_qtable(path, self.GRID)
+        q = load_qtable(path, self.GRID)
+        assert q.visit_counts.dtype == np.int64
+        assert q.visit_counts.tolist() == fields["visit_counts"].tolist()
 
 
 class TestLearningConfigBounds:
@@ -523,3 +538,17 @@ class TestLearningConfigBounds:
     @pytest.mark.parametrize("floor", [0.0, 1.0])
     def test_epsilon_floor_bounds_accepted(self, floor):
         assert LearningConfig(epsilon_floor=floor).epsilon_floor == floor
+
+    @pytest.mark.parametrize("key, value, interval", [
+        ("gamma", 1.0, "[0, 1)"), ("gamma", -0.1, "[0, 1)"), ("gamma", np.nan, "[0, 1)"),
+        ("epsilon", 1.5, "[0, 1]"), ("epsilon", -0.5, "[0, 1]"),
+    ])
+    def test_outside_range_rejected(self, key, value, interval):
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(f'{key} must be in {interval}')}$"):
+            LearningConfig(**{key: value})
+
+    @pytest.mark.parametrize("fields", [{"gamma": 0.0, "epsilon": 0.0}, {"epsilon": 1.0}])
+    def test_gamma_and_epsilon_edge_values_accepted(self, fields):
+        cfg = LearningConfig(**fields)
+        assert {k: getattr(cfg, k) for k in fields} == fields
