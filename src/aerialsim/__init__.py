@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .channel import (AtgEnvironment, RadioParams, URBAN, atg_pathloss_hl,
+from .channel import (AtgEnvironment, RadioParams, atg_pathloss_hl,
                       elevation_angle, ground_pathloss_d, p_los)
 from .deployment import (GroundBS, PlacementGrid, drop_users_ppp,
                          grid_index_to_position, hex_layout,

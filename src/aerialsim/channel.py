@@ -22,18 +22,12 @@ LINK_DISTANCE_RANGE = (5e-324, 3.0 * MAX_LENGTH)  # m
 
 @dataclass(frozen=True)
 class AtgEnvironment:
-    """Sigmoid LoS-probability constants and excess losses for one environment.
-
-    ``literal_los_exponent`` switches the LoS sigmoid exponent from the cited
-    model family exp(-zeta*(theta_deg - kappa)) to the literal rendering
-    exp(-zeta*theta_deg - kappa); the former is the default.
-    """
+    """Sigmoid LoS-probability constants and excess losses for one environment."""
 
     kappa: float = 9.61
     zeta: float = 0.16          # per degree
     eta_los: float = 1.0        # dB
     eta_nlos: float = 20.0      # dB
-    literal_los_exponent: bool = False
 
     def __post_init__(self):
         if self.kappa <= 0 or self.zeta <= 0:
@@ -42,9 +36,6 @@ class AtgEnvironment:
             raise ValueError("need eta_nlos >= eta_los >= 0")
         if self.zeta * self.kappa + max(0.0, math.log(self.kappa)) > 700.0:
             raise ValueError("zeta * kappa too large: p_los's kappa * exp term overflows")
-
-
-URBAN = AtgEnvironment()
 
 
 @dataclass(frozen=True)
@@ -78,14 +69,10 @@ def elevation_angle(h, l, out=None):
 
 
 def p_los(theta, env: AtgEnvironment, out=None):
-    """LoS probability as a sigmoid in the elevation angle (radians)."""
+    """LoS probability 1 / (1 + kappa * exp(-zeta * (theta_deg - kappa))), theta in rad."""
     t = np.degrees(theta, out=out)
-    if env.literal_los_exponent:
-        t *= -env.zeta
-        t -= env.kappa
-    else:
-        t -= env.kappa
-        t *= -env.zeta
+    t -= env.kappa
+    t *= -env.zeta
     t = np.exp(t, out=out)
     t *= env.kappa
     t += 1.0

@@ -15,7 +15,7 @@ import numpy as np
 from .deployment import grid_index_to_position
 from .geometry import ConfigurationError
 from .oracle import exhaustive_search, export_qos_csv
-from .scenario import (BASELINE_AERIAL, BASELINE_GROUND, build_config,
+from .scenario import (BASELINE_AERIAL, BASELINE_GROUND, PRESETS, build_config,
                        build_network, default_out_dir, disable_site,
                        emit_outputs, per_user_mean_sinr_db, run_scenario)
 
@@ -26,7 +26,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="YAML config file")
     p.add_argument("--seed", type=int, help="random seed (overrides config)")
     p.add_argument("--out-dir", help=f"output directory (default: $AERIALSIM_OUT_DIR or ./out)")
-    p.add_argument("--preset", choices=["paper", "desk"], default="desk")
+    p.add_argument("--preset", choices=list(PRESETS), default="desk")
 
 
 def _config_from_args(args, extra=None):

@@ -15,14 +15,11 @@ from .geometry import ConfigurationError, Position2D, ServiceArea
 class MobilityParams:
     c_max: float = 1.3          # m/s, pedestrian maximum
     hold_time: float = 10.0     # s between (speed, direction) redraws
-    boundary_policy: str = "reflect"  # reflect | wrap
 
     def __post_init__(self):
         # c_max == 0 is allowed as the degenerate static-users case
         if self.c_max < 0 or self.hold_time <= 0:
             raise ConfigurationError("c_max must be >= 0 and hold_time positive")
-        if self.boundary_policy not in ("reflect", "wrap"):
-            raise ConfigurationError(f"unknown boundary policy {self.boundary_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ def step(users: Users, dts, params: MobilityParams,
     """Advance every user through the sub-steps dts (s) in order; a float is one.
 
     Result and rng state are bit for bit those of one sub-step at a time:
-    move by speed * dt along the cached heading, reflect or wrap at the edge,
+    move by speed * dt along the cached heading, reflect at the edge,
     count the hold down, and redraw, in id order, where it expired. A segment
     ends where the smallest hold expires (rounding is monotone, so it expires
     first); in it each user adds one displacement per distinct dt. A straight
@@ -145,15 +142,11 @@ def step(users: Users, dts, params: MobilityParams,
         moves = {dt: (speed * dt * cos, speed * dt * sin) for dt in set(segment)}
         for dt in segment:
             x, y, hold = x + moves[dt][0], y + moves[dt][1], hold - dt
-            if params.boundary_policy == "wrap":
-                x = area.x_min + (x - area.x_min) % area.width
-                y = area.y_min + (y - area.y_min) % area.height
-        if params.boundary_policy == "reflect":
-            out = (x0 < area.x_min) | (x0 > area.x_max) | (y0 < area.y_min) | (y0 > area.y_max) \
-                | (x < area.x_min) | (x > area.x_max) | (y < area.y_min) | (y > area.y_max)
-            for i in np.flatnonzero(out).tolist():
-                x[i], y[i], direction[i], cos[i], sin[i] = _reflecting_walk(
-                    *(float(a[i]) for a in (x0, y0, speed, direction, cos, sin)), segment, area)
+        out = (x0 < area.x_min) | (x0 > area.x_max) | (y0 < area.y_min) | (y0 > area.y_max) \
+            | (x < area.x_min) | (x > area.x_max) | (y < area.y_min) | (y > area.y_max)
+        for i in np.flatnonzero(out).tolist():
+            x[i], y[i], direction[i], cos[i], sin[i] = _reflecting_walk(
+                *(float(a[i]) for a in (x0, y0, speed, direction, cos, sin)), segment, area)
         redraw = np.flatnonzero(hold <= 1e-12)  # rng.random((0, 2)) draws nothing
         speed[redraw], direction[redraw] = draw_velocities(params, rng, redraw.size)
         hold[redraw] = params.hold_time

@@ -9,7 +9,7 @@ import numpy as np
 from .deployment import PlacementGrid
 from .geometry import ConfigurationError
 # aggregate_qos is not called here; it stays a module attribute because
-# bench/tracing.py wraps it.
+# bench/tracing.py patches it.
 from .radio import NetworkState, aggregate_qos, qos_map  # noqa: F401
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from .deployment import PlacementGrid
 from .geometry import ConfigurationError
 # aggregate_qos is not called here; it stays a module attribute because
-# bench/tracing.py wraps it.
+# bench/tracing.py patches it.
 from .radio import NetworkState, aggregate_qos, qos_map  # noqa: F401
 
 N_ACTIONS = 6
@@ -269,7 +269,8 @@ def save_qtable(path, q: QTable, grid: PlacementGrid) -> None:
 def load_qtable(path, grid: PlacementGrid) -> QTable:
     """Load a Q-table saved by save_qtable; it must have been learned on grid.
 
-    The visit counts are held as int64. Other keys in the file are ignored.
+    The values are held as float64 and the visit counts as int64. Other keys
+    in the file are ignored.
     """
     try:
         # np.load(path) would leave its own handle open when the archive is
@@ -298,6 +299,9 @@ def load_qtable(path, grid: PlacementGrid) -> QTable:
             f"Q-table {path} was learned on a {got} grid over area "
             f"{grid_area.tolist()}, not this run's "
             f"{grid.n_x}x{grid.n_y}x{grid.n_h} grid over {box.tolist()}")
+    if values.dtype.kind == "f":
+        with np.errstate(over="ignore"):  # beyond float64's range: inf, rejected below
+            values = values.astype(np.float64)
     shape = (grid.n_states, N_ACTIONS)
     if values.shape != shape or visits.shape != shape:
         problem = (f"has values of shape {values.shape} and visit counts of "

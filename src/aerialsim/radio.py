@@ -104,8 +104,6 @@ def link_report(state: NetworkState) -> Tuple[np.ndarray, np.ndarray]:
 
 def aggregate_qos(state: NetworkState) -> float:
     """Sum of per-user spectral efficiency under max-SINR association."""
-    if not state.users:
-        return 0.0
     return float(link_report(state)[1].sum())
 
 

@@ -22,7 +22,7 @@ from .geometry import ConfigurationError, Position3D, ServiceArea, square_area
 from .mobility import MobilityParams, init_users, step
 from .placement import (LearningConfig, QTable, learn_placement, load_qtable,
                         save_qtable)
-# aggregate_qos is not called here; bench/tracing.py wraps it as an attribute.
+# aggregate_qos is not called here; bench/tracing.py patches it as an attribute.
 from .radio import (DEFAULT_AERIAL_TX_DBM, NetworkState,  # noqa: F401
                     aggregate_qos, link_report, throughput)
 
@@ -155,7 +155,6 @@ class TimeSlotRecord:
 class ScenarioRun:
     records: List[TimeSlotRecord]
     reward_traces: List[np.ndarray]
-    qtable: Optional[QTable]
 
 
 def disable_site(bss: Sequence[GroundBS], cfg: ScenarioConfig) -> List[GroundBS]:
@@ -194,8 +193,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
 
     def evaluate(state):
         """(aggregate QoS, per-user SINR) from one link report."""
-        if not state.users:
-            return 0.0, np.empty(0)
         sinr, tput = link_report(state)
         return float(tput.sum()), sinr
 
@@ -214,8 +211,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
             qtable = load_qtable(cfg.qtable_path, grid)
         else:
             qtable = QTable.zeros(grid.n_states)
-    else:
-        qtable = None
 
     dts, remaining = [], cfg.t_min  # one slot's mobility sub-steps
     while remaining > SLOT_TIME_TOL:
@@ -245,7 +240,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
 
     if aerial_mode and cfg.qtable_path:
         save_qtable(cfg.qtable_path, qtable, grid)
-    return ScenarioRun(records=records, reward_traces=traces, qtable=qtable)
+    return ScenarioRun(records=records, reward_traces=traces)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +396,11 @@ def _merge(base: dict, override: dict) -> dict:
 _NESTED_TYPES = {cls.__name__: cls for cls in (GridSpec, AtgEnvironment, RadioParams,
                                                MobilityParams, LearningConfig)}
 
-# Accepted value types, by field annotation. bool is an int subclass, so it is
-# rejected separately where a number is expected.
+# Accepted value types, by field annotation. No config value is a boolean;
+# bool is an int subclass, so it is rejected separately.
 _SCALAR_TYPES = {
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
-    "bool": ((bool,), "true or false"),
     "str": ((str,), "a string"),
 }
 
@@ -437,7 +431,7 @@ def _from_mapping(cls, d: dict, prefix: str = ""):
                 raise ConfigurationError(f"config key {name} must be a mapping, got {v!r}")
         elif not (v is None and typ.startswith("Optional[")):
             accepted, what = _SCALAR_TYPES[typ.removeprefix("Optional[").rstrip("]")]
-            if isinstance(v, bool) != (bool in accepted) or not isinstance(v, accepted):
+            if isinstance(v, bool) or not isinstance(v, accepted):
                 raise ConfigurationError(f"config key {name} must be {what}, got {v!r}")
             if float in accepted and not _finite(v):
                 raise ConfigurationError(f"config key {name} must be finite, got {v!r}")

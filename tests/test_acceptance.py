@@ -74,7 +74,7 @@ def desk_grid_mod(desk_area_mod):
 
 
 def test_criterion_1_channel_hand_values():
-    urban = a.URBAN
+    urban = a.AtgEnvironment()
     radio = RadioParams()
     v90 = a.p_los(math.pi / 2, urban)
     v0 = a.p_los(1e-12, urban)

@@ -20,8 +20,8 @@ from aerialsim import cli
 from aerialsim.cli import main
 from aerialsim.placement import QTable, save_qtable
 from aerialsim.radio import qos_map
-from aerialsim.scenario import (build_config, build_network, config_from_dict,
-                                disable_site)
+from aerialsim.scenario import (ScenarioConfig, build_config, build_network,
+                                config_from_dict, config_to_dict, disable_site)
 
 
 @pytest.fixture
@@ -213,6 +213,9 @@ def test_qtable_from_another_grid_rejected(tmp_path, capsys):
     ("grid_area", np.zeros(5), "has a grid record of shapes (3,) and (5,)"),
     ("visit_counts", np.full((75, 6), np.iinfo(np.int64).max),
      "has visit counts that are not all non-negative integers below 2**62"),
+    # Finite as a long double, beyond float64's range.
+    ("values", np.full((75, 6), np.longdouble("1e400")),
+     "has values that are not all finite floats"),
 ])
 def test_malformed_qtable_exits_nonzero(tmp_path, capsys, field, bad, message):
     # The grid record matches the desk grid; only the table itself is bad.
@@ -231,6 +234,37 @@ def test_malformed_qtable_exits_nonzero(tmp_path, capsys, field, bad, message):
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: Q-table {qtable} {message}")
+
+
+def test_float16_qtable_is_saved_back_as_float64(tmp_path):
+    # The learner writes into the loaded table, which used to keep the file's dtype.
+    qtable = tmp_path / "q.npz"
+    cfg = tmp_path / "warm.yaml"
+    cfg.write_text(f"sim_duration: 40.0\nqtable_path: {qtable}\n")
+    argv = ["run", "--preset", "desk", "--seed", "7", "--config", str(cfg),
+            "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 0
+    with np.load(qtable) as f:
+        d = dict(f)
+    d["values"] = d["values"].astype(np.float16)
+    with open(qtable, "wb") as f:
+        np.savez(f, **d)
+    assert main(argv) == 0
+    with np.load(qtable) as f:
+        assert f["values"].dtype == np.float64
+        assert f["visit_counts"].sum() > d["visit_counts"].sum()
+
+
+@pytest.mark.parametrize("mode", ["ground19", "aerial18plus1"])
+def test_run_without_users(tmp_path, mode):
+    # Warnings fail the tests, so this also checks that an empty slot raises none.
+    cfg = tmp_path / "empty.yaml"
+    cfg.write_text(f"n_users: 0\nsim_duration: 30.0\nbaseline_mode: {mode}\n")
+    rc = main(["run", "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 0
+    with open(tmp_path / "o" / "timeslots.csv", newline="") as f:
+        assert [float(r["qos"]) for r in csv.DictReader(f)] == [0.0] * 4
 
 
 def test_epsilon_floor_above_one_exits_nonzero(tmp_path, capsys):
@@ -464,13 +498,11 @@ _VALID = {
     "qtable_path": st.one_of(st.none(), st.just("q.npz")),
     "grid": {"n_x": st.integers(1, 4), "n_y": st.integers(1, 4), "n_h": st.integers(1, 4)},
     "env": {"kappa": st.floats(0.1, 20.0), "zeta": st.floats(0.01, 1.0),
-            "eta_los": st.floats(0.0, 5.0), "eta_nlos": st.floats(0.0, 40.0),
-            "literal_los_exponent": st.booleans()},
+            "eta_los": st.floats(0.0, 5.0), "eta_nlos": st.floats(0.0, 40.0)},
     "radio": {"carrier_freq": st.floats(1e8, 1e10), "noise_power": st.floats(-130.0, -60.0),
               "ground_pathloss_exponent": st.floats(1.0, 6.0),
               "ground_ref_loss": st.floats(0.0, 60.0)},
-    "mobility": {"c_max": st.floats(0.0, 50.0), "hold_time": st.floats(0.1, 20.0),
-                 "boundary_policy": st.sampled_from(["reflect", "wrap"])},
+    "mobility": {"c_max": st.floats(0.0, 50.0), "hold_time": st.floats(0.1, 20.0)},
     "learning": {"max_episodes": st.integers(1, 20), "max_steps": st.integers(1, 10),
                  "gamma": st.floats(0.0, 1.0, exclude_max=True),
                  "epsilon": st.floats(0.0, 1.0),
@@ -487,6 +519,11 @@ _CHEAP = {"n_users": 20, "sim_duration": 30.0, "grid": {"n_x": 3, "n_y": 3, "n_h
 def _paths(spec, prefix=()):
     for k, v in spec.items():
         yield from _paths(v, prefix + (k,)) if isinstance(v, dict) else [prefix + (k,)]
+
+
+def test_every_config_key_is_drawn():
+    # A key left out of _VALID is never drawn; one no longer in the config is junk.
+    assert sorted(_paths(_VALID)) == sorted(_paths(config_to_dict(ScenarioConfig())))
 
 
 @st.composite

@@ -40,11 +40,7 @@ def ref_reflect(v, lo, hi):
     return v, flipped
 
 
-def ref_apply_boundary(x, y, direction, area, policy):
-    if policy == "wrap":
-        x = area.x_min + (x - area.x_min) % area.width
-        y = area.y_min + (y - area.y_min) % area.height
-        return x, y, direction
+def ref_apply_boundary(x, y, direction, area):
     x, fx = ref_reflect(x, area.x_min, area.x_max)
     y, fy = ref_reflect(y, area.y_min, area.y_max)
     dx, dy = math.cos(direction), math.sin(direction)
@@ -62,8 +58,7 @@ def ref_step(users, dt, params, area, rng):
     for u in users:
         x = u.pos.x + u.speed * dt * math.cos(u.direction)
         y = u.pos.y + u.speed * dt * math.sin(u.direction)
-        x, y, direction = ref_apply_boundary(x, y, u.direction, area,
-                                             params.boundary_policy)
+        x, y, direction = ref_apply_boundary(x, y, u.direction, area)
         speed = u.speed
         hold = u.hold_remaining - dt
         if hold <= 1e-12:
@@ -100,7 +95,7 @@ def countdowns(dts):
 
 @st.composite
 def walks(draw):
-    """Users, a boundary policy and one or more slots of sub-steps.
+    """Users, their parameters and one or more slots of sub-steps.
 
     A user's sub-step is 0, a fraction of the area width or up to several
     widths, so some users fold more than once. Users start anywhere within
@@ -113,8 +108,7 @@ def walks(draw):
     area = a.square_area(side)
     params = MobilityParams(
         c_max=draw(st.sampled_from([0.0, 1.3, 4.0 * side])),
-        hold_time=draw(st.floats(0.05, 20.0, **finite)),
-        boundary_policy=draw(st.sampled_from(["reflect", "wrap"])))
+        hold_time=draw(st.floats(0.05, 20.0, **finite)))
     dt = draw(st.floats(0.01, 3.0, **finite))
     dts = [dt] * draw(st.integers(0, 11))
     dts.append(draw(st.sampled_from([dt, dt / 3.0, draw(st.floats(0.01, dt, **finite))])))
@@ -191,9 +185,8 @@ class TestStepMatchesScalarReference:
         assert as_tuples(out) == as_tuples(ref)
         assert desk_area.contains_2d(out[0].pos) and out[0].direction != direction
 
-    @pytest.mark.parametrize("policy", ["reflect", "wrap"])
-    def test_seeded_drop_over_many_steps(self, desk_area, policy):
-        params = MobilityParams(c_max=40.0, hold_time=3.0, boundary_policy=policy)
+    def test_seeded_drop_over_many_steps(self, desk_area):
+        params = MobilityParams(c_max=40.0, hold_time=3.0)
         rng = np.random.default_rng(11)
         users = init_users(a.drop_users_ppp(200, desk_area, rng), params, rng)
         ref_rng = np.random.default_rng(0)
@@ -300,14 +293,6 @@ class TestStep:
             users = step(users, [1.0] * 10, params, desk_area, rng)
             assert all(desk_area.contains_2d(u.pos) for u in users)
 
-    def test_wrap_keeps_users_inside(self, desk_area):
-        params = MobilityParams(c_max=50.0, hold_time=5.0, boundary_policy="wrap")
-        rng = np.random.default_rng(4)
-        users = init_users(a.drop_users_ppp(50, desk_area, rng), params, rng)
-        for _ in range(5):
-            users = step(users, [1.0] * 10, params, desk_area, rng)
-            assert all(desk_area.contains_2d(u.pos) for u in users)
-
     def test_straight_line_within_hold(self, desk_area):
         params = MobilityParams(hold_time=10.0)
         u = make_users(x=10.0, y=20.0, speed=1.1, direction=0.87)
@@ -349,7 +334,6 @@ class TestRedrawDistributions:
 
 
 def test_params_validation():
-    with pytest.raises(Exception):
-        MobilityParams(c_max=-1.0)
-    with pytest.raises(Exception):
-        MobilityParams(boundary_policy="bounce")
+    for bad in ({"c_max": -1.0}, {"hold_time": 0.0}):
+        with pytest.raises(ConfigurationError, match="c_max must be >= 0 and hold_time"):
+            MobilityParams(**bad)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from aerialsim import scenario
 from aerialsim.geometry import ConfigurationError
 from aerialsim.mobility import MobilityParams, Users
-from aerialsim.placement import LearningConfig
+from aerialsim.placement import LearningConfig, load_qtable
 from aerialsim.radio import aggregate_qos
 from aerialsim.scenario import (GridSpec, ScenarioConfig, TimeSlotRecord,
                                 build_config, build_network, config_from_dict,
@@ -88,12 +89,12 @@ class TestRunScenario:
     def test_warm_start_from_path_without_npz_suffix(self, tmp_path):
         path = tmp_path / "qt"
         cfg = desk_config(sim_duration=60.0, qtable_path=str(path), seed=5)
-        first = run_scenario(cfg)
+        run_scenario(cfg)
         assert path.exists() and not (tmp_path / "qt.npz").exists()
-        second = run_scenario(cfg)  # must continue from the persisted table
-        n_first = first.qtable.visit_counts.sum()
+        n_first = load_qtable(path, cfg.placement_grid()).visit_counts.sum()
         assert n_first > 0
-        assert second.qtable.visit_counts.sum() > n_first
+        run_scenario(cfg)  # must continue from the persisted table
+        assert load_qtable(path, cfg.placement_grid()).visit_counts.sum() > n_first
 
     def test_invalid_disabled_bs(self):
         with pytest.raises(ConfigurationError):
@@ -256,12 +257,15 @@ class TestConfigPlumbing:
         ({"learning": 5}, "config key learning must be a mapping"),
         ({"grid": [5, 5, 3]}, "config key grid must be a mapping"),
         ({"mobility": {"c_max": "fast"}}, "config key mobility.c_max must be a number"),
-        ({"env": {"literal_los_exponent": 1}},
-         "config key env.literal_los_exponent must be true or false"),
+        ({"env": {"literal_los_exponent": False}},
+         r"unknown config keys: \['env.literal_los_exponent'\]"),
         ({"learning": {"bogus": 1}}, r"unknown config keys: \['learning.bogus'\]"),
         ({"mobility": {"c_max": float("nan")}}, "config key mobility.c_max must be finite"),
         # An int beyond the float range is infinite as a float.
         ({"sim_duration": 10 ** 400}, "config key sim_duration must be finite"),
+        # One LoS formula and one boundary rule: the keys that chose another are gone.
+        ({"mobility": {"boundary_policy": "reflect"}},
+         r"unknown config keys: \['mobility.boundary_policy'\]"),
     ])
     def test_mistyped_values_rejected(self, d, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -270,11 +274,9 @@ class TestConfigPlumbing:
     def test_typed_values_accepted(self):
         cfg = config_from_dict({"sim_duration": 1000, "disabled_bs": None,
                                 "qtable_path": "q.npz", "grid": GridSpec(3, 3, 2),
-                                "mobility": {"c_max": 40, "boundary_policy": "wrap"},
-                                "env": {"literal_los_exponent": True}})
+                                "mobility": {"c_max": 40, "hold_time": 3}})
         assert cfg.sim_duration == 1000 and cfg.grid == GridSpec(3, 3, 2)
-        assert cfg.mobility == MobilityParams(c_max=40, boundary_policy="wrap")
-        assert cfg.env.literal_los_exponent is True
+        assert cfg.mobility == MobilityParams(c_max=40, hold_time=3)
 
     def test_float_keys_hold_floats(self):
         # A YAML integer too large for int64 used to reach numpy as an object
@@ -284,6 +286,14 @@ class TestConfigPlumbing:
         assert [type(v) for v in (cfg.t_min, cfg.antenna_height, cfg.mobility.c_max)] == \
             [float] * 3
         assert cfg.antenna_height == 1e30
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("Example config:\n\n```yaml\n", 1)[1].split("```", 1)[0]
+        cfgfile = tmp_path / "example.yaml"
+        cfgfile.write_text(block)
+        cfg = build_config(config_file=cfgfile)
+        assert (cfg.seed, cfg.n_users, cfg.learning.max_episodes) == (42, 150, 2500)
 
     def test_presets_build(self):
         paper = build_config(preset="paper")
