@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MAX_LENGTH, DegenerateGeometryError
+from .geometry import MAX_LENGTH, ConfigurationError, DegenerateGeometryError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # The shortest and longest link distances an area can hold: any positive
@@ -31,11 +31,12 @@ class AtgEnvironment:
 
     def __post_init__(self):
         if self.kappa <= 0 or self.zeta <= 0:
-            raise ValueError("kappa and zeta must be positive")
+            raise ConfigurationError("kappa and zeta must be positive")
         if not 0 <= self.eta_los <= self.eta_nlos:
-            raise ValueError("need eta_nlos >= eta_los >= 0")
+            raise ConfigurationError("need eta_nlos >= eta_los >= 0")
         if self.zeta * self.kappa + max(0.0, math.log(self.kappa)) > 700.0:
-            raise ValueError("zeta * kappa too large: p_los's kappa * exp term overflows")
+            raise ConfigurationError(
+                "zeta * kappa too large: p_los's kappa * exp term overflows")
 
 
 @dataclass(frozen=True)
@@ -53,14 +54,14 @@ class RadioParams:
             ratio = 4.0 * np.pi * self.carrier_freq * np.array(LINK_DISTANCE_RANGE) \
                 / SPEED_OF_LIGHT
         if not np.all((0 < ratio) & (ratio < np.inf)):
-            raise ValueError(
+            raise ConfigurationError(
                 f"carrier frequency {self.carrier_freq!r} Hz must keep 4*pi*f*d/c a "
                 f"positive finite float for every link distance d from "
                 f"{LINK_DISTANCE_RANGE[0]!r} to {LINK_DISTANCE_RANGE[1]:g} m")
         if not math.isfinite(self.noise_power):
-            raise ValueError("noise power must be finite")
+            raise ConfigurationError("noise power must be finite")
         if not self.ground_pathloss_exponent > 0:
-            raise ValueError("ground path-loss exponent must be positive")
+            raise ConfigurationError("ground path-loss exponent must be positive")
 
 
 def elevation_angle(h, l, out=None):

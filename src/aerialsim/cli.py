@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -16,16 +17,19 @@ from .deployment import grid_index_to_position
 from .geometry import ConfigurationError
 from .oracle import exhaustive_search, export_qos_csv
 from .scenario import (BASELINE_AERIAL, BASELINE_GROUND, PRESETS, build_config,
-                       build_network, default_out_dir, disable_site,
-                       emit_outputs, per_user_mean_sinr_db, run_scenario)
+                       build_network, disable_site, emit_outputs,
+                       per_user_mean_sinr_db, run_scenario)
 
 ORACLE_STATE_LIMIT = 200_000
+OUT_DIR_ENV_VAR = "AERIALSIM_OUT_DIR"
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="YAML config file")
     p.add_argument("--seed", type=int, help="random seed (overrides config)")
-    p.add_argument("--out-dir", help=f"output directory (default: $AERIALSIM_OUT_DIR or ./out)")
+    p.add_argument("--out-dir", type=Path,
+                   default=Path(os.environ.get(OUT_DIR_ENV_VAR, "out")),
+                   help=f"output directory (default: ${OUT_DIR_ENV_VAR} or ./out)")
     p.add_argument("--preset", choices=list(PRESETS), default="desk")
 
 
@@ -39,12 +43,11 @@ def _config_from_args(args, extra=None):
 
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    out = Path(args.out_dir) if args.out_dir else default_out_dir()
     t0 = time.perf_counter()
     run = run_scenario(cfg)
-    paths = emit_outputs(run.records, run.reward_traces, out, config=cfg)
+    paths = emit_outputs(run.records, run.reward_traces, args.out_dir, config=cfg)
     elapsed = time.perf_counter() - t0
-    print(f"wrote {len(paths)} files to {out} "
+    print(f"wrote {len(paths)} files to {args.out_dir} "
           f"({len(run.records)} slots, {elapsed:.1f}s)", file=sys.stderr)
     return 0
 
@@ -61,9 +64,8 @@ def cmd_oracle(args) -> int:
     snapshot = replace(net, ground_bs=disable_site(net.ground_bs, cfg))
     t0 = time.perf_counter()
     best, qos = exhaustive_search(snapshot, grid)
-    out = Path(args.out_dir) if args.out_dir else default_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    export_qos_csv(qos, grid, out / "oracle_qos.csv")
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    export_qos_csv(qos, grid, args.out_dir / "oracle_qos.csv")
     p = grid_index_to_position(grid, best)
     print(f"best state {best} at ({p.x:.1f}, {p.y:.1f}, {p.h:.1f}) "
           f"qos={qos[best]:.4f} ({time.perf_counter() - t0:.1f}s)",
@@ -104,9 +106,8 @@ def cmd_compare(args) -> int:
             rows = list(ex.map(_compare_one, payloads))
     else:
         rows = [_compare_one(p) for p in payloads]
-    out = Path(args.out_dir) if args.out_dir else default_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "compare.csv"
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    path = args.out_dir / "compare.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.DictWriter(f, fieldnames=list(rows[0].keys()), lineterminator="\n")
         w.writeheader()

@@ -117,7 +117,7 @@ def _reflecting_walk(x, y, speed, direction, cos, sin, dts, area):
 
 def step(users: Users, dts, params: MobilityParams,
          area: ServiceArea, rng: np.random.Generator) -> Users:
-    """Advance every user through the sub-steps dts (s) in order; a float is one.
+    """Advance every user through the sequence of sub-steps dts (s) in order.
 
     Result and rng state are bit for bit those of one sub-step at a time:
     move by speed * dt along the cached heading, reflect at the edge,
@@ -127,7 +127,6 @@ def step(users: Users, dts, params: MobilityParams,
     walk that starts and ends inside the area never left it, so only users
     outside at either end are replayed one sub-step at a time.
     """
-    dts = [dts] if np.isscalar(dts) else list(dts)
     if not all(dt > 0 for dt in dts):
         raise ConfigurationError("dt must be positive")
     x, y, hold, speed, direction, cos, sin = users.x, users.y, users.hold, *(

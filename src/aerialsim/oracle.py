@@ -7,7 +7,6 @@ from typing import Tuple
 import numpy as np
 
 from .deployment import PlacementGrid
-from .geometry import ConfigurationError
 # aggregate_qos is not called here; it stays a module attribute because
 # bench/tracing.py patches it.
 from .radio import NetworkState, aggregate_qos, qos_map  # noqa: F401
@@ -22,8 +21,6 @@ def exhaustive_search(snapshot: NetworkState,
     state; aggregate_qos is the reference the tests hold it to. Ties go to
     the lowest state index.
     """
-    if grid.n_states < 1:
-        raise ConfigurationError("placement grid is empty")
     qos = qos_map(snapshot, grid)
     return int(np.argmax(qos)), qos  # first maximum = lowest index on ties
 

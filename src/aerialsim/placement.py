@@ -57,9 +57,6 @@ class QTable:
         return cls(values=np.zeros((n_states, N_ACTIONS)),
                    visit_counts=np.zeros((n_states, N_ACTIONS), dtype=np.int64))
 
-    def copy(self) -> "QTable":
-        return QTable(values=self.values.copy(), visit_counts=self.visit_counts.copy())
-
 
 @dataclass(frozen=True)
 class LearningConfig:
@@ -184,8 +181,6 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     r + gamma * vmax[s'] is the same sum for either, because r, a difference
     of QoS values >= +0.0, is never -0.0.
     """
-    if grid.n_states < 1:
-        raise ConfigurationError("placement grid is empty")
     grid.unravel(initial_state)  # validates
 
     qos = qos_map(snapshot, grid).tolist()

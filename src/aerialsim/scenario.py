@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -29,9 +28,9 @@ from .radio import (DEFAULT_AERIAL_TX_DBM, NetworkState,  # noqa: F401
 BASELINE_GROUND = "ground19"
 BASELINE_AERIAL = "aerial18plus1"
 
-OUT_DIR_ENV_VAR = "AERIALSIM_OUT_DIR"
-
-# run_scenario moves the users while more than this much of a slot is left.
+# run_scenario moves the users while more than this much of a slot is left,
+# and counts a slot that ends within this much past sim_duration, so a
+# quotient such as 0.7 / 0.1 = 6.999999999999999 still gives 7 slots.
 SLOT_TIME_TOL = 1e-9  # s
 # Limits on the work one run may ask for: mobility sub-steps
 # (sim_duration / min(t_min, mobility_dt)) and ground sites.
@@ -217,7 +216,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         dts.append(min(cfg.mobility_dt, remaining))
         remaining -= dts[-1]
     users = net.users
-    n_slots = int(math.floor(cfg.sim_duration / cfg.t_min))
+    n_slots = int(math.floor((cfg.sim_duration + SLOT_TIME_TOL) / cfg.t_min))
     for k in range(1, n_slots + 1):
         users = step(users, dts, cfg.mobility, area, rng_mob)
         state = replace(net, users=users)
@@ -299,7 +298,7 @@ def _fmt(x: float) -> str:
 
 def emit_outputs(records: Sequence[TimeSlotRecord],
                  reward_traces: Sequence[np.ndarray], out_dir,
-                 config: Optional[ScenarioConfig] = None) -> List[Path]:
+                 config: ScenarioConfig) -> List[Path]:
     """Write timeslots.csv, sinr_cdf.csv, reward_trace.csv, and summary.yaml.
 
     Outputs are a pure function of the inputs (no timestamps), so a repeated
@@ -307,7 +306,7 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
     """
     out = Path(out_dir)
     # Before any file is written, so an undefined CDF leaves no partial outputs.
-    xs, cdf = sinr_cdf(records) if records else ((), ())
+    xs, cdf = sinr_cdf(records)
     try:
         out.mkdir(parents=True, exist_ok=True)
         paths = []
@@ -356,15 +355,14 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
 
         p = out / "summary.yaml"
         summary = {
-            "config": config_to_dict(config) if config else None,
-            "seed": config.seed if config else None,
+            "config": dataclasses.asdict(config),
+            "seed": config.seed,
             "n_slots": len(records),
             "learning_runs": len(reward_traces),
-            "qos_th": float(records[0].qos_th) if records else None,
-            "qos_mean": float(np.mean([r.qos for r in records])) if records else None,
-            "qos_final": float(records[-1].qos) if records else None,
-            "spectral_efficiency_mean":
-                spectral_efficiency_summary(records) if records else None,
+            "qos_th": float(records[0].qos_th),
+            "qos_mean": float(np.mean([r.qos for r in records])),
+            "qos_final": float(records[-1].qos),
+            "spectral_efficiency_mean": spectral_efficiency_summary(records),
         }
         with open(p, "w", encoding="utf-8", newline="\n") as f:
             yaml.safe_dump(summary, f, sort_keys=True)
@@ -376,10 +374,6 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
 
 # ---------------------------------------------------------------------------
 # Config serialization and presets
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    return dataclasses.asdict(cfg)
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -484,7 +478,3 @@ def build_config(preset: Optional[str] = None, config_file=None,
     if overrides:
         d = _merge(d, overrides)
     return config_from_dict(d)
-
-
-def default_out_dir() -> Path:
-    return Path(os.environ.get(OUT_DIR_ENV_VAR, "out"))

@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import aerialsim as a
 from aerialsim.channel import AtgEnvironment, RadioParams
+from aerialsim.deployment import PlacementGrid
+from aerialsim.geometry import square_area
 from aerialsim.mobility import Users
 from aerialsim.scenario import ScenarioConfig, build_network, disable_site
 
@@ -21,12 +22,12 @@ def radio():
 
 @pytest.fixture
 def desk_area():
-    return a.square_area(2000.0)
+    return square_area(2000.0)
 
 
 @pytest.fixture
 def desk_grid(desk_area):
-    return a.PlacementGrid(desk_area, 5, 5, 3)
+    return PlacementGrid(desk_area, 5, 5, 3)
 
 
 def make_snapshot(seed, area, n_users=50, n_rings=1, disabled=0):

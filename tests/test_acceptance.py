@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The learning-based criteria
 share a module-scoped battery of 20 seeded runs to keep total runtime low.
 """
 
+import copy
 import itertools
 import math
 from dataclasses import replace
@@ -12,10 +13,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-import aerialsim as a
-from aerialsim.channel import RadioParams
-from aerialsim.deployment import GroundBS
-from aerialsim.geometry import Position2D, Position3D
+from aerialsim.channel import AtgEnvironment, RadioParams, atg_pathloss_hl, p_los
+from aerialsim.deployment import GroundBS, PlacementGrid
+from aerialsim.geometry import Position2D, Position3D, square_area
 from aerialsim.mobility import MobilityParams, draw_velocities
 from aerialsim.oracle import exhaustive_search
 from aerialsim.placement import (LearningConfig, QTable, learn_placement,
@@ -50,7 +50,7 @@ def learning_battery(desk_area_mod, desk_grid_mod):
         cold = learn_placement(desk_grid_mod.center_state(), snap, cold_q,
                                cfg, desk_grid_mod, rng)
         warm = learn_placement(desk_grid_mod.center_state(), snap,
-                               cold_q.copy(), cfg, desk_grid_mod, rng)
+                               copy.deepcopy(cold_q), cfg, desk_grid_mod, rng)
         qos = make_qos_table(snap, desk_grid_mod)
         runs.append({
             "seed": seed,
@@ -65,20 +65,20 @@ def learning_battery(desk_area_mod, desk_grid_mod):
 
 @pytest.fixture(scope="module")
 def desk_area_mod():
-    return a.square_area(2000.0)
+    return square_area(2000.0)
 
 
 @pytest.fixture(scope="module")
 def desk_grid_mod(desk_area_mod):
-    return a.PlacementGrid(desk_area_mod, 5, 5, 3)
+    return PlacementGrid(desk_area_mod, 5, 5, 3)
 
 
 def test_criterion_1_channel_hand_values():
-    urban = a.AtgEnvironment()
+    urban = AtgEnvironment()
     radio = RadioParams()
-    v90 = a.p_los(math.pi / 2, urban)
-    v0 = a.p_los(1e-12, urban)
-    atg = a.atg_pathloss_hl(100.0, 0.0, urban, radio)
+    v90 = p_los(math.pi / 2, urban)
+    v0 = p_los(1e-12, urban)
+    atg = atg_pathloss_hl(100.0, 0.0, urban, radio)
     ok = (abs(v90 - 0.999975) <= 1e-6 and abs(v0 - 0.02188) <= 1e-4
           and abs(atg - 79.47) <= 0.01)
     assert _report("1 channel hand-values", ok,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import subprocess
@@ -21,7 +22,7 @@ from aerialsim.cli import main
 from aerialsim.placement import QTable, save_qtable
 from aerialsim.radio import qos_map
 from aerialsim.scenario import (ScenarioConfig, build_config, build_network,
-                                config_from_dict, config_to_dict, disable_site)
+                                config_from_dict, disable_site)
 
 
 @pytest.fixture
@@ -170,13 +171,15 @@ def test_bad_config_exits_nonzero(tmp_path):
     assert rc == 1
 
 
-def test_out_dir_env_var(tmp_path, fast_config, monkeypatch):
+@pytest.mark.parametrize("command,written", [("run", "timeslots.csv"),
+                                             ("oracle", "oracle_qos.csv")])
+def test_out_dir_env_var(tmp_path, fast_config, monkeypatch, command, written):
     out = tmp_path / "envout"
     monkeypatch.setenv("AERIALSIM_OUT_DIR", str(out))
-    rc = main(["run", "--preset", "desk", "--config", str(fast_config),
+    rc = main([command, "--preset", "desk", "--config", str(fast_config),
                "--seed", "3"])
     assert rc == 0
-    assert (out / "timeslots.csv").exists()
+    assert (out / written).exists()
 
 
 @pytest.mark.parametrize("line", ["sim_duration: 1e3", "learning: 5"])
@@ -523,7 +526,7 @@ def _paths(spec, prefix=()):
 
 def test_every_config_key_is_drawn():
     # A key left out of _VALID is never drawn; one no longer in the config is junk.
-    assert sorted(_paths(_VALID)) == sorted(_paths(config_to_dict(ScenarioConfig())))
+    assert sorted(_paths(_VALID)) == sorted(_paths(dataclasses.asdict(ScenarioConfig())))
 
 
 @st.composite

@@ -1,13 +1,11 @@
 """Name lints.
 
-Imports: every name a module imports is used in that module. The package's
-re-exports in __init__.py are exempt, and so is an import statement with
-"# noqa: F401" on any of its lines.
+Imports: every name a module imports is used in that module, unless the
+import statement has "# noqa: F401" on any of its lines.
 
 Definitions: every module-level function, class and constant of
 src/aerialsim/*.py is named, as a whole word, somewhere in the .py files
-under src, tests or bench, apart from its own definition line and the
-re-exports in __init__.py.
+under src, tests or bench, apart from its own definition line.
 """
 
 import ast
@@ -17,8 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "aerialsim"
-LINTED = sorted(p for p in PACKAGE.glob("*.py")
-                if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+LINTED = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -102,10 +99,9 @@ def test_unused_definitions_are_found():
 
 
 def test_every_definition_is_named_elsewhere():
-    scanned = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))
-               if p != PACKAGE / "__init__.py"]
+    scanned = [p for d in ("src", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
     sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
                for p in scanned}
     defined = {f"src/aerialsim/{p.name}": defined_names(sources[f"src/aerialsim/{p.name}"])
-               for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+               for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_definitions(defined, sources) == []

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-import aerialsim as a
-from aerialsim.geometry import ConfigurationError, Position2D
+from aerialsim.deployment import drop_users_ppp
+from aerialsim.geometry import ConfigurationError, Position2D, square_area
 from aerialsim.mobility import (MobilityParams, User, Users, draw_velocities,
                                 init_users, step)
 
@@ -105,7 +105,7 @@ def walks(draw):
     sub-step and some on the last.
     """
     side = draw(st.floats(1.0, 2000.0, **finite))
-    area = a.square_area(side)
+    area = square_area(side)
     params = MobilityParams(
         c_max=draw(st.sampled_from([0.0, 1.3, 4.0 * side])),
         hold_time=draw(st.floats(0.05, 20.0, **finite)))
@@ -159,18 +159,6 @@ class TestStepMatchesScalarReference:
             assert users.cos.tobytes() == np.cos(users.direction).tobytes()
             assert users.sin.tobytes() == np.sin(users.direction).tobytes()
 
-    @settings(max_examples=100, deadline=None)
-    @given(walks(), st.integers(0, 2**32 - 1))
-    def test_float_is_one_substep(self, walk, seed):
-        users, params, area, dts, _ = walk
-        rng, list_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for dt in dts:
-            one, listed = (step(users, dt, params, area, rng),
-                           step(users, [dt], params, area, list_rng))
-            assert as_tuples(one) == as_tuples(listed)
-            users = one
-        assert rng.bit_generator.state == list_rng.bit_generator.state
-
     @pytest.mark.parametrize("x, y, direction", [(-1100.0, 0.0, 0.0),
                                                  (0.0, -1100.0, math.pi / 2)])
     def test_walking_in_from_outside(self, desk_area, x, y, direction):
@@ -188,7 +176,7 @@ class TestStepMatchesScalarReference:
     def test_seeded_drop_over_many_steps(self, desk_area):
         params = MobilityParams(c_max=40.0, hold_time=3.0)
         rng = np.random.default_rng(11)
-        users = init_users(a.drop_users_ppp(200, desk_area, rng), params, rng)
+        users = init_users(drop_users_ppp(200, desk_area, rng), params, rng)
         ref_rng = np.random.default_rng(0)
         ref_rng.bit_generator.state = rng.bit_generator.state
         ref = list(users)
@@ -201,7 +189,7 @@ class TestStepMatchesScalarReference:
 
     def test_init_users_draws_like_the_scalar_reference(self, desk_area):
         params = MobilityParams()
-        positions = a.drop_users_ppp(50, desk_area, np.random.default_rng(0))
+        positions = drop_users_ppp(50, desk_area, np.random.default_rng(0))
         users = init_users(positions, params, np.random.default_rng(1))
         ref_rng = np.random.default_rng(1)
         for i, ((x, y), u) in enumerate(zip(positions.tolist(), users)):
@@ -240,7 +228,7 @@ class TestUsers:
         assert users.xy.shape == (0, 2)
         assert list(users) == []
         state = rng.bit_generator.state
-        assert len(step(users, 1.0, MobilityParams(), desk_area, rng)) == 0
+        assert len(step(users, [1.0], MobilityParams(), desk_area, rng)) == 0
         assert len(step(users, [1.0, 2.0], MobilityParams(), desk_area, rng)) == 0
         assert rng.bit_generator.state == state
 
@@ -266,7 +254,7 @@ class TestStep:
         mid = step(u, [1.5, 2.5], params, desk_area, rng)
         assert mid[0].hold_remaining == pytest.approx(6.0)
         assert mid[0].speed == 1.0
-        done = step(mid, 6.0, params, desk_area, rng)
+        done = step(mid, [6.0], params, desk_area, rng)
         assert done[0].hold_remaining == pytest.approx(10.0)
 
     def test_hold_expiring_mid_slot_restarts_the_countdown(self, desk_area):
@@ -279,7 +267,7 @@ class TestStep:
     def test_displacement_bounded_by_cmax_dt(self, desk_area):
         params = MobilityParams()
         rng = np.random.default_rng(2)
-        users = init_users(a.drop_users_ppp(200, desk_area, rng), params, rng)
+        users = init_users(drop_users_ppp(200, desk_area, rng), params, rng)
         dts = [1.0, 1.0, 1.0]
         for before, after in zip(users, step(users, dts, params, desk_area, rng)):
             disp = math.dist((before.pos.x, before.pos.y), (after.pos.x, after.pos.y))
@@ -288,7 +276,7 @@ class TestStep:
     def test_reflect_keeps_users_inside(self, desk_area):
         params = MobilityParams(c_max=50.0, hold_time=5.0)
         rng = np.random.default_rng(3)
-        users = init_users(a.drop_users_ppp(100, desk_area, rng), params, rng)
+        users = init_users(drop_users_ppp(100, desk_area, rng), params, rng)
         for _ in range(10):
             users = step(users, [1.0] * 10, params, desk_area, rng)
             assert all(desk_area.contains_2d(u.pos) for u in users)
@@ -308,7 +296,7 @@ class TestStep:
 
         def run():
             rng = np.random.default_rng(77)
-            users = init_users(a.drop_users_ppp(30, desk_area, rng), params, rng)
+            users = init_users(drop_users_ppp(30, desk_area, rng), params, rng)
             for _ in range(4):
                 users = step(users, [1.0] * 10, params, desk_area, rng)
             return [(u.pos.x, u.pos.y, u.speed, u.direction) for u in users]
@@ -316,7 +304,7 @@ class TestStep:
         assert run() == run()
 
     def test_bad_dt_rejected(self, desk_area):
-        for dts in (0.0, -1.0, [1.0, 0.0], [-1.0], [math.nan]):
+        for dts in ([0.0], [-1.0], [1.0, 0.0], [math.nan]):
             with pytest.raises(ConfigurationError, match="dt must be positive"):
                 step(make_users(), dts, MobilityParams(), desk_area,
                      np.random.default_rng(0))

@@ -5,15 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import aerialsim as a
-from aerialsim.deployment import grid_index_to_position
+from aerialsim.deployment import PlacementGrid, grid_index_to_position
+from aerialsim.geometry import Position2D
 from aerialsim.oracle import exhaustive_search, export_qos_csv
 from aerialsim.radio import NetworkState, aggregate_qos
 from tests.conftest import make_snapshot, users_at
 
 
 def test_single_state_grid(desk_area):
-    grid = a.PlacementGrid(desk_area, 1, 1, 1)
+    grid = PlacementGrid(desk_area, 1, 1, 1)
     snap, _ = make_snapshot(0, desk_area, n_users=10)
     best, qos = exhaustive_search(snap, grid)
     assert best == 0
@@ -21,7 +21,7 @@ def test_single_state_grid(desk_area):
 
 
 def test_noise_limited_single_user_optimum_overhead(desk_area, desk_grid, urban, radio):
-    user = a.Position2D(float(desk_grid.xs[1]), float(desk_grid.ys[3]))
+    user = Position2D(float(desk_grid.xs[1]), float(desk_grid.ys[3]))
     snap = NetworkState(ground_bs=[], users=users_at([user]), env=urban, radio=radio)
     best = grid_index_to_position(desk_grid, exhaustive_search(snap, desk_grid)[0])
     assert (best.x, best.y) == (user.x, user.y)
@@ -37,7 +37,7 @@ def test_best_dominates_every_state(desk_area, desk_grid):
 
 
 def test_each_entry_matches_independent_recomputation(desk_area):
-    grid = a.PlacementGrid(desk_area, 3, 3, 2)
+    grid = PlacementGrid(desk_area, 3, 3, 2)
     snap, _ = make_snapshot(2, desk_area, n_users=15)
     _, qos = exhaustive_search(snap, grid)
     for s in range(grid.n_states):
@@ -54,7 +54,7 @@ def test_deterministic(desk_area, desk_grid):
 
 
 def test_csv_export(tmp_path, desk_area):
-    grid = a.PlacementGrid(desk_area, 2, 2, 2)
+    grid = PlacementGrid(desk_area, 2, 2, 2)
     snap, _ = make_snapshot(1, desk_area, n_users=5)
     best, qos = exhaustive_search(snap, grid)
     path = tmp_path / "qos.csv"
@@ -68,7 +68,7 @@ def test_csv_export(tmp_path, desk_area):
 
 
 def test_csv_rows_are_the_grid_positions(tmp_path, desk_area):
-    grid = a.PlacementGrid(desk_area, 4, 3, 5)
+    grid = PlacementGrid(desk_area, 4, 3, 5)
     snap, _ = make_snapshot(3, desk_area, n_users=8)
     _, qos = exhaustive_search(snap, grid)
     path = tmp_path / "qos.csv"
@@ -81,7 +81,7 @@ def test_csv_rows_are_the_grid_positions(tmp_path, desk_area):
 
 
 def test_csv_bytes_match_csv_writer(tmp_path, desk_area):
-    grid = a.PlacementGrid(desk_area, 3, 2, 2)
+    grid = PlacementGrid(desk_area, 3, 2, 2)
     qos = np.array([0.0, -0.0, 1e-300, 123.456, 0.1 + 0.2, 1e20,
                     -1.5, 7.0, 2.0 / 3.0, 5e-324, 1e16, 42.0])
     export_qos_csv(qos, grid, tmp_path / "qos.csv")

@@ -1,3 +1,4 @@
+import copy
 import re
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import aerialsim as a
 from aerialsim.deployment import PlacementGrid
 from aerialsim.geometry import ConfigurationError, square_area
 from aerialsim.oracle import exhaustive_search
@@ -121,7 +121,7 @@ class TestSelectAction:
 
 class TestLearnPlacement:
     def test_single_state_grid(self, desk_area, urban, radio):
-        grid = a.PlacementGrid(desk_area, 1, 1, 1)
+        grid = PlacementGrid(desk_area, 1, 1, 1)
         snap, rng = make_snapshot(0, desk_area, n_users=5)
         cfg = LearningConfig(max_episodes=5, max_steps=4)
         res = learn_placement(0, snap, QTable.zeros(1), cfg, grid, rng)
@@ -172,7 +172,7 @@ class TestLearnPlacement:
 
     def test_empty_grid_error(self, desk_area):
         with pytest.raises(Exception):
-            a.PlacementGrid(desk_area, 0, 1, 1)
+            PlacementGrid(desk_area, 0, 1, 1)
 
     def test_warm_start_converges_faster(self, desk_area, desk_grid):
         snap, rng = make_snapshot(5, desk_area, n_users=50)
@@ -410,7 +410,7 @@ class TestFlatLearnerMatchesReference:
     def test_bit_identical_to_single_step_loop(self, case, learn_seed):
         grid, q, cfg, start, snap_seed, n_users, fortran = case
         snap, _ = make_snapshot(snap_seed, grid.area, n_users=n_users)
-        q, q_ref = q.copy(), q.copy()  # an explicit example's q is shared
+        q, q_ref = copy.deepcopy(q), copy.deepcopy(q)  # an explicit example's q is shared
         if fortran:  # a non-contiguous ravel() would be a copy
             q.values = np.asfortranarray(q.values)
             q.visit_counts = np.asfortranarray(q.visit_counts)
@@ -454,7 +454,7 @@ class TestFlatLearnerMatchesReference:
         # match no value in the row when the rollout looks it up.
         grid, q, cfg, start, snap_seed, n_users, _ = NEGATIVE_REWARDS
         snap, _ = make_snapshot(snap_seed, grid.area, n_users=n_users)
-        q = q.copy()
+        q = copy.deepcopy(q)
         res = learn_placement(start, snap, q, cfg, grid, np.random.default_rng(0))
         assert (res.rewards < 0).all()
         assert (q.values[13] < 0).all()

@@ -51,6 +51,16 @@ class TestRunScenario:
         cfg = desk_config(sim_duration=73.0)  # floor(73/10) + 1 = 8
         assert len(run_scenario(cfg).records) == 8
 
+    @pytest.mark.parametrize("sim_duration, t_min, n_slots", [
+        (0.7, 0.1, 7),  # 0.7 / 0.1 == 6.999999999999999
+        (300.0, 10.0, 30), (900.0, 10.0, 90), (50.0, 10.0, 5), (30.0, 10.0, 3)])
+    def test_slot_count_survives_rounding(self, sim_duration, t_min, n_slots):
+        cfg = build_config(preset="desk", overrides={
+            "sim_duration": sim_duration, "t_min": t_min,
+            "mobility_dt": min(t_min, 1.0), "baseline_mode": "ground19", "n_users": 5})
+        assert [r.t for r in run_scenario(cfg).records] == \
+            [k * t_min for k in range(n_slots + 1)]
+
     def test_threshold_constant_across_slots(self):
         run = run_scenario(desk_config(sim_duration=50.0))
         th = {r.qos_th for r in run.records}
@@ -194,14 +204,6 @@ class TestSpectralEfficiency:
 
 
 class TestEmitOutputs:
-    def test_empty_records(self, tmp_path):
-        paths = emit_outputs([], [], tmp_path)
-        names = {p.name for p in paths}
-        assert names == {"timeslots.csv", "sinr_cdf.csv", "reward_trace.csv",
-                         "summary.yaml"}
-        assert (tmp_path / "timeslots.csv").read_text().splitlines() == \
-            ["t,qos,qos_th,aerial_x,aerial_y,aerial_h,triggered"]
-
     def test_row_count_matches_slots(self, tmp_path):
         cfg = desk_config(sim_duration=60.0)
         run = run_scenario(cfg)
@@ -227,7 +229,7 @@ class TestEmitOutputs:
                   np.array([0.1, -0.0, 1.5, 0.1], dtype=np.float32),
                   repeated[::-7], [2.5, -0.0, 0.0, 2.5, -1e-3]]
         assert not traces[5].flags.c_contiguous
-        emit_outputs([], traces, tmp_path)
+        emit_outputs([record(0.0, 1.0, [1.0])], traces, tmp_path, config=ScenarioConfig())
         expected = io.StringIO(newline="")
         w = csv.writer(expected, lineterminator="\n")
         w.writerow(["iteration", "reward"])
@@ -241,7 +243,8 @@ class TestEmitOutputs:
         target = tmp_path / "file"
         target.write_text("x")
         with pytest.raises(OSError):
-            emit_outputs([], [], target / "sub")
+            emit_outputs([record(0.0, 1.0, [1.0])], [], target / "sub",
+                         config=ScenarioConfig())
 
 
 class TestConfigPlumbing:
@@ -270,6 +273,12 @@ class TestConfigPlumbing:
     def test_mistyped_values_rejected(self, d, message):
         with pytest.raises(ConfigurationError, match=message):
             config_from_dict(d)
+
+    @pytest.mark.parametrize("overrides", [{"env": {"kappa": -1.0}},
+                                           {"radio": {"ground_pathloss_exponent": 0.0}}])
+    def test_bad_section_value_is_a_configuration_error(self, overrides):
+        with pytest.raises(ConfigurationError):
+            build_config(overrides=overrides)
 
     def test_typed_values_accepted(self):
         cfg = config_from_dict({"sim_duration": 1000, "disabled_bs": None,
