@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import zipfile
 from dataclasses import dataclass
@@ -135,6 +136,81 @@ def greedy_rollout(q: QTable, s: int, grid: PlacementGrid,
                     next_state_table(grid).ravel().tolist(), s, max_steps)
 
 
+_MASK32 = 0xFFFFFFFF
+# numpy's Lemire draw of integers(6) redraws while the low 32 bits of
+# 6 * h fall below (2**32 - 6) % 6, which is 4.
+_LEMIRE_REJECT = 2**32 % N_ACTIONS
+
+
+class _Pcg64Draws:
+    """Epsilon-greedy draws decoded from raw PCG64 words, as numpy draws them.
+
+    Step by step, episode() gives what ``rng.random() < epsilon`` and then,
+    on an exploring step, ``int(rng.integers(6))`` would. random() is
+    numpy's next_double, (w >> 11) * 2**-53 for the next word w. integers(6)
+    is numpy's 32-bit Lemire draw on PCG64's half-words: the low half of a
+    fresh word, whose high half is kept for the next draw (has_uint32 and
+    uinteger in the state), or that kept half. Words come from
+    random_raw() in blocks; restore() then leaves the generator as if the
+    scalar calls had run.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        bitgen = rng.bit_generator
+        if type(bitgen) is not np.random.PCG64:
+            raise TypeError(f"learn_placement decodes PCG64 words; rng runs on "
+                            f"{type(bitgen).__name__}")
+        self._bitgen, self._entry, self._block = bitgen, bitgen.state, block
+        self._has, self._half = bool(self._entry["has_uint32"]), self._entry["uinteger"]
+        self._words, self._j, self._drawn = [], 0, 0
+
+    def _fill(self, n: int) -> None:
+        self._words += self._bitgen.random_raw(n).tolist()
+        self._drawn += n
+
+    def episode(self, epsilon: float, n: int) -> list:
+        """n steps' choices: the explored action, or -1 for a greedy step."""
+        words, j = self._words, self._j
+        if len(words) - j < 2 * n:  # 2 words a step at most, plus each redraw's
+            del words[:j]
+            j = 0
+            self._fill(max(self._block, 2 * n))
+        # (w >> 11) * 2**-53 < epsilon  <=>  (w >> 11) < ceil(epsilon * 2**53)
+        # <=>  w < lim, as multiplying by a power of 2 is exact.
+        lim = math.ceil(epsilon * 2**53) << 11
+        has, half = self._has, self._half
+        acts = []
+        for _ in range(n):
+            j += 1
+            if words[j - 1] >= lim:
+                acts.append(-1)
+                continue
+            while True:
+                if has:
+                    h, has = half, False
+                else:
+                    w = words[j]
+                    j += 1
+                    h, half, has = w & _MASK32, w >> 32, True
+                m = h * N_ACTIONS
+                if m & _MASK32 >= _LEMIRE_REJECT:
+                    break
+                self._fill(1)  # rejected (p = 4 / 2**32): a word beyond the budget
+            acts.append(m >> 32)
+        self._j, self._has, self._half = j, has, half
+        return acts
+
+    def restore(self) -> None:
+        """Set the generator to the state the scalar calls leave."""
+        bitgen = self._bitgen
+        bitgen.state = self._entry
+        bitgen.advance(self._drawn - (len(self._words) - self._j))
+        state = bitgen.state  # advance() clears the kept half-word
+        # numpy leaves a used half in uinteger when it clears has_uint32.
+        state["has_uint32"], state["uinteger"] = int(self._has), self._half
+        bitgen.state = state
+
+
 def make_qos_table(snapshot: NetworkState, grid: PlacementGrid) -> Callable[[int], float]:
     """QoS(state): aggregate QoS with the aerial at that grid point.
 
@@ -166,12 +242,14 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     next_state_table), and the Q-values and visit counts at the same index;
     q is written back in place at the end. Each step is an epsilon-greedy
     choice (one rng.random() against epsilon, then one rng.integers(6) when
-    it explores), the clamped move, the QoS difference as reward and one
-    temporal-difference backup with step size 1/visits and discount
-    cfg.gamma; epsilon starts at cfg.epsilon. The RNG calls and float
-    operations are those of the single-step loop in tests/reference.py, so
-    the two are bit-identical. Each episode's rollout and the final pick
-    are greedy_rollout's, on the flat tables.
+    it explores, as _Pcg64Draws decodes them from raw PCG64 words), the
+    clamped move, the QoS difference as reward and one temporal-difference
+    backup with step size 1/visits and discount cfg.gamma; epsilon starts
+    at cfg.epsilon. The draws, rng's final state and the float operations
+    are those of the single-step loop in tests/reference.py, so the two are
+    bit-identical. rng must run on PCG64, as np.random.default_rng's does.
+    Each episode's rollout and the final pick are greedy_rollout's, on the
+    flat tables.
 
     vmax[s] is kept == the maximum of row s: an update raises it when the
     new value is larger, and rescans the row only when it lowers the row's
@@ -182,6 +260,8 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     of QoS values >= +0.0, is never -0.0.
     """
     grid.unravel(initial_state)  # validates
+    # Words for up to 16 episodes at a time: 2 per step at most.
+    draws = _Pcg64Draws(rng, block=2 * cfg.max_steps * min(cfg.max_episodes, 16))
 
     qos = qos_map(snapshot, grid).tolist()
     nxt = next_state_table(grid).ravel().tolist()
@@ -191,7 +271,6 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     gamma = cfg.gamma
     fixed_start = cfg.episode_start == "fixed"
     rollout_steps = grid.n_x + grid.n_y + grid.n_h
-    random, integers = rng.random, rng.integers
 
     rewards = np.empty(cfg.max_episodes * cfg.max_steps)
     episode_qos = np.empty(cfg.max_episodes)
@@ -202,12 +281,12 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
         if fixed_start:
             s = initial_state
         qos_s = qos[s]
-        for _ in range(cfg.max_steps):
+        for a in draws.episode(epsilon, cfg.max_steps):
             b = N_ACTIONS * s
-            if random() < epsilon:
-                k = b + int(integers(N_ACTIONS))
-            else:
+            if a < 0:
                 k = values.index(vmax[s], b, b + N_ACTIONS)
+            else:
+                k = b + a
             s_next = nxt[k]
             qos_next = qos[s_next]
             r = qos_next - qos_s
@@ -228,6 +307,7 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
         episode_qos[ep] = qos[_rollout(values, vmax, nxt, initial_state, rollout_steps)]
 
+    draws.restore()
     q.values[...] = np.reshape(values, q.values.shape)
     q.visit_counts[...] = np.reshape(visits, q.visit_counts.shape)
     best = _rollout(values, vmax, nxt, initial_state, rollout_steps)

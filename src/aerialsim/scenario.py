@@ -28,10 +28,12 @@ from .radio import (DEFAULT_AERIAL_TX_DBM, NetworkState,  # noqa: F401
 BASELINE_GROUND = "ground19"
 BASELINE_AERIAL = "aerial18plus1"
 
-# run_scenario moves the users while more than this much of a slot is left,
-# and counts a slot that ends within this much past sim_duration, so a
-# quotient such as 0.7 / 0.1 = 6.999999999999999 still gives 7 slots.
+# run_scenario moves the users while more than this much of a slot is left.
 SLOT_TIME_TOL = 1e-9  # s
+# slot_count takes a quotient this close below an integer, relative to its
+# size, as that integer: rounding leaves 0.7 / 0.1 at 6.999999999999999 and
+# 44100004.9 / 4.9 at 9000000.999999998, a few units in the last place low.
+SLOT_COUNT_RTOL = 1e-12
 # Limits on the work one run may ask for: mobility sub-steps
 # (sim_duration / min(t_min, mobility_dt)) and ground sites.
 MAX_MOBILITY_SUBSTEPS = 10**7
@@ -184,6 +186,12 @@ def build_network(cfg: ScenarioConfig) -> Tuple[NetworkState, np.random.Generato
     return state, rng_mob, rng_learn
 
 
+def slot_count(sim_duration: float, t_min: float) -> int:
+    """The number of whole slots of t_min in sim_duration."""
+    q = sim_duration / t_min
+    return math.floor(q + q * SLOT_COUNT_RTOL)
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     """Execute one scenario: threshold snapshot, then slot-by-slot control loop."""
     area = cfg.service_area()
@@ -216,8 +224,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         dts.append(min(cfg.mobility_dt, remaining))
         remaining -= dts[-1]
     users = net.users
-    n_slots = int(math.floor((cfg.sim_duration + SLOT_TIME_TOL) / cfg.t_min))
-    for k in range(1, n_slots + 1):
+    for k in range(1, slot_count(cfg.sim_duration, cfg.t_min) + 1):
         users = step(users, dts, cfg.mobility, area, rng_mob)
         state = replace(net, users=users)
         qos_now, sinr_now = evaluate(state)

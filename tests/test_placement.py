@@ -1,4 +1,5 @@
 import copy
+import math
 import re
 
 import numpy as np
@@ -10,9 +11,9 @@ from aerialsim.deployment import PlacementGrid
 from aerialsim.geometry import ConfigurationError, square_area
 from aerialsim.oracle import exhaustive_search
 from aerialsim.placement import (MAX_VISIT_COUNT, N_ACTIONS, Action,
-                                 LearningConfig, QTable, greedy_rollout,
-                                 learn_placement, load_qtable, make_qos_table,
-                                 next_state_table, save_qtable)
+                                 LearningConfig, QTable, _Pcg64Draws,
+                                 greedy_rollout, learn_placement, load_qtable,
+                                 make_qos_table, next_state_table, save_qtable)
 from tests.conftest import make_snapshot
 from tests.reference import apply_action, q_update, reward, select_action
 from tests.reference import greedy_rollout as reference_rollout
@@ -371,7 +372,7 @@ def learning_cases(draw):
                          episode_start=draw(st.sampled_from(["fixed", "chain"])))
     return (grid, q, cfg, draw(st.integers(0, grid.n_states - 1)),
             draw(st.integers(0, 3)), draw(st.integers(0, 6)),
-            draw(st.booleans()))
+            draw(st.booleans()), draw(st.integers(0, 3)))
 
 
 def example_case(dims, start, snap_seed, n_users, cfg, rows=None):
@@ -380,7 +381,7 @@ def example_case(dims, start, snap_seed, n_users, cfg, rows=None):
     q = QTable.zeros(grid.n_states)
     if rows is not None:
         q.values[:] = [rows[s % len(rows)] for s in range(grid.n_states)]
-    return grid, q, cfg, start, snap_seed, n_users, False
+    return grid, q, cfg, start, snap_seed, n_users, False, 0
 
 
 # On snapshot 3 with 1 user, the centre of a 3x3x3 grid (state 13) has a
@@ -408,24 +409,31 @@ class TestFlatLearnerMatchesReference:
     @example(case=NEGATIVE_REWARDS, learn_seed=0)
     @example(case=LOWERED_MAXIMUM, learn_seed=0)
     def test_bit_identical_to_single_step_loop(self, case, learn_seed):
-        grid, q, cfg, start, snap_seed, n_users, fortran = case
-        snap, _ = make_snapshot(snap_seed, grid.area, n_users=n_users)
+        grid, q, cfg, start, snap_seed, n_users, fortran, pre_draws = case
         q, q_ref = copy.deepcopy(q), copy.deepcopy(q)  # an explicit example's q is shared
         if fortran:  # a non-contiguous ravel() would be a copy
             q.values = np.asfortranarray(q.values)
             q.visit_counts = np.asfortranarray(q.visit_counts)
         values_id = id(q.values)
         rng, rng_ref = (np.random.default_rng(learn_seed) for _ in range(2))
-        res = learn_placement(start, snap, q, cfg, grid, rng)
-        best, rewards, episode_qos = reference_learn(start, snap, q_ref, cfg,
-                                                     grid, rng_ref)
-        assert res.rewards.tolist() == rewards.tolist()
-        assert res.episode_greedy_qos.tolist() == episode_qos.tolist()
-        assert res.best_state == best
-        assert id(q.values) == values_id
-        assert q.values.tolist() == q_ref.values.tolist()
-        assert q.visit_counts.tolist() == q_ref.visit_counts.tolist()
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        for _ in range(pre_draws):  # an odd count leaves a kept half-word
+            rng.integers(N_ACTIONS)
+            rng_ref.integers(N_ACTIONS)
+        # Two triggers in a row: q and the generators carry over between
+        # them, as run_scenario's table and rng_learn do.
+        for trigger in range(2):
+            snap, _ = make_snapshot(snap_seed + trigger, grid.area, n_users=n_users)
+            res = learn_placement(start, snap, q, cfg, grid, rng)
+            best, rewards, episode_qos = reference_learn(start, snap, q_ref, cfg,
+                                                         grid, rng_ref)
+            assert res.rewards.tolist() == rewards.tolist()
+            assert res.episode_greedy_qos.tolist() == episode_qos.tolist()
+            assert res.best_state == best
+            assert id(q.values) == values_id
+            assert q.values.tolist() == q_ref.values.tolist()
+            assert q.visit_counts.tolist() == q_ref.visit_counts.tolist()
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+            start = best
 
     @settings(deadline=None)
     @given(dims=grid_dims)
@@ -452,12 +460,101 @@ class TestFlatLearnerMatchesReference:
     def test_negative_rewards_rescan_the_row_maximum(self):
         # Only a rescan lets vmax[13] follow the row below 0: a stale 0 would
         # match no value in the row when the rollout looks it up.
-        grid, q, cfg, start, snap_seed, n_users, _ = NEGATIVE_REWARDS
+        grid, q, cfg, start, snap_seed, n_users, _, _ = NEGATIVE_REWARDS
         snap, _ = make_snapshot(snap_seed, grid.area, n_users=n_users)
         q = copy.deepcopy(q)
         res = learn_placement(start, snap, q, cfg, grid, np.random.default_rng(0))
         assert (res.rewards < 0).all()
         assert (q.values[13] < 0).all()
+
+
+def scalar_draws(rng, epsilon, n):
+    """select_action's draws for n steps: the explored action, or -1 for greedy."""
+    return [int(rng.integers(N_ACTIONS)) if rng.random() < epsilon else -1
+            for _ in range(n)]
+
+
+def crafted_generator(word, position, kept_half=None):
+    """A PCG64 Generator whose raw word at position (1-based) is word (< 2**64).
+
+    With the high 64 bits of PCG64's 128-bit state 0, its output is the low
+    64 bits, and PCG64 outputs its state after each step.
+    """
+    bitgen = np.random.PCG64(5)
+    state = bitgen.state
+    state["state"]["state"] = word
+    bitgen.state = state
+    bitgen.advance(-position)  # leaves has_uint32 0
+    if kept_half is not None:
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = 1, kept_half
+        bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+class TestPcg64Draws:
+    """The block decoder is held to numpy's Generator.random() and integers(6)."""
+
+    @pytest.mark.parametrize("kept_half", [False, True])
+    def test_matches_numpy_scalar_calls(self, kept_half):
+        rng, rng_ref = (np.random.default_rng(2024) for _ in range(2))
+        if kept_half:  # one integers(6) draw keeps the high half of its word
+            rng.integers(N_ACTIONS)
+            rng_ref.integers(N_ACTIONS)
+        meta = np.random.default_rng(7)
+        # A block below 2 * n for some episodes: refills of either size.
+        draws = _Pcg64Draws(rng, block=97)
+        steps = 0
+        for episode in range(3000):
+            # Squared, epsilon is not always a multiple of 2**-53.
+            epsilon = (0.0, 1.0, meta.random() ** 2)[episode % 3]
+            n = int(meta.integers(1, 67))
+            assert draws.episode(epsilon, n) == scalar_draws(rng_ref, epsilon, n)
+            steps += n
+        assert steps > 90_000
+        draws.restore()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert rng.random() == rng_ref.random()
+
+    @pytest.mark.parametrize("word", [
+        0,            # both halves rejected, then a fresh word
+        1 << 40,      # the low half 0 rejected, then the high half, 256
+        0x2AAAAAAB,   # 6 * low half == 2**32 + 2
+    ])
+    @pytest.mark.parametrize("kept_half", [None, 0])
+    def test_lemire_rejection_matches_numpy(self, word, kept_half):
+        assert (word & 0xFFFFFFFF) * N_ACTIONS % 2**32 < 4  # numpy redraws
+        # The second word: the first is the explore test's.
+        rng, rng_ref = (crafted_generator(word, 2, kept_half) for _ in range(2))
+        # One-step episodes on a 2-word block: a redraw's word is beyond it.
+        draws = _Pcg64Draws(rng, block=2)
+        assert [draws.episode(1.0, 1) for _ in range(5)] == \
+            [scalar_draws(rng_ref, 1.0, 1) for _ in range(5)]
+        draws.restore()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("epsilon", [0.3, 0.02, 1 / 3, 0.75])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_explore_test_at_epsilon_boundary(self, epsilon, offset):
+        # The words just below and at ceil(epsilon * 2**53) * 2**11, the
+        # lowest word whose random() is not below epsilon.
+        word = (math.ceil(epsilon * 2**53) << 11) + offset
+        rng, rng_ref = (crafted_generator(word, 1) for _ in range(2))
+        draws = _Pcg64Draws(rng, block=8)
+        assert draws.episode(epsilon, 3) == scalar_draws(rng_ref, epsilon, 3)
+        draws.restore()
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64DXSM, np.random.MT19937,
+                                        np.random.Philox, np.random.SFC64])
+    def test_other_bit_generators_rejected(self, bitgen):
+        grid = PlacementGrid(square_area(2000.0), 2, 2, 2)
+        snap, _ = make_snapshot(0, grid.area, n_users=3)
+        rng = np.random.Generator(bitgen(0))
+        with pytest.raises(TypeError, match=f"PCG64 words; rng runs on {bitgen.__name__}"):
+            learn_placement(0, snap, QTable.zeros(grid.n_states),
+                            LearningConfig(max_episodes=2, max_steps=3), grid, rng)
+        assert rng.random() == np.random.Generator(bitgen(0)).random()  # no draw
 
 
 def _write_qtable_file(path, grid, **fields):

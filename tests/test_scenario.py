@@ -14,7 +14,7 @@ from aerialsim.radio import aggregate_qos
 from aerialsim.scenario import (GridSpec, ScenarioConfig, TimeSlotRecord,
                                 build_config, build_network, config_from_dict,
                                 emit_outputs, run_scenario, sinr_cdf,
-                                spectral_efficiency_summary)
+                                slot_count, spectral_efficiency_summary)
 from tests.test_mobility import ref_walk
 
 
@@ -60,6 +60,15 @@ class TestRunScenario:
             "mobility_dt": min(t_min, 1.0), "baseline_mode": "ground19", "n_users": 5})
         assert [r.t for r in run_scenario(cfg).records] == \
             [k * t_min for k in range(n_slots + 1)]
+
+    @pytest.mark.parametrize("sim_duration, t_min, n_slots", [
+        (0.7, 0.1, 7),
+        # The quotient is 9000000.999999998; a valid config (9e6 sub-steps).
+        (44100004.9, 4.9, 9000001),
+        (300.0, 10.0, 30), (900.0, 10.0, 90), (50.0, 10.0, 5), (30.0, 10.0, 3),
+        (73.0, 10.0, 7), (29.999, 10.0, 2)])
+    def test_slot_count(self, sim_duration, t_min, n_slots):
+        assert slot_count(sim_duration, t_min) == n_slots
 
     def test_threshold_constant_across_slots(self):
         run = run_scenario(desk_config(sim_duration=50.0))
