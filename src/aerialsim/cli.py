@@ -11,14 +11,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .deployment import grid_index_to_position
 from .geometry import ConfigurationError
 from .oracle import exhaustive_search, export_qos_csv
-from .scenario import (BASELINE_AERIAL, BASELINE_GROUND, PRESETS, build_config,
-                       build_network, disable_site, emit_outputs,
-                       per_user_mean_sinr_db, run_scenario)
+from .scenario import (PRESETS, aerial_helps, build_config, build_network,
+                       compare_seed, disable_site, emit_outputs, run_scenario)
 
 ORACLE_STATE_LIMIT = 200_000
 OUT_DIR_ENV_VAR = "AERIALSIM_OUT_DIR"
@@ -73,48 +70,25 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _compare_one(payload):
-    seed, preset, config_file = payload
-    base = build_config(preset=preset, config_file=config_file,
-                        overrides={"seed": seed, "baseline_mode": BASELINE_GROUND})
-    if not base.n_users:  # the median SINRs below need a user
-        raise ConfigurationError("compare needs at least one user, got n_users 0")
-    aerial = replace(base, baseline_mode=BASELINE_AERIAL)
-    rb = run_scenario(base)
-    ra = run_scenario(aerial)
-    lag = [k for k, r in enumerate(rb.records) if r.qos < r.qos_th]
-    wins = sum(1 for k in lag if ra.records[k].qos >= rb.records[k].qos)
-    return {
-        "seed": seed,
-        "qos_base_mean": float(np.mean([r.qos for r in rb.records])),
-        "qos_aerial_mean": float(np.mean([r.qos for r in ra.records])),
-        "lagging_slots": len(lag),
-        "aerial_wins_at_lagging": wins,
-        "median_sinr_base_db": float(np.median(per_user_mean_sinr_db(rb.records))),
-        "median_sinr_aerial_db": float(np.median(per_user_mean_sinr_db(ra.records))),
-    }
-
-
 def cmd_compare(args) -> int:
     for flag, n in (("--n-seeds", args.n_seeds), ("--jobs", args.jobs)):
         if n < 1:
             raise ConfigurationError(f"{flag} must be at least 1, got {n}")
-    payloads = [((args.seed or 0) + k, args.preset, args.config) for k in range(args.n_seeds)]
-    jobs = min(args.jobs, len(payloads))  # a pool may start all its workers at once
+    cfg = _config_from_args(args)
+    cfgs = [replace(cfg, seed=(args.seed or 0) + k) for k in range(args.n_seeds)]
+    jobs = min(args.jobs, len(cfgs))  # a pool may start all its workers at once
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_compare_one, payloads))
+            rows = list(ex.map(compare_seed, cfgs))
     else:
-        rows = [_compare_one(p) for p in payloads]
+        rows = list(map(compare_seed, cfgs))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     path = args.out_dir / "compare.csv"
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.DictWriter(f, fieldnames=list(rows[0].keys()), lineterminator="\n")
         w.writeheader()
         w.writerows(rows)
-    gains = sum(1 for r in rows
-                if r["lagging_slots"] == 0
-                or r["aerial_wins_at_lagging"] / r["lagging_slots"] >= 0.5)
+    gains = sum(map(aerial_helps, rows))
     print(f"wrote {path}; aerial helps at lagging slots in {gains}/{len(rows)} seeds",
           file=sys.stderr)
     return 0

@@ -67,9 +67,6 @@ class LearningConfig:
     epsilon: float = 0.9           # exploration rate of each trigger's first episode
     epsilon_decay: float = 0.998   # multiplier per episode
     epsilon_floor: float = 0.02
-    # "chain": each episode starts where the previous one ended (the agent's
-    # latest virtual position); "fixed": always restart from the physical one.
-    episode_start: str = "chain"
 
     def __post_init__(self):
         if self.max_episodes <= 0 or self.max_steps <= 0:
@@ -82,8 +79,6 @@ class LearningConfig:
             raise ConfigurationError("epsilon_decay must be in (0, 1]")
         if not 0 <= self.epsilon_floor <= 1:
             raise ConfigurationError("epsilon_floor must be in [0, 1]")
-        if self.episode_start not in ("chain", "fixed"):
-            raise ConfigurationError(f"unknown episode_start {self.episode_start!r}")
 
 
 def next_state_table(grid: PlacementGrid) -> np.ndarray:
@@ -248,8 +243,8 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     at cfg.epsilon. The draws, rng's final state and the float operations
     are those of the single-step loop in tests/reference.py, so the two are
     bit-identical. rng must run on PCG64, as np.random.default_rng's does.
-    Each episode's rollout and the final pick are greedy_rollout's, on the
-    flat tables.
+    Each episode starts where the last one ended; its rollout and the final
+    pick are greedy_rollout's, on the flat tables.
 
     vmax[s] is kept == the maximum of row s: an update raises it when the
     new value is larger, and rescans the row only when it lowers the row's
@@ -269,7 +264,6 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     vmax = q.values.max(axis=1).tolist()
     visits = q.visit_counts.ravel().tolist()
     gamma = cfg.gamma
-    fixed_start = cfg.episode_start == "fixed"
     rollout_steps = grid.n_x + grid.n_y + grid.n_h
 
     rewards = np.empty(cfg.max_episodes * cfg.max_steps)
@@ -278,8 +272,6 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     s = initial_state
     i = 0
     for ep in range(cfg.max_episodes):
-        if fixed_start:
-            s = initial_state
         qos_s = qos[s]
         for a in draws.episode(epsilon, cfg.max_steps):
             b = N_ACTIONS * s

@@ -192,6 +192,14 @@ def slot_count(sim_duration: float, t_min: float) -> int:
     return math.floor(q + q * SLOT_COUNT_RTOL)
 
 
+def slot_substeps(t_min: float, mobility_dt: float) -> List[float]:
+    """One slot's mobility sub-steps: the whole steps of mobility_dt in t_min,
+    then the rest as one shorter step if more than SLOT_TIME_TOL is left."""
+    n = slot_count(t_min, mobility_dt)
+    rest = t_min - n * mobility_dt
+    return [mobility_dt] * n + ([rest] if rest > SLOT_TIME_TOL else [])
+
+
 def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     """Execute one scenario: threshold snapshot, then slot-by-slot control loop."""
     area = cfg.service_area()
@@ -219,10 +227,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         else:
             qtable = QTable.zeros(grid.n_states)
 
-    dts, remaining = [], cfg.t_min  # one slot's mobility sub-steps
-    while remaining > SLOT_TIME_TOL:
-        dts.append(min(cfg.mobility_dt, remaining))
-        remaining -= dts[-1]
+    dts = slot_substeps(cfg.t_min, cfg.mobility_dt)
     users = net.users
     for k in range(1, slot_count(cfg.sim_duration, cfg.t_min) + 1):
         users = step(users, dts, cfg.mobility, area, rng_mob)
@@ -247,6 +252,33 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     if aerial_mode and cfg.qtable_path:
         save_qtable(cfg.qtable_path, qtable, grid)
     return ScenarioRun(records=records, reward_traces=traces)
+
+
+def compare_seed(cfg: ScenarioConfig) -> dict:
+    """One compare.csv row: cfg's seed run ground-only and aerial-assisted. A slot
+    lags at a ground-only QoS below qos_th; the aerial wins it at a QoS no lower."""
+    if not cfg.n_users:  # the median SINRs below need a user
+        raise ConfigurationError("compare needs at least one user, got n_users 0")
+    if cfg.qtable_path:  # each row must learn from a fresh table
+        raise ConfigurationError("compare cannot share a Q-table file between runs; "
+                                 f"unset qtable_path (got {cfg.qtable_path!r})")
+    rb = run_scenario(replace(cfg, baseline_mode=BASELINE_GROUND))
+    ra = run_scenario(replace(cfg, baseline_mode=BASELINE_AERIAL))
+    lag = [k for k, r in enumerate(rb.records) if r.qos < r.qos_th]
+    return {
+        "seed": cfg.seed,
+        "qos_base_mean": float(np.mean([r.qos for r in rb.records])),
+        "qos_aerial_mean": float(np.mean([r.qos for r in ra.records])),
+        "lagging_slots": len(lag),
+        "aerial_wins_at_lagging": sum(ra.records[k].qos >= rb.records[k].qos for k in lag),
+        "median_sinr_base_db": float(np.median(per_user_mean_sinr_db(rb.records))),
+        "median_sinr_aerial_db": float(np.median(per_user_mean_sinr_db(ra.records))),
+    }
+
+
+def aerial_helps(row: dict) -> bool:
+    """The per-seed rule: no slot lags, or the aerial wins at least half of them."""
+    return 2 * row["aerial_wins_at_lagging"] >= row["lagging_slots"]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ share a module-scoped battery of 20 seeded runs to keep total runtime low.
 import copy
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +20,8 @@ from aerialsim.oracle import exhaustive_search
 from aerialsim.placement import (LearningConfig, QTable, learn_placement,
                                  make_qos_table)
 from aerialsim.radio import NetworkState, aggregate_qos
-from aerialsim.scenario import (build_config, emit_outputs,
-                                per_user_mean_sinr_db, run_scenario)
+from aerialsim.scenario import (aerial_helps, build_config, compare_seed,
+                                emit_outputs, run_scenario)
 from tests.conftest import make_snapshot, users_at
 from tests.reference import sinr_matrix
 
@@ -117,29 +116,16 @@ def test_criterion_4_reward_convergence(learning_battery):
 
 
 def test_criterion_5_directional_qos_gain():
-    seed_ok = 0
-    med_base, med_aerial = [], []
-    for seed in range(N_SEEDS):
-        base_cfg = build_config(preset="desk",
-                                overrides={"seed": seed,
-                                           "baseline_mode": "ground19"})
-        aerial_cfg = replace(base_cfg, baseline_mode="aerial18plus1")
-        rb = run_scenario(base_cfg)
-        ra = run_scenario(aerial_cfg)
-        lagging = [k for k, r in enumerate(rb.records) if r.qos < r.qos_th]
-        if not lagging:
-            seed_ok += 1
-        else:
-            wins = sum(ra.records[k].qos >= rb.records[k].qos for k in lagging)
-            seed_ok += wins / len(lagging) >= 0.5
-        med_base.append(np.median(per_user_mean_sinr_db(rb.records)))
-        med_aerial.append(np.median(per_user_mean_sinr_db(ra.records)))
-    cdf_ok = float(np.median(med_aerial)) >= float(np.median(med_base))
-    ok = seed_ok >= 0.8 * N_SEEDS and cdf_ok
+    rows = [compare_seed(build_config(preset="desk", overrides={"seed": seed}))
+            for seed in range(N_SEEDS)]
+    seed_ok = sum(map(aerial_helps, rows))
+    med_base = np.median([r["median_sinr_base_db"] for r in rows])
+    med_aerial = np.median([r["median_sinr_aerial_db"] for r in rows])
+    ok = seed_ok >= 0.8 * N_SEEDS and med_aerial >= med_base
     assert _report(
         "5 directional QoS gain", ok,
         f"{seed_ok}/{N_SEEDS} seeds gain at lagging slots; median SINR "
-        f"{np.median(med_base):.2f} -> {np.median(med_aerial):.2f} dB")
+        f"{med_base:.2f} -> {med_aerial:.2f} dB")
 
 
 def test_criterion_6_mobility_statistics():

@@ -122,15 +122,12 @@ def test_compare_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("jobs, n_seeds, workers", [("64", "2", 2), ("2", "3", 2),
-                                                    ("8", "1", None)])
-def test_compare_starts_no_more_workers_than_seeds(tmp_path, fast_config, monkeypatch,
-                                                   jobs, n_seeds, workers):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Runs compare's pool map in this process; gives each pool's max_workers."""
     started = []
 
     class SerialPool:
-        """Records max_workers and runs the map in this process."""
-
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -144,13 +141,69 @@ def test_compare_starts_no_more_workers_than_seeds(tmp_path, fast_config, monkey
             return map(fn, payloads)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return started
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_compare_rejects_a_qtable_path(tmp_path, capsys, serial_pool, jobs):
+    # Every aerial run would load and save the one file, so a row would
+    # depend on the seeds that ran before it.
+    cfg = tmp_path / "q.yaml"
+    cfg.write_text(f"qtable_path: {tmp_path / 'q.npz'}\n")
+    rc = main(["compare", "--preset", "desk", "--config", str(cfg), "--n-seeds", "2",
+               "--jobs", jobs, "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: compare cannot share a Q-table")
+    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "q.npz").exists()
+
+
+@pytest.mark.parametrize("jobs, n_seeds, workers", [("64", "2", 2), ("2", "3", 2),
+                                                    ("8", "1", None)])
+def test_compare_starts_no_more_workers_than_seeds(tmp_path, fast_config, serial_pool,
+                                                   jobs, n_seeds, workers):
     out = tmp_path / "out"
     rc = main(["compare", "--preset", "desk", "--config", str(fast_config),
                "--n-seeds", n_seeds, "--jobs", jobs, "--out-dir", str(out)])
     assert rc == 0
-    assert started == ([workers] if workers else [])
+    assert serial_pool == ([workers] if workers else [])
     with open(out / "compare.csv", newline="") as f:
         assert len(list(csv.DictReader(f))) == int(n_seeds)
+
+
+@pytest.mark.parametrize("seed_args, first_seed", [([], 0), (["--seed", "5"], 5)])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_compare_maps_compare_seed_over_one_config(tmp_path, fast_config, serial_pool,
+                                                   monkeypatch, capsys, seed_args,
+                                                   first_seed, jobs):
+    with open(fast_config, "a") as f:
+        f.write("seed: 99\n")  # --seed, or 0, overrides it
+    built, mapped = [], []
+
+    def counted_build_config(**kwargs):
+        built.append(build_config(**kwargs))
+        return built[-1]
+
+    def fake_compare_seed(cfg):
+        mapped.append(cfg)
+        return {"seed": cfg.seed, "lagging_slots": 2,
+                "aerial_wins_at_lagging": cfg.seed % 2}
+
+    monkeypatch.setattr(cli, "build_config", counted_build_config)
+    monkeypatch.setattr(cli, "compare_seed", fake_compare_seed)
+    rc = main(["compare", "--preset", "desk", "--config", str(fast_config),
+               "--n-seeds", "3", "--jobs", jobs, "--out-dir", str(tmp_path), *seed_args])
+    assert rc == 0
+    assert len(built) == 1
+    seeds = range(first_seed, first_seed + 3)
+    assert mapped == [replace(built[0], seed=s) for s in seeds]
+    assert serial_pool == ([2] if jobs == "2" else [])
+    with open(tmp_path / "compare.csv", newline="") as f:
+        assert [int(r["seed"]) for r in csv.DictReader(f)] == list(seeds)
+    helped = sum(s % 2 for s in seeds)
+    assert capsys.readouterr().err.endswith(
+        f"aerial helps at lagging slots in {helped}/3 seeds\n")
 
 
 @pytest.mark.parametrize("command", ["run", "oracle"])
@@ -509,8 +562,7 @@ _VALID = {
     "learning": {"max_episodes": st.integers(1, 20), "max_steps": st.integers(1, 10),
                  "gamma": st.floats(0.0, 1.0, exclude_max=True),
                  "epsilon": st.floats(0.0, 1.0),
-                 "epsilon_decay": st.floats(0.5, 1.0), "epsilon_floor": st.floats(0.0, 1.0),
-                 "episode_start": st.sampled_from(["chain", "fixed"])},
+                 "epsilon_decay": st.floats(0.5, 1.0), "epsilon_floor": st.floats(0.0, 1.0)},
 }
 _JUNK = st.sampled_from([None, True, "x", [], {}, [1.0], -1, 0, 10**30, -0.5, 1e-12,
                          1e300, 1e306, 5e-324, math.nan, math.inf, -math.inf])

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,10 @@ from aerialsim.mobility import MobilityParams, Users
 from aerialsim.placement import LearningConfig, load_qtable
 from aerialsim.radio import aggregate_qos
 from aerialsim.scenario import (GridSpec, ScenarioConfig, TimeSlotRecord,
-                                build_config, build_network, config_from_dict,
-                                emit_outputs, run_scenario, sinr_cdf,
-                                slot_count, spectral_efficiency_summary)
+                                aerial_helps, build_config, build_network,
+                                compare_seed, config_from_dict, emit_outputs,
+                                run_scenario, sinr_cdf, slot_count, slot_substeps,
+                                spectral_efficiency_summary)
 from tests.test_mobility import ref_walk
 
 
@@ -69,6 +71,21 @@ class TestRunScenario:
         (73.0, 10.0, 7), (29.999, 10.0, 2)])
     def test_slot_count(self, sim_duration, t_min, n_slots):
         assert slot_count(sim_duration, t_min) == n_slots
+
+    @pytest.mark.parametrize("t_min, mobility_dt, n, last", [
+        # Subtracting mobility_dt from what is left of the slot drifts to
+        # 10000001 sub-steps here, the last 1.4e-5 s long.
+        (100000.0, 0.01, 10**7, 0.01),
+        (1000.0, 0.1, 10000, 0.1),
+        (10.0, 3.0, 4, 1.0),
+        (0.7, 0.1, 7, 0.1),  # 0.7 / 0.1 == 6.999999999999999
+        (10.0, 1.0, 10, 1.0),
+        (7.5, 2.0, 4, 1.5)])
+    def test_slot_substeps(self, t_min, mobility_dt, n, last):
+        dts = slot_substeps(t_min, mobility_dt)
+        assert len(dts) == n
+        assert dts.count(mobility_dt) == n - (last != mobility_dt)
+        assert dts[-1] == last
 
     def test_threshold_constant_across_slots(self):
         run = run_scenario(desk_config(sim_duration=50.0))
@@ -126,15 +143,6 @@ class TestRunScenario:
             desk_config(baseline_mode="hybrid")
 
 
-def slot_substeps(cfg):
-    """One slot's sub-steps, each min(mobility_dt, what is left of t_min)."""
-    remaining, dts = cfg.t_min, []
-    while remaining > 1e-9:
-        dts.append(min(cfg.mobility_dt, remaining))
-        remaining -= dts[-1]
-    return dts
-
-
 @pytest.mark.parametrize("cfg", [
     desk_config(baseline_mode="ground19", n_users=60, sim_duration=75.0, t_min=7.5,
                 mobility_dt=2.0, mobility=MobilityParams(c_max=200.0, hold_time=3.0)),
@@ -142,7 +150,7 @@ def slot_substeps(cfg):
 ], ids=["fast-walker-ground", "desk-aerial"])
 def test_run_matches_a_walk_of_one_substep_at_a_time(cfg, monkeypatch):
     fast = run_scenario(cfg)
-    substeps = slot_substeps(cfg)
+    substeps = slot_substeps(cfg.t_min, cfg.mobility_dt)
 
     def walk_per_substep(users, dts, params, area, rng):
         assert list(dts) == substeps
@@ -159,6 +167,35 @@ def test_run_matches_a_walk_of_one_substep_at_a_time(cfg, monkeypatch):
         assert got.user_sinr.tobytes() == want.user_sinr.tobytes()
     assert [t.tobytes() for t in fast.reward_traces] == \
         [t.tobytes() for t in ref.reward_traces]
+
+
+class TestCompareSeed:
+    def test_row(self):
+        cfg = desk_config(sim_duration=40.0, n_users=25)
+        row = compare_seed(cfg)
+        assert list(row) == ["seed", "qos_base_mean", "qos_aerial_mean",
+                             "lagging_slots", "aerial_wins_at_lagging",
+                             "median_sinr_base_db", "median_sinr_aerial_db"]
+        assert row["seed"] == cfg.seed
+        assert 0 <= row["aerial_wins_at_lagging"] <= row["lagging_slots"] <= 4
+        assert compare_seed(replace(cfg, baseline_mode="ground19")) == row
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"n_users": 0}, "compare needs at least one user, got n_users 0"),
+        ({"qtable_path": "q.npz"}, "compare cannot share a Q-table file")])
+    def test_rejected_before_any_run(self, monkeypatch, overrides, message):
+        monkeypatch.setattr(scenario, "run_scenario", None)  # any run would fail
+        with pytest.raises(ConfigurationError, match=message):
+            compare_seed(desk_config(**overrides))
+
+    @pytest.mark.parametrize("lagging, wins, helps", [
+        (0, 0, True),   # no slot lags
+        (6, 3, True),   # exactly half won
+        (6, 2, False),  # one short of half
+        (5, 3, True), (5, 2, False), (1, 1, True), (1, 0, False)])
+    def test_aerial_helps(self, lagging, wins, helps):
+        assert aerial_helps({"lagging_slots": lagging,
+                             "aerial_wins_at_lagging": wins}) is helps
 
 
 class TestSinrCdf:
