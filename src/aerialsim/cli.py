@@ -57,8 +57,7 @@ def cmd_oracle(args) -> int:
             f"grid has {grid.n_states} states (> {ORACLE_STATE_LIMIT}); "
             "pass --force to enumerate anyway")
     # Snapshot at t_st with the configured BS disabled and no aerial yet.
-    net, _, _ = build_network(cfg)
-    snapshot = replace(net, ground_bs=disable_site(net.ground_bs, cfg))
+    snapshot = disable_site(build_network(cfg)[0], cfg)
     t0 = time.perf_counter()
     best, qos = exhaustive_search(snapshot, grid)
     args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -10,9 +10,6 @@ import numpy as np
 
 from .geometry import MAX_LENGTH, ConfigurationError, Position3D, ServiceArea
 
-DEFAULT_ANTENNA_HEIGHT = 25.0
-DEFAULT_GROUND_TX_DBM = 46.0
-
 # Axial-coordinate unit steps around a hex ring.
 _HEX_DIRECTIONS = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
 
@@ -21,7 +18,7 @@ _HEX_DIRECTIONS = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
 class GroundBS:
     id: int
     pos: Position3D
-    tx_power: float = DEFAULT_GROUND_TX_DBM  # dBm
+    tx_power: float  # dBm
     active: bool = True
 
 
@@ -41,9 +38,8 @@ def _axial_to_xy(q: int, r: int, isd: float):
     return x, y
 
 
-def hex_layout(n_rings: int, area: ServiceArea,
-               antenna_height: float = DEFAULT_ANTENNA_HEIGHT,
-               tx_power: float = DEFAULT_GROUND_TX_DBM) -> List[GroundBS]:
+def hex_layout(n_rings: int, area: ServiceArea, antenna_height: float,
+               tx_power: float) -> List[GroundBS]:
     """Center site plus n_rings concentric hexagonal rings, centered in the area."""
     if n_rings < 0:
         raise ConfigurationError("n_rings must be >= 0")
@@ -103,20 +99,17 @@ class PlacementGrid:
     def n_states(self) -> int:
         return self.n_x * self.n_y * self.n_h
 
-    def axis_coords(self, lo: float, hi: float, n: int) -> np.ndarray:
-        return np.linspace(lo, hi, n) if n > 1 else np.array([lo])
-
     @property
     def xs(self) -> np.ndarray:
-        return self.axis_coords(self.area.x_min, self.area.x_max, self.n_x)
+        return np.linspace(self.area.x_min, self.area.x_max, self.n_x)
 
     @property
     def ys(self) -> np.ndarray:
-        return self.axis_coords(self.area.y_min, self.area.y_max, self.n_y)
+        return np.linspace(self.area.y_min, self.area.y_max, self.n_y)
 
     @property
     def hs(self) -> np.ndarray:
-        return self.axis_coords(self.area.h_min, self.area.h_max, self.n_h)
+        return np.linspace(self.area.h_min, self.area.h_max, self.n_h)
 
     def unravel(self, s: int):
         if not 0 <= s < self.n_states:

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 MAX_LENGTH = 1e6  # m, on any coordinate or height, so squared distances stay finite
+# contains_2d accepts a point this far outside the box, for rounding at its edge.
+CONTAINS_TOL = 1e-9  # m
 
 
 class ConfigurationError(ValueError):
@@ -36,8 +38,8 @@ class ServiceArea:
     x_max: float
     y_min: float
     y_max: float
-    h_min: float = 25.0
-    h_max: float = 525.0
+    h_min: float
+    h_max: float
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
@@ -64,12 +66,12 @@ class ServiceArea:
         return Position2D((self.x_min + self.x_max) / 2.0,
                           (self.y_min + self.y_max) / 2.0)
 
-    def contains_2d(self, p, tol: float = 1e-9) -> bool:
-        return (self.x_min - tol <= p.x <= self.x_max + tol
-                and self.y_min - tol <= p.y <= self.y_max + tol)
+    def contains_2d(self, p) -> bool:
+        return (self.x_min - CONTAINS_TOL <= p.x <= self.x_max + CONTAINS_TOL
+                and self.y_min - CONTAINS_TOL <= p.y <= self.y_max + CONTAINS_TOL)
 
 
-def square_area(side: float, h_min: float = 25.0, h_max: float = 525.0) -> ServiceArea:
+def square_area(side: float, h_min: float, h_max: float) -> ServiceArea:
     """Square service area of the given side length centered on the origin."""
     half = side / 2.0
     return ServiceArea(-half, half, -half, half, h_min, h_max)

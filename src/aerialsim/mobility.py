@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .geometry import ConfigurationError, Position2D, ServiceArea
+
+# A hold at or below this has expired; step ends segments and redraws by
+# this one test. It only absorbs the rounding of a countdown by sub-steps,
+# so it is far tighter than scenario.SLOT_TIME_TOL, the rest of a slot too
+# short for a sub-step; raising it would redraw some users a sub-step early.
+HOLD_EXPIRY_TOL = 1e-12  # s
 
 
 @dataclass(frozen=True)
@@ -37,8 +43,8 @@ class User:
 class Users:
     """Every user's state as float arrays indexed by user id.
 
-    cos and sin hold np.cos and np.sin of direction, computed here when not
-    given. No array of a Users is ever written to: step returns new ones.
+    cos and sin hold np.cos and np.sin of direction. No array of a Users is
+    ever written to: step returns new ones.
     """
 
     x: np.ndarray
@@ -46,14 +52,8 @@ class Users:
     speed: np.ndarray
     direction: np.ndarray  # radians, [0, 2*pi)
     hold: np.ndarray       # s until the next (speed, direction) redraw
-    cos: Optional[np.ndarray] = None
-    sin: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.cos is None:
-            object.__setattr__(self, "cos", np.cos(self.direction))
-        if self.sin is None:
-            object.__setattr__(self, "sin", np.sin(self.direction))
+    cos: np.ndarray
+    sin: np.ndarray
 
     def __len__(self) -> int:
         return self.x.size
@@ -86,7 +86,8 @@ def init_users(xy: np.ndarray, params: MobilityParams,
     """Users at the dropped (n, 2) positions xy, each with a random velocity and full hold."""
     x, y = np.ascontiguousarray(xy.T, dtype=float)
     speed, direction = draw_velocities(params, rng, x.size)
-    return Users(x, y, speed, direction, np.full(x.size, float(params.hold_time)))
+    return Users(x, y, speed, direction, np.full(x.size, float(params.hold_time)),
+                 np.cos(direction), np.sin(direction))
 
 
 def _fold(v: float, lo: float, hi: float) -> Tuple[float, bool]:
@@ -134,7 +135,7 @@ def step(users: Users, dts, params: MobilityParams,
     start = 0
     while start < len(dts) and len(users):
         h, end = float(hold.min()) - dts[start], start + 1
-        while end < len(dts) and h > 1e-12:
+        while end < len(dts) and h > HOLD_EXPIRY_TOL:
             h -= dts[end]
             end += 1
         segment, x0, y0 = dts[start:end], x, y
@@ -146,7 +147,7 @@ def step(users: Users, dts, params: MobilityParams,
         for i in np.flatnonzero(out).tolist():
             x[i], y[i], direction[i], cos[i], sin[i] = _reflecting_walk(
                 *(float(a[i]) for a in (x0, y0, speed, direction, cos, sin)), segment, area)
-        redraw = np.flatnonzero(hold <= 1e-12)  # rng.random((0, 2)) draws nothing
+        redraw = np.flatnonzero(hold <= HOLD_EXPIRY_TOL)  # rng.random((0, 2)) draws nothing
         speed[redraw], direction[redraw] = draw_velocities(params, rng, redraw.size)
         hold[redraw] = params.hold_time
         cos[redraw], sin[redraw] = np.cos(direction[redraw]), np.sin(direction[redraw])

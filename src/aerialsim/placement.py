@@ -221,11 +221,6 @@ class LearnResult:
     rewards: np.ndarray            # one entry per learning step (Fig.-7 style trace)
     episode_greedy_qos: np.ndarray  # greedy-rollout terminal QoS after each episode
 
-    def episodes_to_reach(self, qos_target: float) -> Optional[int]:
-        """First episode (1-based) whose greedy rollout attains qos_target."""
-        hits = np.nonzero(self.episode_greedy_qos >= qos_target)[0]
-        return int(hits[0]) + 1 if hits.size else None
-
 
 def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
                     cfg: LearningConfig, grid: PlacementGrid,

@@ -13,8 +13,6 @@ from .deployment import GroundBS, PlacementGrid
 from .geometry import Position3D
 from .mobility import Users
 
-DEFAULT_AERIAL_TX_DBM = 36.0
-
 
 @dataclass(frozen=True)
 class NetworkState:
@@ -24,8 +22,8 @@ class NetworkState:
     users: Users
     env: AtgEnvironment
     radio: RadioParams
+    aerial_tx_power: float  # dBm
     aerial_pos: Optional[Position3D] = None
-    aerial_tx_power: float = DEFAULT_AERIAL_TX_DBM
 
 
 def _ground_power(state: NetworkState, xy: np.ndarray) -> np.ndarray:

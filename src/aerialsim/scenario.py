@@ -14,16 +14,15 @@ import yaml
 
 from .channel import (AtgEnvironment, RadioParams, dbm_to_mw,
                       free_space_pathloss, ground_pathloss_d)
-from .deployment import (DEFAULT_ANTENNA_HEIGHT, DEFAULT_GROUND_TX_DBM,
-                         GroundBS, PlacementGrid, drop_users_ppp,
-                         grid_index_to_position, hex_cell_count, hex_layout)
+from .deployment import (PlacementGrid, drop_users_ppp, grid_index_to_position,
+                         hex_cell_count, hex_layout)
 from .geometry import ConfigurationError, Position3D, ServiceArea, square_area
 from .mobility import MobilityParams, init_users, step
 from .placement import (LearningConfig, QTable, learn_placement, load_qtable,
                         save_qtable)
 # aggregate_qos is not called here; bench/tracing.py patches it as an attribute.
-from .radio import (DEFAULT_AERIAL_TX_DBM, NetworkState,  # noqa: F401
-                    aggregate_qos, link_report, throughput)
+from .radio import (NetworkState, aggregate_qos,  # noqa: F401
+                    link_report, throughput)
 
 BASELINE_GROUND = "ground19"
 BASELINE_AERIAL = "aerial18plus1"
@@ -53,11 +52,11 @@ class ScenarioConfig:
     n_users: int = 150
     n_rings: int = 2
     area_side: float = 2000.0          # meters; square service area
-    h_min: float = 25.0
+    h_min: float = 25.0                # meters; aerial altitude band
     h_max: float = 525.0
-    antenna_height: float = DEFAULT_ANTENNA_HEIGHT
-    ground_tx_power: float = DEFAULT_GROUND_TX_DBM
-    aerial_tx_power: float = DEFAULT_AERIAL_TX_DBM
+    antenna_height: float = 25.0       # meters; ground sites
+    ground_tx_power: float = 46.0      # dBm
+    aerial_tx_power: float = 36.0      # dBm
     grid: GridSpec = field(default_factory=GridSpec)
     env: AtgEnvironment = field(default_factory=AtgEnvironment)
     radio: RadioParams = field(default_factory=RadioParams)
@@ -71,6 +70,8 @@ class ScenarioConfig:
     qtable_path: Optional[str] = None  # warm-start persistence across runs
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
         if self.baseline_mode not in (BASELINE_GROUND, BASELINE_AERIAL):
             raise ConfigurationError(f"unknown baseline_mode {self.baseline_mode!r}")
         if self.t_min <= SLOT_TIME_TOL or self.sim_duration < self.t_min:
@@ -158,12 +159,14 @@ class ScenarioRun:
     reward_traces: List[np.ndarray]
 
 
-def disable_site(bss: Sequence[GroundBS], cfg: ScenarioConfig) -> List[GroundBS]:
-    """The ground sites with cfg.disabled_bs (default: the center site, id 0) off."""
+def disable_site(net: NetworkState, cfg: ScenarioConfig) -> NetworkState:
+    """net with ground site cfg.disabled_bs (default: the center site, id 0) off:
+    the aerial-assisted network, at the ground network's BS count, before the aerial."""
     off = cfg.disabled_bs if cfg.disabled_bs is not None else 0
-    if off not in {b.id for b in bss}:
+    if off not in {b.id for b in net.ground_bs}:
         raise ConfigurationError(f"disabled_bs {off} is not a ground BS id")
-    return [replace(b, active=False) if b.id == off else b for b in bss]
+    return replace(net, ground_bs=[replace(b, active=False) if b.id == off else b
+                                   for b in net.ground_bs])
 
 
 def build_network(cfg: ScenarioConfig) -> Tuple[NetworkState, np.random.Generator,
@@ -220,7 +223,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     aerial_mode = cfg.baseline_mode == BASELINE_AERIAL
     if aerial_mode:
         aerial_state = grid.center_state()
-        net = replace(net, ground_bs=disable_site(net.ground_bs, cfg),
+        net = replace(disable_site(net, cfg),
                       aerial_pos=grid_index_to_position(grid, aerial_state))
         if cfg.qtable_path and Path(cfg.qtable_path).exists():
             qtable = load_qtable(cfg.qtable_path, grid)
@@ -472,10 +475,6 @@ def _from_mapping(cls, d: dict, prefix: str = ""):
     return cls(**kwargs)
 
 
-def config_from_dict(d: dict) -> ScenarioConfig:
-    return _from_mapping(ScenarioConfig, d)
-
-
 PRESETS = {
     # Full-size setup: 19 ground sites, 4 km^2, 21x21x11 placement grid.
     "paper": {
@@ -516,4 +515,4 @@ def build_config(preset: Optional[str] = None, config_file=None,
         d = _merge(d, loaded)
     if overrides:
         d = _merge(d, overrides)
-    return config_from_dict(d)
+    return _from_mapping(ScenarioConfig, d)

@@ -1,13 +1,13 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from aerialsim.channel import AtgEnvironment, RadioParams
 from aerialsim.deployment import PlacementGrid
-from aerialsim.geometry import square_area
 from aerialsim.mobility import Users
 from aerialsim.scenario import ScenarioConfig, build_network, disable_site
+
+# Model values for networks built by hand: the config's defaults.
+DEFAULTS = ScenarioConfig()
 
 
 @pytest.fixture
@@ -22,7 +22,7 @@ def radio():
 
 @pytest.fixture
 def desk_area():
-    return square_area(2000.0)
+    return DEFAULTS.service_area()
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ def make_snapshot(seed, area, n_users=50, n_rings=1, disabled=0):
     assert cfg.service_area() == area
     snap, _, rng_learn = build_network(cfg)
     if disabled is not None:
-        snap = replace(snap, ground_bs=disable_site(snap.ground_bs, cfg))
+        snap = disable_site(snap, cfg)
     return snap, rng_learn
 
 
@@ -52,4 +52,11 @@ def users_at(points) -> Users:
     """Users standing still at the given points (each with .x and .y), in order."""
     xy = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
     zero = np.zeros(len(xy))
-    return Users(xy[:, 0], xy[:, 1], zero, zero, zero)
+    return Users(xy[:, 0], xy[:, 1], zero, zero, zero, np.cos(zero), np.sin(zero))
+
+
+def episodes_to_reach(result, qos_target):
+    """First episode (1-based) whose greedy rollout in a LearnResult attains
+    qos_target, or None."""
+    hits = np.nonzero(result.episode_greedy_qos >= qos_target)[0]
+    return int(hits[0]) + 1 if hits.size else None

@@ -14,7 +14,7 @@ from scipy import stats
 
 from aerialsim.channel import AtgEnvironment, RadioParams, atg_pathloss_hl, p_los
 from aerialsim.deployment import GroundBS, PlacementGrid
-from aerialsim.geometry import Position2D, Position3D, square_area
+from aerialsim.geometry import Position2D, Position3D
 from aerialsim.mobility import MobilityParams, draw_velocities
 from aerialsim.oracle import exhaustive_search
 from aerialsim.placement import (LearningConfig, QTable, learn_placement,
@@ -22,7 +22,7 @@ from aerialsim.placement import (LearningConfig, QTable, learn_placement,
 from aerialsim.radio import NetworkState, aggregate_qos
 from aerialsim.scenario import (aerial_helps, build_config, compare_seed,
                                 emit_outputs, run_scenario)
-from tests.conftest import make_snapshot, users_at
+from tests.conftest import DEFAULTS, episodes_to_reach, make_snapshot, users_at
 from tests.reference import sinr_matrix
 
 N_SEEDS = 20
@@ -56,15 +56,15 @@ def learning_battery(desk_area_mod, desk_grid_mod):
             "optimum": optimum,
             "cold_qos": qos(cold.best_state),
             "cold_rewards": cold.rewards,
-            "cold_eps": cold.episodes_to_reach(0.99 * optimum),
-            "warm_eps": warm.episodes_to_reach(0.99 * optimum),
+            "cold_eps": episodes_to_reach(cold, 0.99 * optimum),
+            "warm_eps": episodes_to_reach(warm, 0.99 * optimum),
         })
     return runs
 
 
 @pytest.fixture(scope="module")
 def desk_area_mod():
-    return square_area(2000.0)
+    return DEFAULTS.service_area()
 
 
 @pytest.fixture(scope="module")
@@ -145,11 +145,12 @@ def test_criterion_7_association_optimality(urban):
     for _ in range(100):
         n_bs = int(rng.integers(1, 4))
         n_users = int(rng.integers(1, 7))
-        bss = [GroundBS(id=i, pos=Position3D(*rng.uniform(-800, 800, 2), 25.0))
-               for i in range(n_bs)]
+        bss = [GroundBS(id=i, pos=Position3D(*rng.uniform(-800, 800, 2), 25.0),
+                        tx_power=DEFAULTS.ground_tx_power) for i in range(n_bs)]
         users = [Position2D(*rng.uniform(-900, 900, 2)) for _ in range(n_users)]
         state = NetworkState(ground_bs=bss, users=users_at(users), env=urban,
-                             radio=RadioParams())
+                             radio=RadioParams(),
+                             aerial_tx_power=DEFAULTS.aerial_tx_power)
         achieved = aggregate_qos(state)
         s = sinr_matrix(state)
         best = max(sum(math.log2(1 + s[i, c]) for i, c in enumerate(choice))

@@ -10,7 +10,7 @@ from aerialsim.deployment import GroundBS
 from aerialsim.geometry import DegenerateGeometryError, Position2D, Position3D
 from aerialsim.radio import (NetworkState, _aerial_power, _ground_power, _strongest_sinr,
                              throughput)
-from tests.conftest import users_at
+from tests.conftest import DEFAULTS, users_at
 
 
 class TestElevationAngle:
@@ -126,9 +126,10 @@ class TestGroundPathloss:
 
     def test_bs_user_geometry(self, urban, radio):
         # The radio's site-to-user distance: 30 m up and 40 m across is 50 m.
-        bs = GroundBS(id=0, pos=Position3D(0, 0, 30.0))
+        bs = GroundBS(id=0, pos=Position3D(0, 0, 30.0), tx_power=DEFAULTS.ground_tx_power)
         state = NetworkState(ground_bs=[bs], users=users_at([Position2D(40.0, 0.0)]),
-                             env=urban, radio=radio)
+                             env=urban, radio=radio,
+                             aerial_tx_power=DEFAULTS.aerial_tx_power)
         assert _ground_power(state, state.users.xy)[0, 0] == pytest.approx(
             dbm_to_mw(bs.tx_power - ground_pathloss_d(50.0, radio)), rel=1e-12)
 
@@ -157,7 +158,8 @@ _GSUM, _GMAX = _RNG.uniform(0.0, 1e-9, (2, 5))   # a user's ground sum and maxim
 
 def _formula_calls(env, radio=RadioParams()):
     """name -> (function, array args, scalar args, keywords) for each formula with out."""
-    state = NetworkState(ground_bs=[], users=users_at([]), env=env, radio=radio)
+    state = NetworkState(ground_bs=[], users=users_at([]), env=env, radio=radio,
+                         aerial_tx_power=DEFAULTS.aerial_tx_power)
     work2 = (np.empty(_SHAPE), np.empty(_SHAPE))
     return {
         "elevation_angle": (elevation_angle, (_H, _L), (100.0, 30.0), {}),

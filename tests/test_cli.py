@@ -22,7 +22,7 @@ from aerialsim.cli import main
 from aerialsim.placement import QTable, save_qtable
 from aerialsim.radio import qos_map
 from aerialsim.scenario import (ScenarioConfig, build_config, build_network,
-                                config_from_dict, disable_site)
+                                disable_site)
 
 
 @pytest.fixture
@@ -68,7 +68,7 @@ def test_oracle_qos_is_the_map_of_the_built_network(tmp_path, seed):
         qos = [float(row[4]) for row in list(csv.reader(f))[1:]]
     cfg = build_config(preset="desk", overrides={"seed": seed})
     net, _, _ = build_network(cfg)
-    snapshot = replace(net, ground_bs=disable_site(net.ground_bs, cfg))
+    snapshot = disable_site(net, cfg)
     assert qos == qos_map(snapshot, cfg.placement_grid()).tolist()
 
 
@@ -362,7 +362,7 @@ def test_summary_config_reads_back_as_the_run_config(tmp_path, monkeypatch, pres
                      "--seed", str(seed), "--out-dir", "o"]) == 0
     summary = yaml.safe_load(Path("o/summary.yaml").read_text())
     assert {"gamma", "epsilon"} <= set(summary["config"]["learning"])
-    assert config_from_dict(summary["config"]) == want
+    assert build_config(overrides=summary["config"]) == want
 
 
 @pytest.mark.parametrize("line, message", [
@@ -507,6 +507,8 @@ def test_malformed_yaml_exits_nonzero(tmp_path, capsys):
     ("n_rings: 100000", "n_rings gives 1 + 3 * n_rings * (n_rings + 1) ground "
                         "sites; at most 10000 are allowed"),
     ("n_rings: -1", "n_rings must be >= 0"),
+    # numpy's SeedSequence message named no key: "expected non-negative integer".
+    ("seed: -1", "seed must be >= 0, got -1"),
     # Lengths whose squares overflow: an OverflowError traceback from the
     # antenna height's square, overflow warnings from heights and distances.
     ("antenna_height: 1.0e+300", "antenna height must be positive and at most 1e+06 m"),

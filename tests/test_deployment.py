@@ -8,19 +8,22 @@ from aerialsim.deployment import (PlacementGrid, drop_users_ppp,
                                   grid_index_to_position, hex_layout,
                                   inter_site_distance, position_to_grid_index)
 from aerialsim.geometry import ConfigurationError, ServiceArea
+from tests.conftest import DEFAULTS
+
+SITE = (DEFAULTS.antenna_height, DEFAULTS.ground_tx_power)  # hex_layout's site values
 
 
 class TestHexLayout:
     def test_zero_rings_single_center_site(self, desk_area):
-        bss = hex_layout(0, desk_area)
+        bss = hex_layout(0, desk_area, *SITE)
         assert len(bss) == 1
         assert (bss[0].pos.x, bss[0].pos.y) == (0.0, 0.0)
 
     def test_two_rings_is_19_sites(self, desk_area):
-        assert len(hex_layout(2, desk_area)) == 19
+        assert len(hex_layout(2, desk_area, *SITE)) == 19
 
     def test_one_ring_equal_nearest_neighbor_distances(self, desk_area):
-        bss = hex_layout(1, desk_area)
+        bss = hex_layout(1, desk_area, *SITE)
         assert len(bss) == 7
         pts = [(b.pos.x, b.pos.y) for b in bss]
         nearest = []
@@ -30,16 +33,16 @@ class TestHexLayout:
         assert nearest[0] == pytest.approx(inter_site_distance(desk_area, 7))
 
     def test_ids_unique_contiguous(self, desk_area):
-        bss = hex_layout(2, desk_area)
+        bss = hex_layout(2, desk_area, *SITE)
         assert [b.id for b in bss] == list(range(19))
 
     def test_all_sites_inside_area(self, desk_area):
         for n_rings in (0, 1, 2):
-            for bs in hex_layout(n_rings, desk_area):
+            for bs in hex_layout(n_rings, desk_area, *SITE):
                 assert desk_area.contains_2d(bs.pos)
 
     def test_sixfold_rotational_symmetry(self, desk_area):
-        bss = hex_layout(2, desk_area)
+        bss = hex_layout(2, desk_area, *SITE)
         pts = sorted((round(b.pos.x, 6), round(b.pos.y, 6)) for b in bss)
         c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
         rotated = sorted((round(c * b.pos.x - s * b.pos.y, 6),
@@ -48,18 +51,18 @@ class TestHexLayout:
 
     def test_too_small_area_rejected(self):
         # Tall thin strip: outer ring cannot fit inside the box.
-        area = ServiceArea(-50.0, 50.0, -40000.0, 40000.0)
+        area = ServiceArea(-50.0, 50.0, -40000.0, 40000.0, DEFAULTS.h_min, DEFAULTS.h_max)
         with pytest.raises(ConfigurationError):
-            hex_layout(2, area)
+            hex_layout(2, area, *SITE)
 
     def test_negative_rings_rejected(self, desk_area):
         with pytest.raises(ConfigurationError):
-            hex_layout(-1, desk_area)
+            hex_layout(-1, desk_area, *SITE)
 
     @pytest.mark.parametrize("height", [0.0, -1.0, 1.0e6 * (1 + 1e-15), 1.0e300])
     def test_antenna_height_outside_its_range_rejected(self, desk_area, height):
         with pytest.raises(ConfigurationError, match="antenna height must be positive"):
-            hex_layout(1, desk_area, antenna_height=height)
+            hex_layout(1, desk_area, height, DEFAULTS.ground_tx_power)
 
 
 class TestDropUsers:
@@ -99,6 +102,12 @@ class TestPlacementGrid:
         p = grid_index_to_position(grid, 0)
         assert (p.x, p.y, p.h) == (desk_area.x_min, desk_area.y_min, desk_area.h_min)
 
+    def test_one_count_axis_is_its_lower_edge(self, desk_area):
+        grid = PlacementGrid(desk_area, 3, 1, 1)
+        assert grid.xs.tolist() == [desk_area.x_min, 0.0, desk_area.x_max]
+        assert grid.ys.tolist() == [desk_area.y_min]
+        assert grid.hs.tolist() == [desk_area.h_min]
+
     def test_last_state_of_2x2x2_is_max_corner(self, desk_area):
         grid = PlacementGrid(desk_area, 2, 2, 2)
         p = grid_index_to_position(grid, 7)
@@ -129,11 +138,11 @@ class TestPlacementGrid:
 
 def test_service_area_validation():
     with pytest.raises(ConfigurationError):
-        ServiceArea(0, 0, -1, 1)
+        ServiceArea(0, 0, -1, 1, 25.0, 525.0)
     with pytest.raises(ConfigurationError):
         ServiceArea(-1, 1, -1, 1, h_min=100.0, h_max=50.0)
-    for box in [(-2e6, 1, -1, 1), (5e5, 1.5e6, -1, 1), (-1, 1, -1, 1e300),
-                (-1, 1, -1, 1, 25.0, 1e300)]:
+    for box in [(-2e6, 1, -1, 1, 25.0, 525.0), (5e5, 1.5e6, -1, 1, 25.0, 525.0),
+                (-1, 1, -1, 1e300, 25.0, 525.0), (-1, 1, -1, 1, 25.0, 1e300)]:
         with pytest.raises(ConfigurationError, match="must lie within 1e"):
             ServiceArea(*box)
     assert ServiceArea(-1e6, 1e6, -1e6, 1e6, 25.0, 1e6).width == 2e6

@@ -1,4 +1,4 @@
-"""Name lints.
+"""Name and default lints.
 
 Imports: every name a module imports is used in that module, unless the
 import statement has "# noqa: F401" on any of its lines.
@@ -6,9 +6,16 @@ import statement has "# noqa: F401" on any of its lines.
 Definitions: every module-level function, class and constant of
 src/aerialsim/*.py is named, as a whole word, somewhere in the .py files
 under src, tests or bench, apart from its own definition line.
+
+Defaults: a model value has its one default in ScenarioConfig. The
+builders below the config take it as a required argument or field, and no
+module defines a DEFAULT_* constant.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import re
 from collections import defaultdict
 from pathlib import Path
@@ -105,3 +112,36 @@ def test_every_definition_is_named_elsewhere():
     defined = {f"src/aerialsim/{p.name}": defined_names(sources[f"src/aerialsim/{p.name}"])
                for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_definitions(defined, sources) == []
+
+
+# The parameters and fields below the config that take a model value, or a
+# value computed from one (Users.cos and .sin, from the drawn directions).
+REQUIRED_BELOW_THE_CONFIG = {
+    ("geometry", "square_area"): ("h_min", "h_max"),
+    ("geometry", "ServiceArea"): ("h_min", "h_max"),
+    ("deployment", "hex_layout"): ("antenna_height", "tx_power"),
+    ("deployment", "GroundBS"): ("tx_power",),
+    ("radio", "NetworkState"): ("aerial_tx_power",),
+    ("mobility", "Users"): ("cos", "sin"),
+}
+
+
+def has_default(obj) -> dict:
+    """Whether each field of a dataclass, or parameter of a function, has a default."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: not (f.default is dataclasses.MISSING
+                             and f.default_factory is dataclasses.MISSING)
+                for f in dataclasses.fields(obj)}
+    return {name: p.default is not inspect.Parameter.empty
+            for name, p in inspect.signature(obj).parameters.items()}
+
+
+def test_model_values_have_no_default_below_the_config():
+    defaulted = []
+    for (module, name), params in REQUIRED_BELOW_THE_CONFIG.items():
+        defaults = has_default(getattr(importlib.import_module(f"aerialsim.{module}"), name))
+        defaulted += [f"{module}.{name}({p})" for p in params if defaults[p]]
+    constants = [f"{p.name}: {name}" for p in sorted(PACKAGE.glob("*.py"))
+                 for _, name in defined_names(p.read_text(encoding="utf-8"))
+                 if name.startswith("DEFAULT_")]
+    assert defaulted + constants == []

@@ -10,12 +10,14 @@ from aerialsim.deployment import drop_users_ppp
 from aerialsim.geometry import ConfigurationError, Position2D, square_area
 from aerialsim.mobility import (MobilityParams, User, Users, draw_velocities,
                                 init_users, step)
+from tests.conftest import DEFAULTS
 
 
 def make_users(x=0.0, y=0.0, speed=1.0, direction=0.0, hold=10.0):
     """A Users record; each argument is one value per user (a scalar: one user)."""
-    return Users(*(np.atleast_1d(np.asarray(v, dtype=float))
-                   for v in (x, y, speed, direction, hold)))
+    x, y, speed, direction, hold = (np.atleast_1d(np.asarray(v, dtype=float))
+                                    for v in (x, y, speed, direction, hold))
+    return Users(x, y, speed, direction, hold, np.cos(direction), np.sin(direction))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +107,7 @@ def walks(draw):
     sub-step and some on the last.
     """
     side = draw(st.floats(1.0, 2000.0, **finite))
-    area = square_area(side)
+    area = square_area(side, DEFAULTS.h_min, DEFAULTS.h_max)
     params = MobilityParams(
         c_max=draw(st.sampled_from([0.0, 1.3, 4.0 * side])),
         hold_time=draw(st.floats(0.05, 20.0, **finite)))

@@ -9,7 +9,7 @@ from aerialsim.deployment import PlacementGrid, grid_index_to_position
 from aerialsim.geometry import Position2D
 from aerialsim.oracle import exhaustive_search, export_qos_csv
 from aerialsim.radio import NetworkState, aggregate_qos
-from tests.conftest import make_snapshot, users_at
+from tests.conftest import DEFAULTS, make_snapshot, users_at
 
 
 def test_single_state_grid(desk_area):
@@ -22,7 +22,8 @@ def test_single_state_grid(desk_area):
 
 def test_noise_limited_single_user_optimum_overhead(desk_area, desk_grid, urban, radio):
     user = Position2D(float(desk_grid.xs[1]), float(desk_grid.ys[3]))
-    snap = NetworkState(ground_bs=[], users=users_at([user]), env=urban, radio=radio)
+    snap = NetworkState(ground_bs=[], users=users_at([user]), env=urban, radio=radio,
+                        aerial_tx_power=DEFAULTS.aerial_tx_power)
     best = grid_index_to_position(desk_grid, exhaustive_search(snap, desk_grid)[0])
     assert (best.x, best.y) == (user.x, user.y)
     assert best.h == desk_area.h_min

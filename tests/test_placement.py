@@ -14,7 +14,7 @@ from aerialsim.placement import (MAX_VISIT_COUNT, N_ACTIONS, Action,
                                  LearningConfig, QTable, _Pcg64Draws,
                                  greedy_rollout, learn_placement, load_qtable,
                                  make_qos_table, next_state_table, save_qtable)
-from tests.conftest import make_snapshot
+from tests.conftest import DEFAULTS, episodes_to_reach, make_snapshot
 from tests.reference import apply_action, q_update, reward, select_action
 from tests.reference import greedy_rollout as reference_rollout
 
@@ -184,8 +184,8 @@ class TestLearnPlacement:
                                LearningConfig(), desk_grid, rng)
         warm = learn_placement(desk_grid.center_state(), snap, q,
                                LearningConfig(), desk_grid, rng)
-        e_cold = cold.episodes_to_reach(target)
-        e_warm = warm.episodes_to_reach(target)
+        e_cold = episodes_to_reach(cold, target)
+        e_warm = episodes_to_reach(warm, target)
         assert e_cold is not None and e_warm is not None
         assert e_warm <= e_cold
 
@@ -196,7 +196,7 @@ class TestQTableIO:
         rng = np.random.default_rng(0)
         q.values[:] = rng.normal(size=q.values.shape)
         q.visit_counts[:] = rng.integers(0, 50, size=q.visit_counts.shape)
-        grid = PlacementGrid(square_area(2000.0), 5, 3, 2)
+        grid = PlacementGrid(DEFAULTS.service_area(), 5, 3, 2)
         path = tmp_path / "qtable.npz"
         save_qtable(path, q, grid)
         with np.load(path) as f:
@@ -207,13 +207,14 @@ class TestQTableIO:
         assert np.array_equal(loaded.visit_counts, q.visit_counts)
 
     @pytest.mark.parametrize("other", [
-        PlacementGrid(square_area(2000.0), 3, 5, 2),        # same n_states
-        PlacementGrid(square_area(1500.0), 5, 3, 2),        # same counts
-        PlacementGrid(square_area(2000.0, h_max=500.0), 5, 3, 2),
+        PlacementGrid(DEFAULTS.service_area(), 3, 5, 2),  # same n_states
+        # same counts
+        PlacementGrid(square_area(1500.0, DEFAULTS.h_min, DEFAULTS.h_max), 5, 3, 2),
+        PlacementGrid(square_area(2000.0, DEFAULTS.h_min, 500.0), 5, 3, 2),
     ])
     def test_bound_to_its_grid(self, tmp_path, other):
         path = tmp_path / "qtable.npz"
-        save_qtable(path, QTable.zeros(30), PlacementGrid(square_area(2000.0), 5, 3, 2))
+        save_qtable(path, QTable.zeros(30), PlacementGrid(DEFAULTS.service_area(), 5, 3, 2))
         with pytest.raises(ConfigurationError, match="was learned on a 5x3x2 grid"):
             load_qtable(path, other)
 
@@ -224,12 +225,12 @@ class TestQTableIO:
             np.savez(f, format_version=1, values=q.values,
                      visit_counts=q.visit_counts, gamma=0.9, epsilon=0.9)
         with pytest.raises(ConfigurationError, match="format version 1, expected 2"):
-            load_qtable(path, PlacementGrid(square_area(2000.0), 5, 3, 2))
+            load_qtable(path, PlacementGrid(DEFAULTS.service_area(), 5, 3, 2))
 
     def test_other_keys_ignored(self, tmp_path):
         # Files from before the learning values moved to LearningConfig carry
         # them beside the table; they load to the same table.
-        grid = PlacementGrid(square_area(2000.0), 5, 3, 2)
+        grid = PlacementGrid(DEFAULTS.service_area(), 5, 3, 2)
         path = tmp_path / "qtable.npz"
         _write_qtable_file(path, grid, values=np.full((30, 6), 0.25),
                            visit_counts=np.full((30, 6), 3, dtype=np.int32),
@@ -243,10 +244,10 @@ class TestQTableIO:
         path = tmp_path / "qtable.npz"
         path.write_bytes(b"PK\x03\x04 not a zip archive")
         with pytest.raises(ConfigurationError, match="cannot read Q-table"):
-            load_qtable(path, PlacementGrid(square_area(2000.0), 5, 3, 2))
+            load_qtable(path, PlacementGrid(DEFAULTS.service_area(), 5, 3, 2))
 
     def test_failed_write_keeps_the_previous_table(self, tmp_path, monkeypatch):
-        grid = PlacementGrid(square_area(2000.0), 5, 3, 2)
+        grid = PlacementGrid(DEFAULTS.service_area(), 5, 3, 2)
         path = tmp_path / "qtable.npz"
         kept = QTable.zeros(30)
         kept.values[:] = 0.5
@@ -304,7 +305,7 @@ class TestGreedyRollout:
     @example(case=((1, 1, 1), [[0.0] * N_ACTIONS], 0, None))
     def test_matches_reference(self, case):
         dims, rows, start, max_steps = case
-        grid = PlacementGrid(square_area(2000.0), *dims)
+        grid = PlacementGrid(DEFAULTS.service_area(), *dims)
         q = QTable.zeros(grid.n_states)
         q.values[:] = rows
         assert greedy_rollout(q, start, grid, max_steps) == \
@@ -312,7 +313,7 @@ class TestGreedyRollout:
 
     def test_two_cycle_ends_on_the_higher_row_maximum(self):
         dims, rows, start, max_steps = TWO_CYCLE
-        grid = PlacementGrid(square_area(2000.0), *dims)
+        grid = PlacementGrid(DEFAULTS.service_area(), *dims)
         q = QTable.zeros(grid.n_states)
         q.values[:] = rows
         assert greedy_rollout(q, start, grid, max_steps) == 0
@@ -322,7 +323,7 @@ class TestGreedyRollout:
     @pytest.mark.parametrize("start", [-1, 30])
     @pytest.mark.parametrize("max_steps", [None, 0])
     def test_out_of_range_start_rejected(self, start, max_steps):
-        grid = PlacementGrid(square_area(2000.0), 5, 3, 2)
+        grid = PlacementGrid(DEFAULTS.service_area(), 5, 3, 2)
         with pytest.raises(IndexError, match="out of range"):
             greedy_rollout(QTable.zeros(grid.n_states), start, grid, max_steps)
 
@@ -355,7 +356,7 @@ def reference_learn(initial_state, snapshot, q, cfg, grid, rng):
 @st.composite
 def learning_cases(draw):
     dims = draw(grid_dims)
-    grid = PlacementGrid(square_area(2000.0), *dims)
+    grid = PlacementGrid(DEFAULTS.service_area(), *dims)
     q = QTable.zeros(grid.n_states)
     if draw(st.booleans()):  # warm table: few distinct values, so rows tie
         table_rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -374,7 +375,7 @@ def learning_cases(draw):
 
 def example_case(dims, start, snap_seed, n_users, cfg, rows=None):
     """A learning_cases value; rows, if given, fills the Q-table cyclically."""
-    grid = PlacementGrid(square_area(2000.0), *dims)
+    grid = PlacementGrid(DEFAULTS.service_area(), *dims)
     q = QTable.zeros(grid.n_states)
     if rows is not None:
         q.values[:] = [rows[s % len(rows)] for s in range(grid.n_states)]
@@ -436,7 +437,7 @@ class TestFlatLearnerMatchesReference:
     @given(dims=grid_dims)
     @example(dims=(1, 1, 1))
     def test_next_state_table_is_apply_action(self, dims):
-        grid = PlacementGrid(square_area(2000.0), *dims)
+        grid = PlacementGrid(DEFAULTS.service_area(), *dims)
         table = next_state_table(grid)
         assert table.shape == (grid.n_states, N_ACTIONS)
         assert table.tolist() == [[apply_action(s, act, grid) for act in Action]
@@ -554,7 +555,7 @@ class TestPcg64Draws:
     @pytest.mark.parametrize("bitgen", [np.random.PCG64DXSM, np.random.MT19937,
                                         np.random.Philox, np.random.SFC64])
     def test_other_bit_generators_rejected(self, bitgen):
-        grid = PlacementGrid(square_area(2000.0), 2, 2, 2)
+        grid = PlacementGrid(DEFAULTS.service_area(), 2, 2, 2)
         snap, _ = make_snapshot(0, grid.area, n_users=3)
         rng = np.random.Generator(bitgen(0))
         with pytest.raises(TypeError, match=f"PCG64 words; rng runs on {bitgen.__name__}"):
@@ -574,7 +575,7 @@ def _write_qtable_file(path, grid, **fields):
 
 
 class TestMalformedQTableRejected:
-    GRID = PlacementGrid(square_area(2000.0), 5, 3, 2)
+    GRID = PlacementGrid(DEFAULTS.service_area(), 5, 3, 2)
 
     @pytest.mark.parametrize("fields, message", [
         ({"values": np.zeros((3, 6))}, r"values of shape \(3, 6\)"),

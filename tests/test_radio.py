@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from aerialsim.channel import AtgEnvironment, RadioParams
 from aerialsim.deployment import (GroundBS, PlacementGrid,
                                   grid_index_to_position)
-from aerialsim.geometry import Position2D, Position3D, square_area
+from aerialsim.geometry import Position2D, Position3D
 from aerialsim.radio import (QOS_MAP_CHUNK_BYTES, NetworkState, _ground_power,
                              aggregate_qos, link_report, qos_map, qos_map_chunk,
                              throughput)
-from tests.conftest import make_snapshot, users_at
+from tests.conftest import DEFAULTS, make_snapshot, users_at
 from tests.reference import (AERIAL_ID, associate_max_sinr, ground_power,
                              served_sinr, sinr, sinr_matrix)
 from tests.reference import aggregate_qos as reference_qos
@@ -305,7 +305,7 @@ class TestQosMap:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_several_chunks_with_a_partial_last_one(self, seed):
-        area = square_area(2000.0)
+        area = DEFAULTS.service_area()
         snap, _ = make_snapshot(seed, area, n_users=150, n_rings=2)
         grid = PlacementGrid(area, 9, 9, 4)
         # qos_map takes its chunks in whole columns of n_h states.
@@ -318,7 +318,7 @@ class TestQosMap:
         # qos_map computes the two chunks of the case above in three
         # chunk-sized working arrays; its smaller temporaries (the user
         # distances of a chunk's columns, a mask) stay below two more.
-        area = square_area(2000.0)
+        area = DEFAULTS.service_area()
         snap, _ = make_snapshot(seed, area, n_users=150, n_rings=2)
         grid = PlacementGrid(area, 9, 9, 4)
         tracemalloc.start()
@@ -346,7 +346,7 @@ class TestQosMap:
     @example(n_sites=200, first_off=False, n_users=60, shape=(2, 2, 2), seed=3)
     def test_random_sites_and_powers(self, n_sites, first_off, n_users, shape, seed):
         rng = np.random.default_rng(seed)
-        area = square_area(2000.0)
+        area = DEFAULTS.service_area()
         bss = [bs_at(i, *rng.uniform(-1000, 1000, 2), h=rng.uniform(10, 60),
                      tx=rng.uniform(20, 50), active=not (first_off and i == 0))
                for i in range(n_sites)]

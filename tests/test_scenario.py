@@ -14,7 +14,7 @@ from aerialsim.placement import LearningConfig, load_qtable
 from aerialsim.radio import aggregate_qos
 from aerialsim.scenario import (GridSpec, ScenarioConfig, TimeSlotRecord,
                                 aerial_helps, build_config, build_network,
-                                compare_seed, config_from_dict, emit_outputs,
+                                compare_seed, emit_outputs,
                                 run_scenario, sinr_cdf, slot_count, slot_substeps,
                                 spectral_efficiency_summary)
 from tests.test_mobility import ref_walk
@@ -155,8 +155,9 @@ def test_run_matches_a_walk_of_one_substep_at_a_time(cfg, monkeypatch):
     def walk_per_substep(users, dts, params, area, rng):
         assert list(dts) == substeps
         users = ref_walk(users, substeps, params, area, rng)
-        return Users(*(np.array(v, dtype=float) for v in zip(
-            *((u.pos.x, u.pos.y, u.speed, u.direction, u.hold_remaining) for u in users))))
+        x, y, speed, direction, hold = (np.array(v, dtype=float) for v in zip(
+            *((u.pos.x, u.pos.y, u.speed, u.direction, u.hold_remaining) for u in users)))
+        return Users(x, y, speed, direction, hold, np.cos(direction), np.sin(direction))
 
     monkeypatch.setattr(scenario, "step", walk_per_substep)
     ref = run_scenario(cfg)
@@ -296,7 +297,7 @@ class TestEmitOutputs:
 class TestConfigPlumbing:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigurationError):
-            config_from_dict({"bogus": 1})
+            build_config(overrides={"bogus": 1})
 
     @pytest.mark.parametrize("d, message", [
         ({"sim_duration": "1e3"}, "config key sim_duration must be a number"),
@@ -318,7 +319,7 @@ class TestConfigPlumbing:
     ])
     def test_mistyped_values_rejected(self, d, message):
         with pytest.raises(ConfigurationError, match=message):
-            config_from_dict(d)
+            build_config(overrides=d)
 
     @pytest.mark.parametrize("overrides", [{"env": {"kappa": -1.0}},
                                            {"radio": {"ground_pathloss_exponent": 0.0}}])
@@ -327,17 +328,17 @@ class TestConfigPlumbing:
             build_config(overrides=overrides)
 
     def test_typed_values_accepted(self):
-        cfg = config_from_dict({"sim_duration": 1000, "disabled_bs": None,
-                                "qtable_path": "q.npz", "grid": GridSpec(3, 3, 2),
-                                "mobility": {"c_max": 40, "hold_time": 3}})
+        cfg = build_config(overrides={"sim_duration": 1000, "disabled_bs": None,
+                                      "qtable_path": "q.npz", "grid": GridSpec(3, 3, 2),
+                                      "mobility": {"c_max": 40, "hold_time": 3}})
         assert cfg.sim_duration == 1000 and cfg.grid == GridSpec(3, 3, 2)
         assert cfg.mobility == MobilityParams(c_max=40, hold_time=3)
 
     def test_float_keys_hold_floats(self):
         # A YAML integer too large for int64 used to reach numpy as an object
         # (np.log10 raised TypeError on antenna_height: 10**30).
-        cfg = config_from_dict({"t_min": 10, "antenna_height": 10**30,
-                                "mobility": {"c_max": 40}})
+        cfg = build_config(overrides={"t_min": 10, "antenna_height": 10**30,
+                                      "mobility": {"c_max": 40}})
         assert [type(v) for v in (cfg.t_min, cfg.antenna_height, cfg.mobility.c_max)] == \
             [float] * 3
         assert cfg.antenna_height == 1e30
