@@ -30,10 +30,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--preset", choices=list(PRESETS), default="desk")
 
 
-def _config_from_args(args, extra=None):
-    overrides = dict(extra or {})
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+def _config_from_args(args):
+    overrides = {} if args.seed is None else {"seed": args.seed}
     return build_config(preset=args.preset, config_file=args.config,
                         overrides=overrides)
 

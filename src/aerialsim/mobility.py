@@ -1,4 +1,4 @@
-"""Random walk user mobility with hold intervals."""
+"""Random walk user mobility: straight, mirrored stretches between velocity redraws."""
 
 from __future__ import annotations
 
@@ -10,17 +10,15 @@ import numpy as np
 
 from .geometry import ConfigurationError, Position2D, ServiceArea
 
-# A hold at or below this has expired; step ends segments and redraws by
-# this one test. It only absorbs the rounding of a countdown by sub-steps,
-# so it is far tighter than scenario.SLOT_TIME_TOL, the rest of a slot too
-# short for a sub-step; raising it would redraw some users a sub-step early.
-HOLD_EXPIRY_TOL = 1e-12  # s
+# A time at or below this is none: step walks while more than this is left
+# of its duration, and the hold has run out once this much or less is left.
+TIME_TOL = 1e-9  # s
 
 
 @dataclass(frozen=True)
 class MobilityParams:
     c_max: float = 1.3          # m/s, pedestrian maximum
-    hold_time: float = 10.0     # s between (speed, direction) redraws
+    hold_time: float = 10.0     # s between velocity redraws
 
     def __post_init__(self):
         # c_max == 0 is allowed as the degenerate static-users case
@@ -34,26 +32,23 @@ class User:
 
     id: int
     pos: Position2D
-    speed: float
-    direction: float       # radians, [0, 2*pi)
-    hold_remaining: float  # s
+    vx: float  # m/s
+    vy: float  # m/s
 
 
 @dataclass(frozen=True, eq=False)
 class Users:
-    """Every user's state as float arrays indexed by user id.
+    """Every user's position and velocity as float arrays indexed by user id,
+    and the time until every user redraws its velocity.
 
-    cos and sin hold np.cos and np.sin of direction. No array of a Users is
-    ever written to: step returns new ones.
+    No array of a Users is ever written to: step returns new ones.
     """
 
     x: np.ndarray
     y: np.ndarray
-    speed: np.ndarray
-    direction: np.ndarray  # radians, [0, 2*pi)
-    hold: np.ndarray       # s until the next (speed, direction) redraw
-    cos: np.ndarray
-    sin: np.ndarray
+    vx: np.ndarray  # m/s
+    vy: np.ndarray  # m/s
+    hold: float     # s until the next redraw, shared by every user
 
     def __len__(self) -> int:
         return self.x.size
@@ -66,8 +61,7 @@ class Users:
     def __getitem__(self, i: int) -> User:
         i = range(len(self))[i]  # IndexError out of range; negatives count back
         return User(id=i, pos=Position2D(float(self.x[i]), float(self.y[i])),
-                    speed=float(self.speed[i]), direction=float(self.direction[i]),
-                    hold_remaining=float(self.hold[i]))
+                    vx=float(self.vx[i]), vy=float(self.vy[i]))
 
 
 def draw_velocities(params: MobilityParams, rng: np.random.Generator,
@@ -81,75 +75,49 @@ def draw_velocities(params: MobilityParams, rng: np.random.Generator,
     return params.c_max * u[:, 0], (2.0 * math.pi) * u[:, 1]
 
 
+def _draw_vxy(params: MobilityParams, rng: np.random.Generator,
+              k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """k velocities (vx, vy), from draw_velocities' (speed, direction) pairs."""
+    speed, direction = draw_velocities(params, rng, k)
+    return speed * np.cos(direction), speed * np.sin(direction)
+
+
 def init_users(xy: np.ndarray, params: MobilityParams,
                rng: np.random.Generator) -> Users:
-    """Users at the dropped (n, 2) positions xy, each with a random velocity and full hold."""
+    """Users at the dropped (n, 2) positions xy, each with a random velocity, and a full hold."""
     x, y = np.ascontiguousarray(xy.T, dtype=float)
-    speed, direction = draw_velocities(params, rng, x.size)
-    return Users(x, y, speed, direction, np.full(x.size, float(params.hold_time)),
-                 np.cos(direction), np.sin(direction))
+    return Users(x, y, *_draw_vxy(params, rng, x.size), float(params.hold_time))
 
 
-def _fold(v: float, lo: float, hi: float) -> Tuple[float, bool]:
-    """v folded into [lo, hi] by mirror reflection, and whether it flipped."""
-    flipped = False
-    while v < lo or v > hi:
-        v = 2 * lo - v if v < lo else 2 * hi - v
-        flipped = not flipped
-    return v, flipped
+def _mirror(p: np.ndarray, v: np.ndarray, lo: float,
+            hi: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Coordinates p mirrored once across the border [lo, hi] they left, and
+    their velocities v negated there."""
+    below, above = p < lo, p > hi
+    return (np.where(below, 2 * lo - p, np.where(above, 2 * hi - p, p)),
+            np.where(below | above, -v, v))
 
 
-def _reflecting_walk(x, y, speed, direction, cos, sin, dts, area):
-    """One user's (x, y, direction, cos, sin), as floats, after dts one at a time.
-
-    math.atan2 mirrors the heading at a fold bit for bit as the scalar walk
-    did (np.arctan2 can differ in the last place).
-    """
-    for dt in dts:
-        v = speed * dt
-        x, fx = _fold(x + v * cos, area.x_min, area.x_max)
-        y, fy = _fold(y + v * sin, area.y_min, area.y_max)
-        if fx or fy:
-            dx, dy = math.cos(direction), math.sin(direction)
-            direction = math.atan2(-dy if fy else dy, -dx if fx else dx) % (2.0 * math.pi)
-            cos, sin = float(np.cos(direction)), float(np.sin(direction))
-    return x, y, direction, cos, sin
-
-
-def step(users: Users, dts, params: MobilityParams,
+def step(users: Users, duration: float, params: MobilityParams,
          area: ServiceArea, rng: np.random.Generator) -> Users:
-    """Advance every user through the sequence of sub-steps dts (s) in order.
+    """Every user walked for duration seconds.
 
-    Result and rng state are bit for bit those of one sub-step at a time:
-    move by speed * dt along the cached heading, reflect at the edge,
-    count the hold down, and redraw, in id order, where it expired. A segment
-    ends where the smallest hold expires (rounding is monotone, so it expires
-    first); in it each user adds one displacement per distinct dt. A straight
-    walk that starts and ends inside the area never left it, so only users
-    outside at either end are replayed one sub-step at a time.
+    The walk goes in stretches, each ending where the hold or the duration
+    runs out. Over a stretch of t seconds a user moves by (vx * t, vy * t);
+    on an axis it has left, it is mirrored once across that border and its
+    velocity there negated. A config keeps c_max * t within the area's side,
+    so one mirror brings a user that started inside back inside. Where the
+    hold runs out, every user redraws its velocity, in id order, from rng.
     """
-    if not all(dt > 0 for dt in dts):
-        raise ConfigurationError("dt must be positive")
-    x, y, hold, speed, direction, cos, sin = users.x, users.y, users.hold, *(
-        a.copy() for a in (users.speed, users.direction, users.cos, users.sin))
-    start = 0
-    while start < len(dts) and len(users):
-        h, end = float(hold.min()) - dts[start], start + 1
-        while end < len(dts) and h > HOLD_EXPIRY_TOL:
-            h -= dts[end]
-            end += 1
-        segment, x0, y0 = dts[start:end], x, y
-        moves = {dt: (speed * dt * cos, speed * dt * sin) for dt in set(segment)}
-        for dt in segment:
-            x, y, hold = x + moves[dt][0], y + moves[dt][1], hold - dt
-        out = (x0 < area.x_min) | (x0 > area.x_max) | (y0 < area.y_min) | (y0 > area.y_max) \
-            | (x < area.x_min) | (x > area.x_max) | (y < area.y_min) | (y > area.y_max)
-        for i in np.flatnonzero(out).tolist():
-            x[i], y[i], direction[i], cos[i], sin[i] = _reflecting_walk(
-                *(float(a[i]) for a in (x0, y0, speed, direction, cos, sin)), segment, area)
-        redraw = np.flatnonzero(hold <= HOLD_EXPIRY_TOL)  # rng.random((0, 2)) draws nothing
-        speed[redraw], direction[redraw] = draw_velocities(params, rng, redraw.size)
-        hold[redraw] = params.hold_time
-        cos[redraw], sin[redraw] = np.cos(direction[redraw]), np.sin(direction[redraw])
-        start = end
-    return Users(x, y, speed, direction, hold, cos, sin)
+    if not duration > TIME_TOL:
+        raise ConfigurationError(f"duration must be above {TIME_TOL!r} s, got {duration!r}")
+    x, y, vx, vy, hold, left = users.x, users.y, users.vx, users.vy, users.hold, duration
+    while left > TIME_TOL:
+        t = min(hold, left)
+        x, vx = _mirror(x + vx * t, vx, area.x_min, area.x_max)
+        y, vy = _mirror(y + vy * t, vy, area.y_min, area.y_max)
+        hold, left = hold - t, left - t
+        if hold <= TIME_TOL:  # rng.random((0, 2)) draws nothing
+            vx, vy = _draw_vxy(params, rng, x.size)
+            hold = float(params.hold_time)
+    return Users(x, y, vx, vy, hold)

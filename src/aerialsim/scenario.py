@@ -17,7 +17,7 @@ from .channel import (AtgEnvironment, RadioParams, dbm_to_mw,
 from .deployment import (PlacementGrid, drop_users_ppp, grid_index_to_position,
                          hex_cell_count, hex_layout)
 from .geometry import ConfigurationError, Position3D, ServiceArea, square_area
-from .mobility import MobilityParams, init_users, step
+from .mobility import TIME_TOL, MobilityParams, init_users, step
 from .placement import (LearningConfig, QTable, learn_placement, load_qtable,
                         save_qtable)
 # aggregate_qos is not called here; bench/tracing.py patches it as an attribute.
@@ -27,15 +27,13 @@ from .radio import (NetworkState, aggregate_qos,  # noqa: F401
 BASELINE_GROUND = "ground19"
 BASELINE_AERIAL = "aerial18plus1"
 
-# run_scenario moves the users while more than this much of a slot is left.
-SLOT_TIME_TOL = 1e-9  # s
 # slot_count takes a quotient this close below an integer, relative to its
 # size, as that integer: rounding leaves 0.7 / 0.1 at 6.999999999999999 and
 # 44100004.9 / 4.9 at 9000000.999999998, a few units in the last place low.
 SLOT_COUNT_RTOL = 1e-12
-# Limits on the work one run may ask for: mobility sub-steps
-# (sim_duration / min(t_min, mobility_dt)) and ground sites.
-MAX_MOBILITY_SUBSTEPS = 10**7
+# Limits on the work one run may ask for: mobility stretches
+# (sim_duration / min(t_min, mobility.hold_time)) and ground sites.
+MAX_MOBILITY_STRETCHES = 10**7
 MAX_GROUND_SITES = 10**4
 
 
@@ -63,7 +61,6 @@ class ScenarioConfig:
     mobility: MobilityParams = field(default_factory=MobilityParams)
     learning: LearningConfig = field(default_factory=LearningConfig)
     t_min: float = 10.0                # aerial dwell / slot length, s
-    mobility_dt: float = 1.0
     sim_duration: float = 300.0
     baseline_mode: str = BASELINE_AERIAL
     disabled_bs: Optional[int] = None  # defaults to the center site (id 0)
@@ -74,15 +71,13 @@ class ScenarioConfig:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
         if self.baseline_mode not in (BASELINE_GROUND, BASELINE_AERIAL):
             raise ConfigurationError(f"unknown baseline_mode {self.baseline_mode!r}")
-        if self.t_min <= SLOT_TIME_TOL or self.sim_duration < self.t_min:
-            raise ConfigurationError(f"need {SLOT_TIME_TOL!r} s < t_min <= sim_duration")
-        if self.mobility_dt <= SLOT_TIME_TOL:
-            raise ConfigurationError(f"mobility_dt must be above {SLOT_TIME_TOL!r} s")
-        substeps = self.sim_duration / min(self.t_min, self.mobility_dt)
-        if substeps > MAX_MOBILITY_SUBSTEPS:
+        if self.t_min <= TIME_TOL or self.sim_duration < self.t_min:
+            raise ConfigurationError(f"need {TIME_TOL!r} s < t_min <= sim_duration")
+        stretches = self.sim_duration / min(self.t_min, self.mobility.hold_time)
+        if stretches > MAX_MOBILITY_STRETCHES:
             raise ConfigurationError(
-                f"sim_duration / min(t_min, mobility_dt) is {substeps:.3g} mobility "
-                f"sub-steps; at most {MAX_MOBILITY_SUBSTEPS} are allowed")
+                f"sim_duration / min(t_min, mobility.hold_time) is {stretches:.3g} "
+                f"mobility stretches; at most {MAX_MOBILITY_STRETCHES} are allowed")
         if self.n_users < 0:
             raise ConfigurationError("n_users must be >= 0")
         # Before the SINR bound below, which takes the site count as a float.
@@ -92,6 +87,9 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"n_rings gives 1 + 3 * n_rings * (n_rings + 1) ground sites; at most "
                 f"{MAX_GROUND_SITES} are allowed")
+        if self.disabled_bs is not None and not \
+                0 <= self.disabled_bs < hex_cell_count(self.n_rings):
+            raise ConfigurationError(f"disabled_bs {self.disabled_bs} is not a ground BS id")
         with np.errstate(over="ignore"):
             noise_mw = dbm_to_mw(self.radio.noise_power)
             if not 0.0 < noise_mw < np.inf:
@@ -128,12 +126,13 @@ class ScenarioConfig:
                     raise ConfigurationError(
                         f"transmit powers {level}; a finite SINR needs less than "
                         f"{10 * np.log10(2.0 ** 52):.1f} dB")
-        # One step then moves a user at most one area width, so a single
-        # mirror fold brings it back inside.
-        if self.mobility.c_max * self.mobility_dt > self.area_side:
+        # A stretch of the walk then moves a user at most one area width, so
+        # a single mirror brings it back inside.
+        stretch = min(self.t_min, self.mobility.hold_time)
+        if self.mobility.c_max * stretch > self.area_side:
             raise ConfigurationError(
-                f"mobility.c_max * mobility_dt ({self.mobility.c_max!r} m/s * "
-                f"{self.mobility_dt!r} s) exceeds area_side ({self.area_side!r} m)")
+                f"mobility.c_max * min(t_min, mobility.hold_time) ({self.mobility.c_max!r} "
+                f"m/s * {stretch!r} s) exceeds area_side ({self.area_side!r} m)")
 
     def service_area(self) -> ServiceArea:
         return square_area(self.area_side, self.h_min, self.h_max)
@@ -163,8 +162,6 @@ def disable_site(net: NetworkState, cfg: ScenarioConfig) -> NetworkState:
     """net with ground site cfg.disabled_bs (default: the center site, id 0) off:
     the aerial-assisted network, at the ground network's BS count, before the aerial."""
     off = cfg.disabled_bs if cfg.disabled_bs is not None else 0
-    if off not in {b.id for b in net.ground_bs}:
-        raise ConfigurationError(f"disabled_bs {off} is not a ground BS id")
     return replace(net, ground_bs=[replace(b, active=False) if b.id == off else b
                                    for b in net.ground_bs])
 
@@ -195,14 +192,6 @@ def slot_count(sim_duration: float, t_min: float) -> int:
     return math.floor(q + q * SLOT_COUNT_RTOL)
 
 
-def slot_substeps(t_min: float, mobility_dt: float) -> List[float]:
-    """One slot's mobility sub-steps: the whole steps of mobility_dt in t_min,
-    then the rest as one shorter step if more than SLOT_TIME_TOL is left."""
-    n = slot_count(t_min, mobility_dt)
-    rest = t_min - n * mobility_dt
-    return [mobility_dt] * n + ([rest] if rest > SLOT_TIME_TOL else [])
-
-
 def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     """Execute one scenario: threshold snapshot, then slot-by-slot control loop."""
     area = cfg.service_area()
@@ -230,10 +219,9 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         else:
             qtable = QTable.zeros(grid.n_states)
 
-    dts = slot_substeps(cfg.t_min, cfg.mobility_dt)
     users = net.users
     for k in range(1, slot_count(cfg.sim_duration, cfg.t_min) + 1):
-        users = step(users, dts, cfg.mobility, area, rng_mob)
+        users = step(users, cfg.t_min, cfg.mobility, area, rng_mob)
         state = replace(net, users=users)
         qos_now, sinr_now = evaluate(state)
         triggered = False

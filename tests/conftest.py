@@ -52,7 +52,7 @@ def users_at(points) -> Users:
     """Users standing still at the given points (each with .x and .y), in order."""
     xy = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
     zero = np.zeros(len(xy))
-    return Users(xy[:, 0], xy[:, 1], zero, zero, zero, np.cos(zero), np.sin(zero))
+    return Users(xy[:, 0], xy[:, 1], zero, zero, DEFAULTS.mobility.hold_time)
 
 
 def episodes_to_reach(result, qos_target):

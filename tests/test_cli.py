@@ -80,6 +80,20 @@ def test_oracle_grid_guard(tmp_path):
     assert rc == 1
 
 
+def test_oracle_state_limit_and_force(tmp_path, capsys, monkeypatch):
+    # The desk grid has 75 states: over a limit of 74, enumerated only with --force.
+    monkeypatch.setattr(cli, "ORACLE_STATE_LIMIT", 74)
+    out = tmp_path / "o"
+    args = ["oracle", "--preset", "desk", "--out-dir", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: grid has 75 states (> 74); pass --force to enumerate anyway"]
+    assert not (out / "oracle_qos.csv").exists()
+    assert main(args + ["--force"]) == 0
+    with open(out / "oracle_qos.csv", newline="") as f:
+        assert len(list(csv.reader(f))) == 1 + 75
+
+
 def test_compare_subcommand(tmp_path, fast_config):
     out = tmp_path / "out"
     rc = main(["compare", "--preset", "desk", "--config", str(fast_config),
@@ -206,15 +220,18 @@ def test_compare_maps_compare_seed_over_one_config(tmp_path, fast_config, serial
         f"aerial helps at lagging slots in {helped}/3 seeds\n")
 
 
-@pytest.mark.parametrize("command", ["run", "oracle"])
+@pytest.mark.parametrize("command", ["run", "oracle", "run-ground"])
 def test_invalid_disabled_bs_exits_nonzero(tmp_path, capsys, command):
+    # A ground-only run never turns a site off, but the id is still checked.
     cfg = tmp_path / "off.yaml"
-    cfg.write_text("disabled_bs: 99\n")
-    rc = main([command, "--preset", "desk", "--config", str(cfg),
+    cfg.write_text("disabled_bs: 99\nsim_duration: 20.0\n"
+                   + ("baseline_mode: ground19\n" if command == "run-ground" else ""))
+    rc = main([command.removesuffix("-ground"), "--preset", "desk", "--config", str(cfg),
                "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: disabled_bs 99 is not a ground BS id"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_config_exits_nonzero(tmp_path):
@@ -469,16 +486,16 @@ def test_overflowing_sinr_exits_nonzero(tmp_path, config, message):
 
 @pytest.mark.parametrize("c_max", ["1.0e+9", "1.0e+300"])
 def test_user_faster_than_the_area_exits_nonzero(tmp_path, c_max):
-    # A mirror fold moves a user back by about one area width, so a step of
-    # c_max * mobility_dt far beyond area_side would fold for ever.
+    # One mirror brings a user back inside only if a stretch of the walk,
+    # at most min(t_min, hold_time) long, stays within one area width.
     cfg = tmp_path / "fast.yaml"
     cfg.write_text(f"mobility: {{c_max: {c_max}}}\n")
     rc, err = run_cli(["run", "--preset", "desk", "--config", cfg,
                        "--out-dir", tmp_path / "o"], timeout=30)
     assert rc == 1
     assert len(err) == 1 and err[0].startswith(
-        f"error: mobility.c_max * mobility_dt ({float(c_max)!r} m/s * 1.0 s) "
-        "exceeds area_side (2000.0 m)")
+        f"error: mobility.c_max * min(t_min, mobility.hold_time) ({float(c_max)!r} m/s "
+        "* 10.0 s) exceeds area_side (2000.0 m)")
     assert not (tmp_path / "o").exists()
 
 
@@ -495,12 +512,14 @@ def test_malformed_yaml_exits_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("config, message", [
-    # 3e12 slots; any t_min at or below the sub-step tolerance would also
-    # skip the mobility loop and leave the users standing.
+    # 3e12 slots; any t_min at or below the time tolerance would also
+    # leave the users standing.
     ("t_min: 1.0e-10", "need 1e-09 s < t_min <= sim_duration"),
-    ("mobility_dt: 1.0e-10", "mobility_dt must be above 1e-09 s"),
-    ("t_min: 1.0e-5", "sim_duration / min(t_min, mobility_dt) is 3e+07 mobility "
-                      "sub-steps; at most 10000000 are allowed"),
+    ("mobility_dt: 1.0", "unknown config keys: ['mobility_dt']"),
+    ("t_min: 1.0e-5", "sim_duration / min(t_min, mobility.hold_time) is 3e+07 mobility "
+                      "stretches; at most 10000000 are allowed"),
+    ("mobility: {hold_time: 1.0e-5}", "sim_duration / min(t_min, mobility.hold_time) is "
+                                      "3e+07 mobility stretches; at most 10000000 are allowed"),
     # Too large for a float, and billions of sites.
     ("n_rings: 1" + "0" * 200, "n_rings gives 1 + 3 * n_rings * (n_rings + 1) ground "
                                "sites; at most 10000 are allowed"),
@@ -549,7 +568,6 @@ _VALID = {
     "ground_tx_power": st.floats(-20.0, 60.0),
     "aerial_tx_power": st.floats(-20.0, 60.0),
     "t_min": st.floats(1.0, 20.0),
-    "mobility_dt": st.floats(0.1, 5.0),
     "sim_duration": st.floats(1.0, 60.0),
     "baseline_mode": st.sampled_from(["ground19", "aerial18plus1"]),
     "disabled_bs": st.one_of(st.none(), st.integers(0, 20)),

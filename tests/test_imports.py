@@ -115,14 +115,15 @@ def test_every_definition_is_named_elsewhere():
 
 
 # The parameters and fields below the config that take a model value, or a
-# value computed from one (Users.cos and .sin, from the drawn directions).
+# value computed from one (Users.vx and .vy, from the drawn velocities, and
+# .hold, from hold_time).
 REQUIRED_BELOW_THE_CONFIG = {
     ("geometry", "square_area"): ("h_min", "h_max"),
     ("geometry", "ServiceArea"): ("h_min", "h_max"),
     ("deployment", "hex_layout"): ("antenna_height", "tx_power"),
     ("deployment", "GroundBS"): ("tx_power",),
     ("radio", "NetworkState"): ("aerial_tx_power",),
-    ("mobility", "Users"): ("cos", "sin"),
+    ("mobility", "Users"): ("vx", "vy", "hold"),
 }
 
 

@@ -9,13 +9,13 @@ import pytest
 
 from aerialsim import scenario
 from aerialsim.geometry import ConfigurationError
-from aerialsim.mobility import MobilityParams, Users
+from aerialsim.mobility import MobilityParams
 from aerialsim.placement import LearningConfig, load_qtable
 from aerialsim.radio import aggregate_qos
 from aerialsim.scenario import (GridSpec, ScenarioConfig, TimeSlotRecord,
                                 aerial_helps, build_config, build_network,
                                 compare_seed, emit_outputs,
-                                run_scenario, sinr_cdf, slot_count, slot_substeps,
+                                run_scenario, sinr_cdf, slot_count,
                                 spectral_efficiency_summary)
 from tests.test_mobility import ref_walk
 
@@ -59,33 +59,18 @@ class TestRunScenario:
     def test_slot_count_survives_rounding(self, sim_duration, t_min, n_slots):
         cfg = build_config(preset="desk", overrides={
             "sim_duration": sim_duration, "t_min": t_min,
-            "mobility_dt": min(t_min, 1.0), "baseline_mode": "ground19", "n_users": 5})
+            "baseline_mode": "ground19", "n_users": 5})
         assert [r.t for r in run_scenario(cfg).records] == \
             [k * t_min for k in range(n_slots + 1)]
 
     @pytest.mark.parametrize("sim_duration, t_min, n_slots", [
         (0.7, 0.1, 7),
-        # The quotient is 9000000.999999998; a valid config (9e6 sub-steps).
+        # The quotient is 9000000.999999998; a valid config (9e6 stretches).
         (44100004.9, 4.9, 9000001),
         (300.0, 10.0, 30), (900.0, 10.0, 90), (50.0, 10.0, 5), (30.0, 10.0, 3),
         (73.0, 10.0, 7), (29.999, 10.0, 2)])
     def test_slot_count(self, sim_duration, t_min, n_slots):
         assert slot_count(sim_duration, t_min) == n_slots
-
-    @pytest.mark.parametrize("t_min, mobility_dt, n, last", [
-        # Subtracting mobility_dt from what is left of the slot drifts to
-        # 10000001 sub-steps here, the last 1.4e-5 s long.
-        (100000.0, 0.01, 10**7, 0.01),
-        (1000.0, 0.1, 10000, 0.1),
-        (10.0, 3.0, 4, 1.0),
-        (0.7, 0.1, 7, 0.1),  # 0.7 / 0.1 == 6.999999999999999
-        (10.0, 1.0, 10, 1.0),
-        (7.5, 2.0, 4, 1.5)])
-    def test_slot_substeps(self, t_min, mobility_dt, n, last):
-        dts = slot_substeps(t_min, mobility_dt)
-        assert len(dts) == n
-        assert dts.count(mobility_dt) == n - (last != mobility_dt)
-        assert dts[-1] == last
 
     def test_threshold_constant_across_slots(self):
         run = run_scenario(desk_config(sim_duration=50.0))
@@ -133,8 +118,13 @@ class TestRunScenario:
         assert load_qtable(path, cfg.placement_grid()).visit_counts.sum() > n_first
 
     def test_invalid_disabled_bs(self):
-        with pytest.raises(ConfigurationError):
-            run_scenario(desk_config(disabled_bs=99, sim_duration=20.0))
+        # One ring: ground sites 0 to 6, whether or not the aerial flies.
+        for mode in ("ground19", "aerial18plus1"):
+            assert desk_config(disabled_bs=6, baseline_mode=mode).disabled_bs == 6
+            for off in (-1, 7, 99):
+                with pytest.raises(ConfigurationError,
+                                   match=f"disabled_bs {off} is not a ground BS id"):
+                    desk_config(disabled_bs=off, baseline_mode=mode, sim_duration=20.0)
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
@@ -145,21 +135,19 @@ class TestRunScenario:
 
 @pytest.mark.parametrize("cfg", [
     desk_config(baseline_mode="ground19", n_users=60, sim_duration=75.0, t_min=7.5,
-                mobility_dt=2.0, mobility=MobilityParams(c_max=200.0, hold_time=3.0)),
+                mobility=MobilityParams(c_max=200.0, hold_time=3.0)),
     desk_config(seed=3, sim_duration=60.0),
 ], ids=["fast-walker-ground", "desk-aerial"])
 def test_run_matches_a_walk_of_one_substep_at_a_time(cfg, monkeypatch):
+    # The run's walk against the scalar reference, which walks one user at a
+    # time; each slot is one call that walks t_min seconds.
     fast = run_scenario(cfg)
-    substeps = slot_substeps(cfg.t_min, cfg.mobility_dt)
 
-    def walk_per_substep(users, dts, params, area, rng):
-        assert list(dts) == substeps
-        users = ref_walk(users, substeps, params, area, rng)
-        x, y, speed, direction, hold = (np.array(v, dtype=float) for v in zip(
-            *((u.pos.x, u.pos.y, u.speed, u.direction, u.hold_remaining) for u in users)))
-        return Users(x, y, speed, direction, hold, np.cos(direction), np.sin(direction))
+    def walk_per_user(users, duration, params, area, rng):
+        assert duration == cfg.t_min
+        return ref_walk(users, duration, params, area, rng)
 
-    monkeypatch.setattr(scenario, "step", walk_per_substep)
+    monkeypatch.setattr(scenario, "step", walk_per_user)
     ref = run_scenario(cfg)
     assert len(fast.records) == len(ref.records) == int(cfg.sim_duration // cfg.t_min) + 1
     for got, want in zip(fast.records, ref.records):
