@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -18,15 +17,13 @@ from .scenario import (PRESETS, aerial_helps, build_config, build_network,
                        compare_seed, disable_site, emit_outputs, run_scenario)
 
 ORACLE_STATE_LIMIT = 200_000
-OUT_DIR_ENV_VAR = "AERIALSIM_OUT_DIR"
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="YAML config file")
     p.add_argument("--seed", type=int, help="random seed (overrides config)")
-    p.add_argument("--out-dir", type=Path,
-                   default=Path(os.environ.get(OUT_DIR_ENV_VAR, "out")),
-                   help=f"output directory (default: ${OUT_DIR_ENV_VAR} or ./out)")
+    p.add_argument("--out-dir", type=Path, default=Path("out"),
+                   help="output directory (default: ./out)")
     p.add_argument("--preset", choices=list(PRESETS), default="desk")
 
 

@@ -324,6 +324,8 @@ def save_qtable(path, q: QTable, grid: PlacementGrid) -> None:
             np.savez(f, format_version=QTABLE_FORMAT_VERSION, grid_counts=counts,
                      grid_area=box, values=q.values, visit_counts=q.visit_counts)
         os.replace(tmp, path)
+    except OSError as e:  # its text would name the temporary file
+        raise OSError(f"cannot write Q-table {path}: {e.strerror or e}") from e
     finally:
         tmp.unlink(missing_ok=True)
 

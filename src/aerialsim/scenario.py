@@ -21,8 +21,7 @@ from .mobility import TIME_TOL, MobilityParams, init_users, step
 from .placement import (LearningConfig, QTable, learn_placement, load_qtable,
                         save_qtable)
 # aggregate_qos is not called here; bench/tracing.py patches it as an attribute.
-from .radio import (NetworkState, aggregate_qos,  # noqa: F401
-                    link_report, throughput)
+from .radio import NetworkState, aggregate_qos, link_report  # noqa: F401
 
 BASELINE_GROUND = "ground19"
 BASELINE_AERIAL = "aerial18plus1"
@@ -63,7 +62,7 @@ class ScenarioConfig:
     t_min: float = 10.0                # aerial dwell / slot length, s
     sim_duration: float = 300.0
     baseline_mode: str = BASELINE_AERIAL
-    disabled_bs: Optional[int] = None  # defaults to the center site (id 0)
+    disabled_bs: int = 0               # the site the aerial replaces (0: the center)
     qtable_path: Optional[str] = None  # warm-start persistence across runs
 
     def __post_init__(self):
@@ -87,8 +86,7 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"n_rings gives 1 + 3 * n_rings * (n_rings + 1) ground sites; at most "
                 f"{MAX_GROUND_SITES} are allowed")
-        if self.disabled_bs is not None and not \
-                0 <= self.disabled_bs < hex_cell_count(self.n_rings):
+        if not 0 <= self.disabled_bs < hex_cell_count(self.n_rings):
             raise ConfigurationError(f"disabled_bs {self.disabled_bs} is not a ground BS id")
         with np.errstate(over="ignore"):
             noise_mw = dbm_to_mw(self.radio.noise_power)
@@ -144,7 +142,6 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class TimeSlotRecord:
-    t: float
     qos: float
     qos_th: float
     aerial_pos: Optional[Position3D]
@@ -159,11 +156,10 @@ class ScenarioRun:
 
 
 def disable_site(net: NetworkState, cfg: ScenarioConfig) -> NetworkState:
-    """net with ground site cfg.disabled_bs (default: the center site, id 0) off:
-    the aerial-assisted network, at the ground network's BS count, before the aerial."""
-    off = cfg.disabled_bs if cfg.disabled_bs is not None else 0
-    return replace(net, ground_bs=[replace(b, active=False) if b.id == off else b
-                                   for b in net.ground_bs])
+    """net with ground site cfg.disabled_bs off: the aerial-assisted network, at the
+    ground network's BS count, before the aerial."""
+    return replace(net, ground_bs=[replace(b, active=False) if b.id == cfg.disabled_bs
+                                   else b for b in net.ground_bs])
 
 
 def build_network(cfg: ScenarioConfig) -> Tuple[NetworkState, np.random.Generator,
@@ -205,7 +201,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
 
     # Threshold snapshot: full ground network, no aerial.
     qos_th, sinr0 = evaluate(net)
-    records = [TimeSlotRecord(t=0.0, qos=qos_th, qos_th=qos_th, aerial_pos=None,
+    records = [TimeSlotRecord(qos=qos_th, qos_th=qos_th, aerial_pos=None,
                               user_sinr=sinr0, learning_triggered=False)]
     traces: List[np.ndarray] = []
 
@@ -214,6 +210,10 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         aerial_state = grid.center_state()
         net = replace(disable_site(net, cfg),
                       aerial_pos=grid_index_to_position(grid, aerial_state))
+        # The table is saved after the last slot; a missing directory fails first.
+        if cfg.qtable_path and not Path(cfg.qtable_path).parent.is_dir():
+            raise ConfigurationError(f"qtable_path {cfg.qtable_path!r} is not in an "
+                                     "existing directory")
         if cfg.qtable_path and Path(cfg.qtable_path).exists():
             qtable = load_qtable(cfg.qtable_path, grid)
         else:
@@ -236,7 +236,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
             qos_now, sinr_now = evaluate(state)
 
         records.append(TimeSlotRecord(
-            t=k * cfg.t_min, qos=qos_now, qos_th=qos_th,
+            qos=qos_now, qos_th=qos_th,
             aerial_pos=state.aerial_pos, user_sinr=sinr_now,
             learning_triggered=triggered))
 
@@ -304,16 +304,6 @@ def sinr_cdf(records: Sequence[TimeSlotRecord]) -> Tuple[np.ndarray, np.ndarray]
     return xs, cdf
 
 
-def spectral_efficiency_summary(records: Sequence[TimeSlotRecord]) -> float:
-    """Mean per-user spectral efficiency over users and slots (bits/s/Hz)."""
-    if not records:
-        raise ValueError("no records")
-    per_slot = [throughput(r.user_sinr) for r in records if r.user_sinr.size]
-    if not per_slot:
-        return 0.0
-    return float(np.mean(np.concatenate(per_slot)))
-
-
 # ---------------------------------------------------------------------------
 # Output files
 
@@ -346,9 +336,9 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
             w = csv.writer(f, lineterminator="\n")
             w.writerow(["t", "qos", "qos_th", "aerial_x", "aerial_y", "aerial_h",
                         "triggered"])
-            for r in records:
+            for k, r in enumerate(records):
                 ap = r.aerial_pos
-                w.writerow([_fmt(r.t), _fmt(r.qos), _fmt(r.qos_th),
+                w.writerow([_fmt(k * config.t_min), _fmt(r.qos), _fmt(r.qos_th),
                             _fmt(ap.x) if ap else "", _fmt(ap.y) if ap else "",
                             _fmt(ap.h) if ap else "", int(r.learning_triggered)])
         paths.append(p)
@@ -384,15 +374,16 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
         paths.append(p)
 
         p = out / "summary.yaml"
+        qos_mean = float(np.mean([r.qos for r in records]))
         summary = {
             "config": dataclasses.asdict(config),
-            "seed": config.seed,
             "n_slots": len(records),
             "learning_runs": len(reward_traces),
             "qos_th": float(records[0].qos_th),
-            "qos_mean": float(np.mean([r.qos for r in records])),
+            "qos_mean": qos_mean,
             "qos_final": float(records[-1].qos),
-            "spectral_efficiency_mean": spectral_efficiency_summary(records),
+            # A slot's QoS sums its users' spectral efficiencies.
+            "spectral_efficiency_mean": qos_mean / config.n_users if config.n_users else 0.0,
         }
         with open(p, "w", encoding="utf-8", newline="\n") as f:
             yaml.safe_dump(summary, f, sort_keys=True)
@@ -463,22 +454,17 @@ def _from_mapping(cls, d: dict, prefix: str = ""):
     return cls(**kwargs)
 
 
+# Each preset holds only what differs from the ScenarioConfig defaults.
 PRESETS = {
-    # Full-size setup: 19 ground sites, 4 km^2, 21x21x11 placement grid.
-    "paper": {
-        "n_users": 150,
-        "n_rings": 2,
-        "grid": {"n_x": 21, "n_y": 21, "n_h": 11},
-        "learning": {"max_episodes": 5000, "max_steps": 40},
-        "sim_duration": 300.0,
-    },
+    # The defaults are the full-size setup (19 ground sites, 4 km^2, 21x21x11
+    # placement grid); the paper's learner runs longer.
+    "paper": {"learning": {"max_episodes": 5000, "max_steps": 40}},
     # Small setup sized for fast verification runs.
     "desk": {
         "n_users": 100,
         "n_rings": 1,
         "grid": {"n_x": 5, "n_y": 5, "n_h": 3},
-        "learning": {"max_episodes": 600, "max_steps": 30},
-        "sim_duration": 300.0,
+        "learning": {"max_episodes": 600},
     },
 }
 

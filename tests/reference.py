@@ -8,7 +8,8 @@ an argmax over every server, ties to the lowest BS id.
 aerialsim.placement runs the learner on flat tables of Python scalars. This
 module keeps it as single steps on the QTable: an epsilon-greedy choice, a
 clamped move on the grid, the QoS difference as reward, one
-temporal-difference backup, and the greedy rollout.
+temporal-difference backup, and the greedy rollout; reference_learn loops
+them into learn_placement.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from aerialsim.channel import dbm_to_mw, ground_pathloss_d
 from aerialsim.deployment import PlacementGrid
-from aerialsim.placement import N_ACTIONS, Action, QTable
+from aerialsim.placement import N_ACTIONS, Action, QTable, make_qos_table
 from aerialsim.radio import (NetworkState, _aerial_power, _horizontal_distance,
                              throughput)
 from tests.conftest import users_at
@@ -182,3 +183,28 @@ def greedy_rollout(q: QTable, s: int, grid: PlacementGrid,
         seen.add(s_next)
         s = s_next
     return s
+
+
+def reference_learn(initial_state, snapshot, q, cfg, grid, rng):
+    """learn_placement as a loop over the single-step functions.
+
+    Returns (best_state, rewards, episode_greedy_qos); q is updated in place.
+    """
+    qos = make_qos_table(snapshot, grid)
+    rewards = []
+    episode_qos = np.empty(cfg.max_episodes)
+    epsilon = cfg.epsilon
+    s = initial_state
+    for ep in range(cfg.max_episodes):
+        qos_s = qos(s)
+        for _ in range(cfg.max_steps):
+            act = select_action(q, s, epsilon, rng)
+            s_next = apply_action(s, act, grid)
+            qos_next = qos(s_next)
+            r = reward(qos_next, qos_s)
+            q_update(q, s, act, r, s_next, cfg.gamma)
+            rewards.append(r)
+            s, qos_s = s_next, qos_next
+        epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
+        episode_qos[ep] = qos(greedy_rollout(q, initial_state, grid))
+    return greedy_rollout(q, initial_state, grid), np.array(rewards), episode_qos

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aerialsim
-from aerialsim import cli
+from aerialsim import cli, scenario
 from aerialsim.cli import main
 from aerialsim.placement import QTable, save_qtable
 from aerialsim.radio import qos_map
@@ -243,13 +243,33 @@ def test_bad_config_exits_nonzero(tmp_path):
 
 @pytest.mark.parametrize("command,written", [("run", "timeslots.csv"),
                                              ("oracle", "oracle_qos.csv")])
-def test_out_dir_env_var(tmp_path, fast_config, monkeypatch, command, written):
-    out = tmp_path / "envout"
-    monkeypatch.setenv("AERIALSIM_OUT_DIR", str(out))
-    rc = main([command, "--preset", "desk", "--config", str(fast_config),
-               "--seed", "3"])
+def test_out_dir_defaults_to_out(tmp_path, fast_config, monkeypatch, command, written):
+    monkeypatch.chdir(tmp_path)
+    rc = main([command, "--preset", "desk", "--config", str(fast_config), "--seed", "3"])
     assert rc == 0
-    assert (out / written).exists()
+    assert (tmp_path / "out" / written).exists()
+
+
+def test_qtable_path_in_a_missing_directory_fails_before_any_slot(tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setattr(scenario, "step", None)  # any slot would fail
+    qtable = tmp_path / "nodir" / "q.npz"
+    cfg = tmp_path / "q.yaml"
+    cfg.write_text(f"sim_duration: 20.0\nqtable_path: {qtable}\n")
+    rc = main(["run", "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: qtable_path {str(qtable)!r} is not in an existing directory"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_qtable_write_names_the_target(tmp_path):
+    grid = build_config(preset="desk").placement_grid()
+    target = tmp_path / "nodir" / "q.npz"
+    with pytest.raises(OSError) as e:
+        save_qtable(target, QTable.zeros(grid.n_states), grid)
+    assert str(e.value) == f"cannot write Q-table {target}: No such file or directory"
 
 
 @pytest.mark.parametrize("line", ["sim_duration: 1e3", "learning: 5"])
@@ -570,7 +590,7 @@ _VALID = {
     "t_min": st.floats(1.0, 20.0),
     "sim_duration": st.floats(1.0, 60.0),
     "baseline_mode": st.sampled_from(["ground19", "aerial18plus1"]),
-    "disabled_bs": st.one_of(st.none(), st.integers(0, 20)),
+    "disabled_bs": st.integers(0, 20),
     "qtable_path": st.one_of(st.none(), st.just("q.npz")),
     "grid": {"n_x": st.integers(1, 4), "n_y": st.integers(1, 4), "n_h": st.integers(1, 4)},
     "env": {"kappa": st.floats(0.1, 20.0), "zeta": st.floats(0.01, 1.0),

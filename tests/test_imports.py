@@ -10,6 +10,10 @@ under src, tests or bench, apart from its own definition line.
 Defaults: a model value has its one default in ScenarioConfig. The
 builders below the config take it as a required argument or field, and no
 module defines a DEFAULT_* constant.
+
+Settings: src/aerialsim reads no environment variable (no os.environ,
+os.environb or os.getenv), so a setting comes only from the config and the
+command line.
 """
 
 import ast
@@ -146,3 +150,35 @@ def test_model_values_have_no_default_below_the_config():
                  for _, name in defined_names(p.read_text(encoding="utf-8"))
                  if name.startswith("DEFAULT_")]
     assert defaulted + constants == []
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv"}
+
+
+def environment_reads(source: str) -> list:
+    """(line, name) of each use or import of an os environment reader."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS \
+                and isinstance(node.value, ast.Name) and node.value.id == "os":
+            found.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"os.{a.name}") for a in node.names
+                      if a.name in ENVIRONMENT_READERS]
+    return sorted(found)
+
+
+def test_environment_reads_are_found():
+    source = ("import os\n"
+              "from os import getenv, path\n"
+              "a = os.environ.get('A', 'x')\n"
+              "b = os.getenv('B')\n"
+              "c = os.path.join('d', 'e')\n")
+    assert environment_reads(source) == [(2, "os.getenv"), (3, "os.environ"),
+                                         (4, "os.getenv")]
+
+
+def test_src_reads_no_environment_variable():
+    found = {p.name: environment_reads(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}

@@ -134,7 +134,7 @@ class TestStepMatchesScalarReference:
 
     @settings(max_examples=200, deadline=None)
     @given(walks(), st.integers(0, 2**32 - 1))
-    def test_cached_heading_and_input_unchanged(self, walk, seed):
+    def test_input_unchanged_and_hold_in_range(self, walk, seed):
         users, params, area, duration, n_steps = walk
         rng = np.random.default_rng(seed)
         for _ in range(n_steps):
@@ -181,7 +181,7 @@ class TestStepMatchesScalarReference:
             assert (u.id, u.pos) == (i, Position2D(x, y))
             assert (u.vx, u.vy) == ref_velocity(params, ref_rng)
 
-    def test_draw_velocity_is_the_scalar_draw(self):
+    def test_draw_velocities_is_the_scalar_draw(self):
         params = MobilityParams(c_max=1.3)
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
         speed, direction = draw_velocities(params, rng, 1000)
@@ -275,7 +275,7 @@ class TestStep:
         assert out.hold == pytest.approx(9.0)
         assert out[0].vx != 1.0
 
-    def test_displacement_bounded_by_cmax_dt(self, desk_area):
+    def test_displacement_bounded_by_cmax_duration(self, desk_area):
         params = MobilityParams()
         rng = np.random.default_rng(2)
         users = init_users(drop_users_ppp(200, desk_area, rng), params, rng)
@@ -313,7 +313,7 @@ class TestStep:
 
         assert run() == run()
 
-    def test_bad_dt_rejected(self, desk_area):
+    def test_bad_duration_rejected(self, desk_area):
         for duration in (0.0, -1.0, 1e-10, math.nan):
             with pytest.raises(ConfigurationError, match="duration must be above 1e-09 s"):
                 step(make_users(), duration, MobilityParams(), desk_area,

@@ -15,7 +15,8 @@ from aerialsim.placement import (MAX_VISIT_COUNT, N_ACTIONS, Action,
                                  greedy_rollout, learn_placement, load_qtable,
                                  make_qos_table, next_state_table, save_qtable)
 from tests.conftest import DEFAULTS, episodes_to_reach, make_snapshot
-from tests.reference import apply_action, q_update, reward, select_action
+from tests.reference import (apply_action, q_update, reference_learn, reward,
+                             select_action)
 from tests.reference import greedy_rollout as reference_rollout
 
 
@@ -326,31 +327,6 @@ class TestGreedyRollout:
         grid = PlacementGrid(DEFAULTS.service_area(), 5, 3, 2)
         with pytest.raises(IndexError, match="out of range"):
             greedy_rollout(QTable.zeros(grid.n_states), start, grid, max_steps)
-
-
-def reference_learn(initial_state, snapshot, q, cfg, grid, rng):
-    """learn_placement as a loop over the single-step functions.
-
-    Returns (best_state, rewards, episode_greedy_qos); q is updated in place.
-    """
-    qos = make_qos_table(snapshot, grid)
-    rewards = []
-    episode_qos = np.empty(cfg.max_episodes)
-    epsilon = cfg.epsilon
-    s = initial_state
-    for ep in range(cfg.max_episodes):
-        qos_s = qos(s)
-        for _ in range(cfg.max_steps):
-            act = select_action(q, s, epsilon, rng)
-            s_next = apply_action(s, act, grid)
-            qos_next = qos(s_next)
-            r = reward(qos_next, qos_s)
-            q_update(q, s, act, r, s_next, cfg.gamma)
-            rewards.append(r)
-            s, qos_s = s_next, qos_next
-        epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
-        episode_qos[ep] = qos(reference_rollout(q, initial_state, grid))
-    return reference_rollout(q, initial_state, grid), np.array(rewards), episode_qos
 
 
 @st.composite

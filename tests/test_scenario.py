@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 from dataclasses import replace
@@ -6,17 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from aerialsim import scenario
 from aerialsim.geometry import ConfigurationError
 from aerialsim.mobility import MobilityParams
 from aerialsim.placement import LearningConfig, load_qtable
-from aerialsim.radio import aggregate_qos
-from aerialsim.scenario import (GridSpec, ScenarioConfig, TimeSlotRecord,
+from aerialsim.radio import aggregate_qos, throughput
+from aerialsim.scenario import (PRESETS, GridSpec, ScenarioConfig, TimeSlotRecord,
                                 aerial_helps, build_config, build_network,
-                                compare_seed, emit_outputs,
-                                run_scenario, sinr_cdf, slot_count,
-                                spectral_efficiency_summary)
+                                compare_seed, emit_outputs, run_scenario,
+                                sinr_cdf, slot_count)
 from tests.test_mobility import ref_walk
 
 
@@ -28,8 +29,8 @@ def desk_config(**overrides):
     return ScenarioConfig(**base)
 
 
-def record(t, qos, sinr_list, qos_th=10.0, aerial=None, trig=False):
-    return TimeSlotRecord(t=t, qos=qos, qos_th=qos_th, aerial_pos=aerial,
+def record(qos, sinr_list, qos_th=10.0, aerial=None, trig=False):
+    return TimeSlotRecord(qos=qos, qos_th=qos_th, aerial_pos=aerial,
                           user_sinr=np.asarray(sinr_list, dtype=float),
                           learning_triggered=trig)
 
@@ -56,12 +57,15 @@ class TestRunScenario:
     @pytest.mark.parametrize("sim_duration, t_min, n_slots", [
         (0.7, 0.1, 7),  # 0.7 / 0.1 == 6.999999999999999
         (300.0, 10.0, 30), (900.0, 10.0, 90), (50.0, 10.0, 5), (30.0, 10.0, 3)])
-    def test_slot_count_survives_rounding(self, sim_duration, t_min, n_slots):
+    def test_slot_count_survives_rounding(self, tmp_path, sim_duration, t_min, n_slots):
         cfg = build_config(preset="desk", overrides={
             "sim_duration": sim_duration, "t_min": t_min,
             "baseline_mode": "ground19", "n_users": 5})
-        assert [r.t for r in run_scenario(cfg).records] == \
-            [k * t_min for k in range(n_slots + 1)]
+        run = run_scenario(cfg)
+        emit_outputs(run.records, run.reward_traces, tmp_path, config=cfg)
+        with open(tmp_path / "timeslots.csv", newline="") as f:
+            assert [row["t"] for row in csv.DictReader(f)] == \
+                [repr(k * t_min) for k in range(n_slots + 1)]
 
     @pytest.mark.parametrize("sim_duration, t_min, n_slots", [
         (0.7, 0.1, 7),
@@ -151,8 +155,8 @@ def test_run_matches_a_walk_of_one_substep_at_a_time(cfg, monkeypatch):
     ref = run_scenario(cfg)
     assert len(fast.records) == len(ref.records) == int(cfg.sim_duration // cfg.t_min) + 1
     for got, want in zip(fast.records, ref.records):
-        assert (got.t, got.qos, got.qos_th, got.aerial_pos, got.learning_triggered) == \
-            (want.t, want.qos, want.qos_th, want.aerial_pos, want.learning_triggered)
+        assert (got.qos, got.qos_th, got.aerial_pos, got.learning_triggered) == \
+            (want.qos, want.qos_th, want.aerial_pos, want.learning_triggered)
         assert got.user_sinr.tobytes() == want.user_sinr.tobytes()
     assert [t.tobytes() for t in fast.reward_traces] == \
         [t.tobytes() for t in ref.reward_traces]
@@ -189,7 +193,7 @@ class TestCompareSeed:
 
 class TestSinrCdf:
     def test_constant_sinr_step(self):
-        recs = [record(0.0, 5.0, [2.0, 2.0, 2.0])]
+        recs = [record(5.0, [2.0, 2.0, 2.0])]
         xs, cdf = sinr_cdf(recs)
         v = 10 * math.log10(2.0)
         assert cdf[-1] == 1.0
@@ -199,7 +203,7 @@ class TestSinrCdf:
 
     def test_monotone_from_zero_to_one(self):
         rng = np.random.default_rng(0)
-        recs = [record(10.0 * k, 5.0, rng.uniform(0.1, 50.0, 30)) for k in range(5)]
+        recs = [record(5.0, rng.uniform(0.1, 50.0, 30)) for _ in range(5)]
         xs, cdf = sinr_cdf(recs)
         assert np.all(np.diff(cdf) >= 0)
         assert cdf[0] >= 0.0 and cdf[-1] == 1.0
@@ -207,8 +211,8 @@ class TestSinrCdf:
     def test_3db_shift_moves_quantiles(self):
         rng = np.random.default_rng(1)
         base_sinr = rng.uniform(0.5, 20.0, 100)
-        recs = [record(0.0, 5.0, base_sinr)]
-        shifted = [record(0.0, 5.0, base_sinr * 10 ** 0.3)]
+        recs = [record(5.0, base_sinr)]
+        shifted = [record(5.0, base_sinr * 10 ** 0.3)]
         xs1, c1 = sinr_cdf(recs)
         xs2, c2 = sinr_cdf(shifted)
         med1 = xs1[np.searchsorted(c1, 0.5)]
@@ -218,24 +222,6 @@ class TestSinrCdf:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             sinr_cdf([])
-
-
-class TestSpectralEfficiency:
-    def test_single_user_sinr_one(self):
-        assert spectral_efficiency_summary([record(0.0, 1.0, [1.0])]) == \
-            pytest.approx(1.0)
-
-    def test_replication_invariance(self):
-        rng = np.random.default_rng(2)
-        recs = [record(10.0 * k, 5.0, rng.uniform(0.1, 9.0, 20)) for k in range(3)]
-        assert spectral_efficiency_summary(recs * 2) == \
-            pytest.approx(spectral_efficiency_summary(recs), rel=1e-12)
-
-    def test_matches_manual_recomputation(self):
-        rng = np.random.default_rng(3)
-        recs = [record(10.0 * k, 5.0, rng.uniform(0.1, 9.0, 7)) for k in range(4)]
-        manual = np.mean([math.log2(1 + s) for r in recs for s in r.user_sinr])
-        assert spectral_efficiency_summary(recs) == pytest.approx(manual, rel=1e-12)
 
 
 class TestEmitOutputs:
@@ -256,6 +242,20 @@ class TestEmitOutputs:
                      "summary.yaml"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    @pytest.mark.parametrize("n_users", [0, 1, 40])
+    def test_summary(self, tmp_path, n_users):
+        cfg = desk_config(sim_duration=40.0, seed=4, n_users=n_users)
+        run = run_scenario(cfg)
+        emit_outputs(run.records, run.reward_traces, tmp_path, config=cfg)
+        summary = yaml.safe_load((tmp_path / "summary.yaml").read_text())
+        assert "seed" not in summary and summary["config"]["seed"] == cfg.seed
+        # The mean per-user spectral efficiency over users and slots.
+        se = summary["spectral_efficiency_mean"]
+        assert se == (summary["qos_mean"] / n_users if n_users else 0.0)
+        if n_users:
+            assert se == pytest.approx(np.mean([throughput(r.user_sinr)
+                                                for r in run.records]), rel=1e-12)
+
     def test_reward_trace_matches_csv_writer(self, tmp_path):
         repeated = np.random.default_rng(0).choice(
             [0.0, -0.0, 0.0, 0.0, 1.25, -7.5e-3, 0.1 + 0.2, 3e100], size=5000)
@@ -264,7 +264,7 @@ class TestEmitOutputs:
                   np.array([0.1, -0.0, 1.5, 0.1], dtype=np.float32),
                   repeated[::-7], [2.5, -0.0, 0.0, 2.5, -1e-3]]
         assert not traces[5].flags.c_contiguous
-        emit_outputs([record(0.0, 1.0, [1.0])], traces, tmp_path, config=ScenarioConfig())
+        emit_outputs([record(1.0, [1.0])], traces, tmp_path, config=ScenarioConfig())
         expected = io.StringIO(newline="")
         w = csv.writer(expected, lineterminator="\n")
         w.writerow(["iteration", "reward"])
@@ -278,7 +278,7 @@ class TestEmitOutputs:
         target = tmp_path / "file"
         target.write_text("x")
         with pytest.raises(OSError):
-            emit_outputs([record(0.0, 1.0, [1.0])], [], target / "sub",
+            emit_outputs([record(1.0, [1.0])], [], target / "sub",
                          config=ScenarioConfig())
 
 
@@ -304,6 +304,8 @@ class TestConfigPlumbing:
         # One LoS formula and one boundary rule: the keys that chose another are gone.
         ({"mobility": {"boundary_policy": "reflect"}},
          r"unknown config keys: \['mobility.boundary_policy'\]"),
+        # The aerial always replaces one ground site; there is no "none".
+        ({"disabled_bs": None}, "config key disabled_bs must be an integer, got None"),
     ])
     def test_mistyped_values_rejected(self, d, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -316,10 +318,11 @@ class TestConfigPlumbing:
             build_config(overrides=overrides)
 
     def test_typed_values_accepted(self):
-        cfg = build_config(overrides={"sim_duration": 1000, "disabled_bs": None,
-                                      "qtable_path": "q.npz", "grid": GridSpec(3, 3, 2),
+        cfg = build_config(overrides={"sim_duration": 1000, "disabled_bs": 3,
+                                      "qtable_path": None, "grid": GridSpec(3, 3, 2),
                                       "mobility": {"c_max": 40, "hold_time": 3}})
         assert cfg.sim_duration == 1000 and cfg.grid == GridSpec(3, 3, 2)
+        assert (cfg.disabled_bs, cfg.qtable_path) == (3, None)
         assert cfg.mobility == MobilityParams(c_max=40, hold_time=3)
 
     def test_float_keys_hold_floats(self):
@@ -340,18 +343,36 @@ class TestConfigPlumbing:
         assert (cfg.seed, cfg.n_users, cfg.learning.max_episodes) == (42, 150, 2500)
 
     def test_presets_build(self):
-        paper = build_config(preset="paper")
-        assert paper.n_rings == 2
-        assert paper.grid == GridSpec(21, 21, 11)
-        desk = build_config(preset="desk")
-        assert desk.n_rings == 1
+        assert build_config(preset="paper") == ScenarioConfig(
+            learning=LearningConfig(max_episodes=5000, max_steps=40))
+        assert build_config(preset="desk") == ScenarioConfig(
+            n_users=100, n_rings=1, grid=GridSpec(5, 5, 3),
+            learning=LearningConfig(max_episodes=600))
+        assert build_config() == ScenarioConfig()
+
+    def test_presets_restate_no_default(self):
+        def leaves(d, prefix=()):
+            for k, v in d.items():
+                yield from leaves(v, prefix + (k,)) if isinstance(v, dict) \
+                    else [(prefix + (k,), v)]
+
+        defaults = dataclasses.asdict(ScenarioConfig())
+        restated = []
+        for name, preset in PRESETS.items():
+            for path, value in leaves(preset):
+                default = defaults
+                for k in path:
+                    default = default[k]
+                if value == default:
+                    restated.append((name, ".".join(path)))
+        assert restated == []
 
     def test_overrides_layering(self, tmp_path):
         cfgfile = tmp_path / "c.yaml"
-        cfgfile.write_text("n_users: 77\nlearning:\n  max_episodes: 123\n")
+        cfgfile.write_text("n_users: 77\nlearning:\n  max_steps: 12\n")
         cfg = build_config(preset="desk", config_file=cfgfile,
                            overrides={"seed": 42})
         assert cfg.n_users == 77
-        assert cfg.learning.max_episodes == 123
-        assert cfg.learning.max_steps == 30  # from preset, not clobbered
+        assert cfg.learning.max_steps == 12
+        assert cfg.learning.max_episodes == 600  # from preset, not clobbered
         assert cfg.seed == 42
