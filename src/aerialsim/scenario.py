@@ -375,6 +375,7 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
 
         p = out / "summary.yaml"
         qos_mean = float(np.mean([r.qos for r in records]))
+        n_users = records[0].user_sinr.size
         summary = {
             "config": dataclasses.asdict(config),
             "n_slots": len(records),
@@ -383,7 +384,7 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
             "qos_mean": qos_mean,
             "qos_final": float(records[-1].qos),
             # A slot's QoS sums its users' spectral efficiencies.
-            "spectral_efficiency_mean": qos_mean / config.n_users if config.n_users else 0.0,
+            "spectral_efficiency_mean": qos_mean / n_users if n_users else 0.0,
         }
         with open(p, "w", encoding="utf-8", newline="\n") as f:
             yaml.safe_dump(summary, f, sort_keys=True)

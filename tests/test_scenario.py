@@ -256,6 +256,13 @@ class TestEmitOutputs:
             assert se == pytest.approx(np.mean([throughput(r.user_sinr)
                                                 for r in run.records]), rel=1e-12)
 
+    def test_summary_counts_users_of_the_records(self, tmp_path):
+        # Two users per slot, whatever the config's n_users says.
+        emit_outputs([record(2.0, [1.0, 1.0]), record(4.0, [1.0, 1.0])], [],
+                     tmp_path, config=ScenarioConfig())
+        summary = yaml.safe_load((tmp_path / "summary.yaml").read_text())
+        assert (summary["qos_mean"], summary["spectral_efficiency_mean"]) == (3.0, 1.5)
+
     def test_reward_trace_matches_csv_writer(self, tmp_path):
         repeated = np.random.default_rng(0).choice(
             [0.0, -0.0, 0.0, 0.0, 1.25, -7.5e-3, 0.1 + 0.2, 3e100], size=5000)
@@ -343,6 +350,17 @@ class TestConfigPlumbing:
         assert (cfg.seed, cfg.n_users, cfg.learning.max_episodes) == (42, 150, 2500)
 
     def test_presets_build(self):
+        # The resolved setups are written out in full, so that a changed
+        # ScenarioConfig default cannot change the paper or desk run unseen.
+        def setup(cfg):
+            return (cfg.n_users, cfg.n_rings, cfg.grid, cfg.sim_duration,
+                    cfg.learning.max_episodes, cfg.learning.max_steps)
+
+        assert setup(build_config(preset="paper")) == \
+            (150, 2, GridSpec(21, 21, 11), 300.0, 5000, 40)
+        assert setup(build_config(preset="desk")) == \
+            (100, 1, GridSpec(5, 5, 3), 300.0, 600, 30)
+        assert setup(build_config()) == (150, 2, GridSpec(21, 21, 11), 300.0, 2500, 30)
         assert build_config(preset="paper") == ScenarioConfig(
             learning=LearningConfig(max_episodes=5000, max_steps=40))
         assert build_config(preset="desk") == ScenarioConfig(
