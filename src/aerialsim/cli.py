@@ -16,15 +16,10 @@ from .oracle import exhaustive_search, export_qos_csv
 from .scenario import (PRESETS, aerial_helps, build_config, build_network,
                        compare_seed, disable_site, emit_outputs, run_scenario)
 
-ORACLE_STATE_LIMIT = 200_000
 
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="YAML config file")
-    p.add_argument("--seed", type=int, help="random seed (overrides config)")
-    p.add_argument("--out-dir", type=Path, default=Path("out"),
-                   help="output directory (default: ./out)")
-    p.add_argument("--preset", choices=list(PRESETS), default="desk")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main's one error: line, not usage and exit 2
+        raise ConfigurationError(message)
 
 
 def _config_from_args(args):
@@ -47,10 +42,6 @@ def cmd_run(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _config_from_args(args)
     grid = cfg.placement_grid()
-    if grid.n_states > ORACLE_STATE_LIMIT and not args.force:
-        raise ConfigurationError(
-            f"grid has {grid.n_states} states (> {ORACLE_STATE_LIMIT}); "
-            "pass --force to enumerate anyway")
     # Snapshot at t_st with the configured BS disabled and no aerial yet.
     snapshot = disable_site(build_network(cfg)[0], cfg)
     t0 = time.perf_counter()
@@ -69,7 +60,7 @@ def cmd_compare(args) -> int:
         if n < 1:
             raise ConfigurationError(f"{flag} must be at least 1, got {n}")
     cfg = _config_from_args(args)
-    cfgs = [replace(cfg, seed=(args.seed or 0) + k) for k in range(args.n_seeds)]
+    cfgs = [replace(cfg, seed=cfg.seed + k) for k in range(args.n_seeds)]
     jobs = min(args.jobs, len(cfgs))  # a pool may start all its workers at once
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
@@ -89,31 +80,28 @@ def cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    common = argparse.ArgumentParser(add_help=False)  # every command's options
+    common.add_argument("--config", help="YAML config file")
+    common.add_argument("--seed", type=int, help="random seed (overrides config)")
+    common.add_argument("--out-dir", type=Path, default=Path("out"),
+                        help="output directory (default: ./out)")
+    common.add_argument("--preset", choices=list(PRESETS), default="desk")
+    parser = _Parser(
         prog="aerialsim",
         description="Downlink cellular simulator with Q-learning aerial-BS placement")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one scenario and write metrics")
-    _add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_oracle = sub.add_parser("oracle",
-                              help="exhaustive QoS map for a t_st snapshot")
-    _add_common(p_oracle)
-    p_oracle.add_argument("--force", action="store_true",
-                          help="allow very large grids")
-    p_oracle.set_defaults(func=cmd_oracle)
-
-    p_cmp = sub.add_parser("compare",
+    sub.add_parser("run", parents=[common], help="run one scenario and write metrics"
+                   ).set_defaults(func=cmd_run)
+    sub.add_parser("oracle", parents=[common], help="exhaustive QoS map for a t_st snapshot"
+                   ).set_defaults(func=cmd_oracle)
+    p_cmp = sub.add_parser("compare", parents=[common],
                            help="paired ground-only vs aerial-assisted seeds")
-    _add_common(p_cmp)
     p_cmp.add_argument("--n-seeds", type=int, default=20)
     p_cmp.add_argument("--jobs", type=int, default=1)
     p_cmp.set_defaults(func=cmd_compare)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigurationError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -31,9 +32,10 @@ BASELINE_AERIAL = "aerial18plus1"
 # 44100004.9 / 4.9 at 9000000.999999998, a few units in the last place low.
 SLOT_COUNT_RTOL = 1e-12
 # Limits on the work one run may ask for: mobility stretches
-# (sim_duration / min(t_min, mobility.hold_time)) and ground sites.
+# (sim_duration / min(t_min, mobility.hold_time)), ground sites and grid states.
 MAX_MOBILITY_STRETCHES = 10**7
 MAX_GROUND_SITES = 10**4
+MAX_GRID_STATES = 200_000
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,7 @@ class ScenarioConfig:
     sim_duration: float = 300.0
     baseline_mode: str = BASELINE_AERIAL
     disabled_bs: int = 0               # the site the aerial replaces (0: the center)
-    qtable_path: Optional[str] = None  # warm-start persistence across runs
+    qtable_path: str = ""              # warm-start persistence across runs ("": none)
 
     def __post_init__(self):
         if self.seed < 0:
@@ -88,6 +90,10 @@ class ScenarioConfig:
                 f"{MAX_GROUND_SITES} are allowed")
         if not 0 <= self.disabled_bs < hex_cell_count(self.n_rings):
             raise ConfigurationError(f"disabled_bs {self.disabled_bs} is not a ground BS id")
+        n_states = self.placement_grid().n_states  # checks the area and the grid counts
+        if n_states > MAX_GRID_STATES:
+            raise ConfigurationError(
+                f"grid has {n_states} states; at most {MAX_GRID_STATES} are allowed")
         with np.errstate(over="ignore"):
             noise_mw = dbm_to_mw(self.radio.noise_power)
             if not 0.0 < noise_mw < np.inf:
@@ -108,9 +114,9 @@ class ScenarioConfig:
             # above total, so the denominator stays positive. Bound that
             # total from above: every site at the distance of its antenna
             # height, the aerial overhead at h_min in line of sight.
-            # Non-positive heights are rejected where the layout and the
-            # area are built.
-            if self.antenna_height > 0 and self.h_min > 0:
+            # The service area above has a positive h_min; a non-positive
+            # antenna height is rejected where the layout is built.
+            if self.antenna_height > 0:
                 peak = (hex_cell_count(self.n_rings) * dbm_to_mw(
                             self.ground_tx_power
                             - ground_pathloss_d(self.antenna_height, self.radio))
@@ -408,10 +414,6 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-# Config sections, by the annotation of the ScenarioConfig field that holds them.
-_NESTED_TYPES = {cls.__name__: cls for cls in (GridSpec, AtgEnvironment, RadioParams,
-                                               MobilityParams, LearningConfig)}
-
 # Accepted value types, by field annotation. No config value is a boolean;
 # bool is an int subclass, so it is rejected separately.
 _SCALAR_TYPES = {
@@ -421,37 +423,29 @@ _SCALAR_TYPES = {
 }
 
 
-def _finite(x) -> bool:
-    """math.isfinite, and False for an int too large to be a float."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
-
-
 def _from_mapping(cls, d: dict, prefix: str = ""):
     """cls(**d), with the keys and value types of d checked against cls's fields."""
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(d) - set(types)
-    if unknown:
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(d) - set(fields)
+    if unknown:  # a YAML key need not be a string
         raise ConfigurationError(
-            f"unknown config keys: {sorted(prefix + k for k in unknown)}")
+            f"unknown config keys: {sorted(prefix + str(k) for k in unknown)}")
     kwargs = {}
     for k, v in d.items():
-        name, typ = prefix + k, types[k]
-        nested = _NESTED_TYPES.get(typ)
-        if nested is not None:
+        name, f = prefix + k, fields[k]
+        section = f.default_factory  # a config section's class
+        if section is not dataclasses.MISSING:
             if isinstance(v, dict):
-                v = _from_mapping(nested, v, name + ".")
-            elif not isinstance(v, nested):
+                v = _from_mapping(section, v, name + ".")
+            elif not isinstance(v, section):
                 raise ConfigurationError(f"config key {name} must be a mapping, got {v!r}")
-        elif not (v is None and typ.startswith("Optional[")):
-            accepted, what = _SCALAR_TYPES[typ.removeprefix("Optional[").rstrip("]")]
+        else:
+            accepted, what = _SCALAR_TYPES[f.type]
             if isinstance(v, bool) or not isinstance(v, accepted):
                 raise ConfigurationError(f"config key {name} must be {what}, got {v!r}")
-            if float in accepted and not _finite(v):
+            if float in accepted and not abs(v) <= sys.float_info.max:  # nan too
                 raise ConfigurationError(f"config key {name} must be finite, got {v!r}")
-        kwargs[k] = float(v) if typ == "float" else v
+        kwargs[k] = float(v) if f.type == "float" else v
     return cls(**kwargs)
 
 
@@ -470,24 +464,36 @@ PRESETS = {
 }
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """A SafeLoader that rejects a key written twice in one mapping. A key
+    merged in with << may be set again."""
+
+    def flatten_mapping(self, node):
+        seen = set()
+        for k, _ in node.value:
+            if isinstance(k, yaml.ScalarNode) and k.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(k)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found duplicate key {key!r}", k.start_mark)
+                seen.add(key)
+        super().flatten_mapping(node)
+
+
 def build_config(preset: Optional[str] = None, config_file=None,
                  overrides: Optional[dict] = None) -> ScenarioConfig:
     """Layer preset < config file < explicit overrides into a ScenarioConfig."""
-    d: dict = {}
-    if preset:
-        if preset not in PRESETS:
-            raise ConfigurationError(f"unknown preset {preset!r}")
-        d = _merge(d, PRESETS[preset])
+    if preset and preset not in PRESETS:
+        raise ConfigurationError(f"unknown preset {preset!r}")
+    d = PRESETS[preset] if preset else {}  # _merge copies; nothing writes to d
     if config_file:
         with open(config_file, "r", encoding="utf-8") as f:
             try:
-                loaded = yaml.safe_load(f) or {}
+                loaded = yaml.load(f, Loader=_ConfigLoader) or {}
             except yaml.YAMLError as e:
                 raise ConfigurationError(f"config file {config_file} is not valid "
                                          f"YAML: {' '.join(str(e).split())}") from e
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must be a mapping")
         d = _merge(d, loaded)
-    if overrides:
-        d = _merge(d, overrides)
-    return _from_mapping(ScenarioConfig, d)
+    return _from_mapping(ScenarioConfig, _merge(d, overrides or {}))

@@ -80,18 +80,15 @@ def test_oracle_grid_guard(tmp_path):
     assert rc == 1
 
 
-def test_oracle_state_limit_and_force(tmp_path, capsys, monkeypatch):
-    # The desk grid has 75 states: over a limit of 74, enumerated only with --force.
-    monkeypatch.setattr(cli, "ORACLE_STATE_LIMIT", 74)
+@pytest.mark.parametrize("command", ["run", "oracle", "compare"])
+def test_grid_state_limit_holds_for_every_command(tmp_path, capsys, monkeypatch, command):
+    # The desk grid has 75 states: over a limit of 74 for every command.
+    monkeypatch.setattr(scenario, "MAX_GRID_STATES", 74)
     out = tmp_path / "o"
-    args = ["oracle", "--preset", "desk", "--out-dir", str(out)]
-    assert main(args) == 1
+    assert main([command, "--preset", "desk", "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err.strip().splitlines() == [
-        "error: grid has 75 states (> 74); pass --force to enumerate anyway"]
-    assert not (out / "oracle_qos.csv").exists()
-    assert main(args + ["--force"]) == 0
-    with open(out / "oracle_qos.csv", newline="") as f:
-        assert len(list(csv.reader(f))) == 1 + 75
+        "error: grid has 75 states; at most 74 are allowed"]
+    assert not out.exists()
 
 
 def test_compare_subcommand(tmp_path, fast_config):
@@ -186,13 +183,13 @@ def test_compare_starts_no_more_workers_than_seeds(tmp_path, fast_config, serial
         assert len(list(csv.DictReader(f))) == int(n_seeds)
 
 
-@pytest.mark.parametrize("seed_args, first_seed", [([], 0), (["--seed", "5"], 5)])
+@pytest.mark.parametrize("seed_args, first_seed", [([], 99), (["--seed", "5"], 5)])
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_compare_maps_compare_seed_over_one_config(tmp_path, fast_config, serial_pool,
                                                    monkeypatch, capsys, seed_args,
                                                    first_seed, jobs):
     with open(fast_config, "a") as f:
-        f.write("seed: 99\n")  # --seed, or 0, overrides it
+        f.write("seed: 99\n")  # the first seed, unless --seed overrides it
     built, mapped = [], []
 
     def counted_build_config(**kwargs):
@@ -239,6 +236,64 @@ def test_bad_config_exits_nonzero(tmp_path):
     cfg.write_text("bogus_key: 1\n")
     rc = main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("line, keys", [("1: 2", "['1']"), ("true: 1", "['True']"),
+                                        ("learning: {1: 2}", "['learning.1']")])
+def test_non_string_config_key_exits_nonzero(tmp_path, capsys, line, keys):
+    # The key used to end in a TypeError traceback from joining it to a prefix.
+    cfg = tmp_path / "keys.yaml"
+    cfg.write_text(line + "\n")
+    rc = main(["run", "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: unknown config keys: {keys}"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, key, line, column", [
+    ("seed: 3\nsim_duration: 20.0\nseed: 4\n", "seed", 3, 1),
+    ("learning:\n  max_steps: 3\n  max_steps: 4\n", "max_steps", 3, 3),
+])
+def test_repeated_config_key_exits_nonzero(tmp_path, capsys, text, key, line, column):
+    # The last value used to win silently.
+    cfg = tmp_path / "twice.yaml"
+    cfg.write_text(text)
+    rc = main(["run", "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config file {cfg} is not valid YAML: found duplicate key {key!r} "
+        f'in "{cfg}", line {line}, column {column}']
+    assert not (tmp_path / "o").exists()
+
+
+def test_merged_config_key_may_be_set_again(tmp_path):
+    cfg = tmp_path / "merge.yaml"
+    cfg.write_text("grid:\n  <<: {n_x: 3, n_y: 3, n_h: 2}\n  n_x: 4\n")
+    assert build_config(config_file=cfg).grid == scenario.GridSpec(4, 3, 2)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    (["run", "--preset", "bogus"],
+     "argument --preset: invalid choice: 'bogus' (choose from 'paper', 'desk')"),
+    (["run", "--bogus"], "unrecognized arguments: --bogus"),
+    (["bogus"], "argument command: invalid choice: 'bogus' "
+                "(choose from 'run', 'oracle', 'compare')"),
+])
+def test_bad_argument_exits_nonzero(tmp_path, capsys, args, message):
+    # argparse used to print its usage lines and exit 2.
+    assert main([*args, "--out-dir", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["run", "--help"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: aerialsim run ")
 
 
 @pytest.mark.parametrize("command,written", [("run", "timeslots.csv"),
@@ -438,11 +493,9 @@ def test_zero_sinr_everywhere_exits_nonzero(tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     # Reward trace: 10**15 episodes x 30 steps of float64, 240 PB.
     "learning: {max_episodes: 1000000000000000}",
-    # Q-table: 10**16 states x 6 actions of float64, 480 PB.
-    "grid: {n_x: 1000000, n_y: 1000000, n_h: 10000}",
 ])
 def test_unallocatable_table_exits_nonzero(tmp_path, capsys, line):
-    # Both sizes exceed a 57-bit address space (128 PiB), so the allocation
+    # The size exceeds a 57-bit address space (128 PiB), so the allocation
     # fails on any host, whatever its overcommit policy.
     cfg = tmp_path / "huge.yaml"
     cfg.write_text(line + "\n")
@@ -546,6 +599,9 @@ def test_malformed_yaml_exits_nonzero(tmp_path, capsys):
     ("n_rings: 100000", "n_rings gives 1 + 3 * n_rings * (n_rings + 1) ground "
                         "sites; at most 10000 are allowed"),
     ("n_rings: -1", "n_rings must be >= 0"),
+    # A Q-table of 10**16 states x 6 actions of float64, 480 PB.
+    ("grid: {n_x: 1000000, n_y: 1000000, n_h: 10000}",
+     "grid has 10000000000000000 states; at most 200000 are allowed"),
     # numpy's SeedSequence message named no key: "expected non-negative integer".
     ("seed: -1", "seed must be >= 0, got -1"),
     # Lengths whose squares overflow: an OverflowError traceback from the
@@ -591,7 +647,7 @@ _VALID = {
     "sim_duration": st.floats(1.0, 60.0),
     "baseline_mode": st.sampled_from(["ground19", "aerial18plus1"]),
     "disabled_bs": st.integers(0, 20),
-    "qtable_path": st.one_of(st.none(), st.just("q.npz")),
+    "qtable_path": st.sampled_from(["", "q.npz"]),
     "grid": {"n_x": st.integers(1, 4), "n_y": st.integers(1, 4), "n_h": st.integers(1, 4)},
     "env": {"kappa": st.floats(0.1, 20.0), "zeta": st.floats(0.01, 1.0),
             "eta_los": st.floats(0.0, 5.0), "eta_nlos": st.floats(0.0, 40.0)},
@@ -637,7 +693,7 @@ def config_mappings(draw):
             node = node[k]
         node[path[-1]] = draw(_JUNK if path in junk else spec[path[-1]])
     if draw(st.booleans()) and junk:  # a whole section or an unknown key
-        d[draw(st.sampled_from(["grid", "mobility", "learning", "bogus"]))] = draw(_JUNK)
+        d[draw(st.sampled_from(["grid", "mobility", "learning", "bogus", 1]))] = draw(_JUNK)
     return d
 
 
@@ -645,10 +701,10 @@ def config_mappings(draw):
 @given(config_mappings(), st.sampled_from(["run", "oracle", "compare"]))
 def test_any_config_exits_cleanly(config, command):
     with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
-        if isinstance(config.get("qtable_path"), str):
+        if config.get("qtable_path") and isinstance(config["qtable_path"], str):
             config["qtable_path"] = str(Path(tmp) / config["qtable_path"])
         path = Path(tmp) / "cfg.yaml"
-        path.write_text(yaml.safe_dump(config))
+        path.write_text(yaml.safe_dump(config, sort_keys=False))  # keys may be mixed
         extra = ["--n-seeds", "1"] if command == "compare" else []
         rc = main([command, "--config", str(path), "--out-dir", str(Path(tmp) / "o"),
                    *extra])

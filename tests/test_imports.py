@@ -11,6 +11,10 @@ Defaults: a model value has its one default in ScenarioConfig. The
 builders below the config take it as a required argument or field, and no
 module defines a DEFAULT_* constant.
 
+Config shape: no field of ScenarioConfig or of its sections is Optional or
+defaults to None, and each section field's default_factory is the
+section's dataclass, which is how scenario._from_mapping finds it.
+
 Settings: src/aerialsim reads no environment variable (no os.environ,
 os.environb or os.getenv), so a setting comes only from the config and the
 command line.
@@ -21,8 +25,12 @@ import dataclasses
 import importlib
 import inspect
 import re
+import typing
 from collections import defaultdict
 from pathlib import Path
+from typing import Optional
+
+from aerialsim.scenario import ScenarioConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "aerialsim"
@@ -150,6 +158,45 @@ def test_model_values_have_no_default_below_the_config():
                  for _, name in defined_names(p.read_text(encoding="utf-8"))
                  if name.startswith("DEFAULT_")]
     assert defaulted + constants == []
+
+
+def config_shape_faults(cls, prefix: str = "") -> list:
+    """Fields of the config dataclass cls and of its sections that are optional,
+    default to None, or are sections whose default_factory is not their class."""
+    faults = []
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        name, hint = prefix + f.name, hints[f.name]
+        if type(None) in typing.get_args(hint) or f.default is None:
+            faults.append(f"{name} is optional")
+        if f.default_factory is not dataclasses.MISSING or dataclasses.is_dataclass(hint):
+            if f.default_factory is hint:
+                faults += config_shape_faults(hint, name + ".")
+            else:
+                faults.append(f"{name} is a section not made by its default_factory")
+    return faults
+
+
+def test_config_shape_faults_are_found():
+    @dataclasses.dataclass(frozen=True)
+    class Section:
+        x: int = 0
+        y: Optional[float] = 1.0
+
+    @dataclasses.dataclass
+    class Config:
+        a: str = None
+        b: Section = dataclasses.field(default_factory=Section)
+        c: Section = dataclasses.field(default_factory=dict)
+        d: Section = Section()
+
+    assert config_shape_faults(Config) == [
+        "a is optional", "b.y is optional", "c is a section not made by its default_factory",
+        "d is a section not made by its default_factory"]
+
+
+def test_config_fields_are_plain_values_and_sections():
+    assert config_shape_faults(ScenarioConfig) == []
 
 
 ENVIRONMENT_READERS = {"environ", "environb", "getenv"}

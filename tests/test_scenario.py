@@ -313,6 +313,8 @@ class TestConfigPlumbing:
          r"unknown config keys: \['mobility.boundary_policy'\]"),
         # The aerial always replaces one ground site; there is no "none".
         ({"disabled_bs": None}, "config key disabled_bs must be an integer, got None"),
+        # "" is the one way to write "no Q-table".
+        ({"qtable_path": None}, "config key qtable_path must be a string, got None"),
     ])
     def test_mistyped_values_rejected(self, d, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -326,10 +328,10 @@ class TestConfigPlumbing:
 
     def test_typed_values_accepted(self):
         cfg = build_config(overrides={"sim_duration": 1000, "disabled_bs": 3,
-                                      "qtable_path": None, "grid": GridSpec(3, 3, 2),
+                                      "qtable_path": "", "grid": GridSpec(3, 3, 2),
                                       "mobility": {"c_max": 40, "hold_time": 3}})
         assert cfg.sim_duration == 1000 and cfg.grid == GridSpec(3, 3, 2)
-        assert (cfg.disabled_bs, cfg.qtable_path) == (3, None)
+        assert (cfg.disabled_bs, cfg.qtable_path) == (3, "")
         assert cfg.mobility == MobilityParams(c_max=40, hold_time=3)
 
     def test_float_keys_hold_floats(self):
