@@ -94,26 +94,40 @@ def next_state_table(grid: PlacementGrid) -> np.ndarray:
     return np.ravel_multi_index(moved, dims)
 
 
-def _rollout(values: list, vmax: list, nxt: list, s: int, max_steps: int) -> int:
-    """The greedy rollout on flat tables: values and nxt at 6*s + a, vmax[s].
+def _at_row_bases(per_state: list) -> list:
+    """per_state[s] placed at index 6*s of a list 6 times as long."""
+    out = [None] * (N_ACTIONS * len(per_state))
+    out[::N_ACTIONS] = per_state
+    return out
 
-    vmax[s] is the maximum of row s, so the greedy action is the first index
-    in the row whose value is == vmax[s], np.argmax's tie-break.
+
+def _row_tables(values: np.ndarray, grid: PlacementGrid):
+    """The greedy tables of a (n_states, 6) Q-value array, on row bases b = 6*s.
+
+    nxt[b + a] is the row base that action a moves state s to (from
+    next_state_table), vmax[b] is the maximum of row s and kmax[b] is the
+    flat index b + a of its first maximum, np.argmax's tie-break.
     """
-    seen = {s}
+    bases = np.arange(0, values.size, N_ACTIONS)
+    return ((N_ACTIONS * next_state_table(grid)).ravel().tolist(),
+            _at_row_bases(values.max(axis=1).tolist()),
+            _at_row_bases((bases + values.argmax(axis=1)).tolist()))
+
+
+def _rollout(vmax: list, kmax: list, nxt: list, b: int, max_steps: int) -> int:
+    """greedy_rollout on _row_tables' tables, from row base b; returns a row base."""
+    seen = {b}
     for _ in range(max_steps):
-        b = N_ACTIONS * s
-        best = vmax[s]
-        s_next = nxt[values.index(best, b, b + N_ACTIONS)]
-        if s_next == s:
+        b_next = nxt[kmax[b]]
+        if b_next == b:
             break
-        if s_next in seen:
-            if vmax[s_next] > best:
-                s = s_next
+        if b_next in seen:
+            if vmax[b_next] > vmax[b]:
+                b = b_next
             break
-        seen.add(s_next)
-        s = s_next
-    return s
+        seen.add(b_next)
+        b = b_next
+    return b
 
 
 def greedy_rollout(q: QTable, s: int, grid: PlacementGrid,
@@ -127,83 +141,14 @@ def greedy_rollout(q: QTable, s: int, grid: PlacementGrid,
     grid.unravel(s)  # validates
     if max_steps is None:
         max_steps = grid.n_x + grid.n_y + grid.n_h
-    return _rollout(q.values.ravel().tolist(), q.values.max(axis=1).tolist(),
-                    next_state_table(grid).ravel().tolist(), s, max_steps)
+    nxt, vmax, kmax = _row_tables(q.values, grid)
+    return _rollout(vmax, kmax, nxt, N_ACTIONS * s, max_steps) // N_ACTIONS
 
 
 _MASK32 = 0xFFFFFFFF
 # numpy's Lemire draw of integers(6) redraws while the low 32 bits of
 # 6 * h fall below (2**32 - 6) % 6, which is 4.
 _LEMIRE_REJECT = 2**32 % N_ACTIONS
-
-
-class _Pcg64Draws:
-    """Epsilon-greedy draws decoded from raw PCG64 words, as numpy draws them.
-
-    Step by step, episode() gives what ``rng.random() < epsilon`` and then,
-    on an exploring step, ``int(rng.integers(6))`` would. random() is
-    numpy's next_double, (w >> 11) * 2**-53 for the next word w. integers(6)
-    is numpy's 32-bit Lemire draw on PCG64's half-words: the low half of a
-    fresh word, whose high half is kept for the next draw (has_uint32 and
-    uinteger in the state), or that kept half. Words come from
-    random_raw() in blocks; restore() then leaves the generator as if the
-    scalar calls had run.
-    """
-
-    def __init__(self, rng: np.random.Generator, block: int):
-        bitgen = rng.bit_generator
-        if type(bitgen) is not np.random.PCG64:
-            raise TypeError(f"learn_placement decodes PCG64 words; rng runs on "
-                            f"{type(bitgen).__name__}")
-        self._bitgen, self._entry, self._block = bitgen, bitgen.state, block
-        self._has, self._half = bool(self._entry["has_uint32"]), self._entry["uinteger"]
-        self._words, self._j, self._drawn = [], 0, 0
-
-    def _fill(self, n: int) -> None:
-        self._words += self._bitgen.random_raw(n).tolist()
-        self._drawn += n
-
-    def episode(self, epsilon: float, n: int) -> list:
-        """n steps' choices: the explored action, or -1 for a greedy step."""
-        words, j = self._words, self._j
-        if len(words) - j < 2 * n:  # 2 words a step at most, plus each redraw's
-            del words[:j]
-            j = 0
-            self._fill(max(self._block, 2 * n))
-        # (w >> 11) * 2**-53 < epsilon  <=>  (w >> 11) < ceil(epsilon * 2**53)
-        # <=>  w < lim, as multiplying by a power of 2 is exact.
-        lim = math.ceil(epsilon * 2**53) << 11
-        has, half = self._has, self._half
-        acts = []
-        for _ in range(n):
-            j += 1
-            if words[j - 1] >= lim:
-                acts.append(-1)
-                continue
-            while True:
-                if has:
-                    h, has = half, False
-                else:
-                    w = words[j]
-                    j += 1
-                    h, half, has = w & _MASK32, w >> 32, True
-                m = h * N_ACTIONS
-                if m & _MASK32 >= _LEMIRE_REJECT:
-                    break
-                self._fill(1)  # rejected (p = 4 / 2**32): a word beyond the budget
-            acts.append(m >> 32)
-        self._j, self._has, self._half = j, has, half
-        return acts
-
-    def restore(self) -> None:
-        """Set the generator to the state the scalar calls leave."""
-        bitgen = self._bitgen
-        bitgen.state = self._entry
-        bitgen.advance(self._drawn - (len(self._words) - self._j))
-        state = bitgen.state  # advance() clears the kept half-word
-        # numpy leaves a used half in uinteger when it clears has_uint32.
-        state["has_uint32"], state["uinteger"] = int(self._has), self._half
-        bitgen.state = state
 
 
 def make_qos_table(snapshot: NetworkState, grid: PlacementGrid) -> Callable[[int], float]:
@@ -228,76 +173,124 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     """Run the episodic act/reward/update loop on a frozen user snapshot.
 
     The loop runs on plain Python scalars over flat tables built once per
-    call: the QoS at every state, the next state at index 6*s + a (from
-    next_state_table), and the Q-values and visit counts at the same index;
-    q is written back in place at the end. Each step is an epsilon-greedy
-    choice (one rng.random() against epsilon, then one rng.integers(6) when
-    it explores, as _Pcg64Draws decodes them from raw PCG64 words), the
-    clamped move, the QoS difference as reward and one temporal-difference
-    backup with step size 1/visits and discount cfg.gamma; epsilon starts
-    at cfg.epsilon. The draws, rng's final state and the float operations
-    are those of the single-step loop in tests/reference.py, so the two are
-    bit-identical. rng must run on PCG64, as np.random.default_rng's does.
+    call. The Q-values and visit counts are at index b + a, where b = 6*s is
+    the row base of state s; the per-state tables (the QoS, the row maximum
+    vmax and the index of its first maximum kmax) are at b, and the next
+    state table holds row bases (_row_tables). q is written back in place at
+    the end. Each step is an epsilon-greedy choice, the clamped move, the
+    QoS difference as reward and one temporal-difference backup with step
+    size 1/visits and discount cfg.gamma; epsilon starts at cfg.epsilon.
     Each episode starts where the last one ended; its rollout and the final
-    pick are greedy_rollout's, on the flat tables.
+    pick are greedy_rollout's, on the same tables.
 
-    vmax[s] is kept == the maximum of row s: an update raises it when the
-    new value is larger, and rescans the row only when it lowers the row's
-    maximum. The greedy action is the first index in the row whose value is
-    == vmax[s], np.argmax's tie-break. vmax[s] may be -0.0 where the row's
-    first maximum is 0.0, or the reverse: index() matches either sign, and
-    r + gamma * vmax[s'] is the same sum for either, because r, a difference
-    of QoS values >= +0.0, is never -0.0.
+    The choice is that of one rng.random() against epsilon, then one
+    rng.integers(6) when it explores, decoded from raw PCG64 words drawn in
+    blocks: random() is numpy's next_double, (w >> 11) * 2**-53 for the next
+    word w, and integers(6) is numpy's 32-bit Lemire draw on PCG64's
+    half-words: the low half of a fresh word, whose high half is kept for
+    the next draw (has_uint32 and uinteger in the state), or that kept half.
+    At the end the generator is left as the scalar calls would leave it. So
+    the draws, rng's final state and the float operations are those of the
+    single-step loop in tests/reference.py, and the two are bit-identical.
+    rng must run on PCG64, as np.random.default_rng's does.
+
+    vmax[b] is kept == the maximum of row s, and kmax[b] at its first
+    maximum: an update that raises the maximum, or ties it at a lower index,
+    moves them to its entry, and one that lowers the maximum rescans the
+    row. vmax[b] may be -0.0 where the row's first maximum is 0.0, or the
+    reverse: == and > treat both alike, and r + gamma * vmax[b'] is the same
+    sum for either, because r, a difference of QoS values >= +0.0, is never
+    -0.0.
     """
     grid.unravel(initial_state)  # validates
-    # Words for up to 16 episodes at a time: 2 per step at most.
-    draws = _Pcg64Draws(rng, block=2 * cfg.max_steps * min(cfg.max_episodes, 16))
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64:
+        raise TypeError(f"learn_placement decodes PCG64 words; rng runs on "
+                        f"{type(bitgen).__name__}")
 
-    qos = qos_map(snapshot, grid).tolist()
-    nxt = next_state_table(grid).ravel().tolist()
+    qos = _at_row_bases(qos_map(snapshot, grid).tolist())
+    nxt, vmax, kmax = _row_tables(q.values, grid)
     values = q.values.ravel().tolist()
-    vmax = q.values.max(axis=1).tolist()
     visits = q.visit_counts.ravel().tolist()
     gamma = cfg.gamma
+    max_steps = cfg.max_steps
     rollout_steps = grid.n_x + grid.n_y + grid.n_h
 
-    rewards = np.empty(cfg.max_episodes * cfg.max_steps)
+    rewards = np.empty(cfg.max_episodes * max_steps)
     episode_qos = np.empty(cfg.max_episodes)
+    entry = bitgen.state
+    has, half = bool(entry["has_uint32"]), entry["uinteger"]
+    # Words for up to 16 episodes at a time: 2 per step at most.
+    block = 2 * max_steps * min(cfg.max_episodes, 16)
+    words, j, drawn = [], 0, 0
+    trace = [0.0] * max_steps  # the episode's rewards
     epsilon = cfg.epsilon
-    s = initial_state
-    i = 0
+    b0 = b = N_ACTIONS * initial_state
     for ep in range(cfg.max_episodes):
-        qos_s = qos[s]
-        for a in draws.episode(epsilon, cfg.max_steps):
-            b = N_ACTIONS * s
-            if a < 0:
-                k = values.index(vmax[s], b, b + N_ACTIONS)
+        if len(words) - j < 2 * max_steps:  # 2 words a step at most, plus each redraw's
+            del words[:j]
+            j = 0
+            words += bitgen.random_raw(block).tolist()
+            drawn += block
+        # (w >> 11) * 2**-53 < epsilon  <=>  (w >> 11) < ceil(epsilon * 2**53)
+        # <=>  w < lim, as multiplying by a power of 2 is exact.
+        lim = math.ceil(epsilon * 2**53) << 11
+        qos_b = qos[b]
+        for t in range(max_steps):
+            w = words[j]
+            j += 1
+            if w >= lim:
+                k = kmax[b]
             else:
-                k = b + a
-            s_next = nxt[k]
-            qos_next = qos[s_next]
-            r = qos_next - qos_s
-            visits[k] += 1
+                while True:
+                    if has:
+                        h, has = half, False
+                    else:
+                        w = words[j]
+                        j += 1
+                        h, half, has = w & _MASK32, w >> 32, True
+                    h *= N_ACTIONS
+                    if h & _MASK32 >= _LEMIRE_REJECT:
+                        break
+                    # Rejected (p = 4 / 2**32): a word beyond the budget.
+                    words += bitgen.random_raw(1).tolist()
+                    drawn += 1
+                k = b + (h >> 32)
+            c = nxt[k]
+            qos_c = qos[c]
+            r = qos_c - qos_b
+            trace[t] = r
+            n = visits[k] + 1
+            visits[k] = n
             old = values[k]
-            # Read vmax[s_next] before values[k] changes: s_next may be s.
-            target_err = r + gamma * vmax[s_next] - old
-            new = old + (1.0 / visits[k]) * target_err
+            # Read vmax[c] before row b changes: c may be b.
+            new = old + (1.0 / n) * (r + gamma * vmax[c] - old)
             values[k] = new
-            m = vmax[s]
-            if new > m:
-                vmax[s] = new
-            elif new < m and old == m:
-                vmax[s] = max(values[b:b + N_ACTIONS])
-            rewards[i] = r
-            i += 1
-            s, qos_s = s_next, qos_next
+            top = vmax[b]
+            if new > top:
+                vmax[b], kmax[b] = new, k
+            elif new == top:
+                if k < kmax[b]:
+                    kmax[b] = k
+            elif old == top:
+                row = values[b:b + N_ACTIONS]
+                top = max(row)
+                vmax[b], kmax[b] = top, b + row.index(top)
+            b, qos_b = c, qos_c
+        rewards[ep * max_steps:(ep + 1) * max_steps] = trace
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
-        episode_qos[ep] = qos[_rollout(values, vmax, nxt, initial_state, rollout_steps)]
+        episode_qos[ep] = qos[_rollout(vmax, kmax, nxt, b0, rollout_steps)]
 
-    draws.restore()
+    # Set the generator to the state the scalar calls leave.
+    bitgen.state = entry
+    bitgen.advance(drawn - (len(words) - j))
+    state = bitgen.state  # advance() clears the kept half-word
+    # numpy leaves a used half in uinteger when it clears has_uint32.
+    state["has_uint32"], state["uinteger"] = int(has), half
+    bitgen.state = state
     q.values[...] = np.reshape(values, q.values.shape)
     q.visit_counts[...] = np.reshape(visits, q.visit_counts.shape)
-    best = _rollout(values, vmax, nxt, initial_state, rollout_steps)
+    best = _rollout(vmax, kmax, nxt, b0, rollout_steps) // N_ACTIONS
     return LearnResult(best_state=best, rewards=rewards, episode_greedy_qos=episode_qos)
 
 

@@ -358,24 +358,24 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
         paths.append(p)
 
         p = out / "reward_trace.csv"
-        with open(p, "w", newline="", encoding="utf-8") as f:
-            # The rows csv.writer would write (no field needs quoting). Each
-            # distinct float64 bit pattern (-0.0 apart from 0.0) is repr'd
-            # once. Rows go out in blocks, each one %-format of its rows'
-            # numbers and texts; a list of the whole trace would raise peak
-            # memory.
-            f.write("iteration,reward\n")
+        with open(p, "wb") as f:
+            # The rows csv.writer would write (no field needs quoting), as
+            # ASCII bytes. Each distinct float64 bit pattern (-0.0 apart from
+            # 0.0) is repr'd once. Rows go out in blocks, each one %-format
+            # of its rows' numbers and texts; a list of the whole trace would
+            # raise peak memory.
+            f.write(b"iteration,reward\n")
             i = 0
             for trace in reward_traces:
                 bits = np.ascontiguousarray(trace, dtype=float).view(np.uint64)
                 uniq, inv = np.unique(bits, return_inverse=True)
-                text = [repr(r) for r in uniq.view(float).tolist()]
+                text = [repr(r).encode() for r in uniq.view(float).tolist()]
                 for lo in range(0, inv.size, TRACE_BLOCK_ROWS):
                     block = inv[lo:lo + TRACE_BLOCK_ROWS].tolist()
                     row = [None] * (2 * len(block))
                     row[0::2] = range(i + lo, i + lo + len(block))
                     row[1::2] = map(text.__getitem__, block)
-                    f.write(("%d,%s\n" * len(block)) % tuple(row))
+                    f.write((b"%d,%b\n" * len(block)) % tuple(row))
                 i += inv.size
         paths.append(p)
 

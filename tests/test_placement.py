@@ -11,9 +11,9 @@ from aerialsim.deployment import PlacementGrid
 from aerialsim.geometry import ConfigurationError, square_area
 from aerialsim.oracle import exhaustive_search
 from aerialsim.placement import (MAX_VISIT_COUNT, N_ACTIONS, Action,
-                                 LearningConfig, QTable, _Pcg64Draws,
-                                 greedy_rollout, learn_placement, load_qtable,
-                                 make_qos_table, next_state_table, save_qtable)
+                                 LearningConfig, QTable, greedy_rollout,
+                                 learn_placement, load_qtable, make_qos_table,
+                                 next_state_table, save_qtable)
 from tests.conftest import DEFAULTS, episodes_to_reach, make_snapshot
 from tests.reference import (apply_action, q_update, reference_learn, reward,
                              select_action)
@@ -349,13 +349,13 @@ def learning_cases(draw):
             draw(st.booleans()), draw(st.integers(0, 3)))
 
 
-def example_case(dims, start, snap_seed, n_users, cfg, rows=None):
+def example_case(dims, start, snap_seed, n_users, cfg, rows=None, pre_draws=0):
     """A learning_cases value; rows, if given, fills the Q-table cyclically."""
     grid = PlacementGrid(DEFAULTS.service_area(), *dims)
     q = QTable.zeros(grid.n_states)
     if rows is not None:
         q.values[:] = [rows[s % len(rows)] for s in range(grid.n_states)]
-    return grid, q, cfg, start, snap_seed, n_users, False, 0
+    return grid, q, cfg, start, snap_seed, n_users, False, pre_draws
 
 
 # On snapshot 3 with 1 user, the centre of a 3x3x3 grid (state 13) has a
@@ -376,12 +376,48 @@ LOWERED_MAXIMUM = example_case(
     LearningConfig(max_episodes=6, max_steps=5, gamma=0.0, epsilon=0.0),
     rows=[[2.0, 1.0, -1.0, -0.0, 0.5, -1.0], [-0.0, 0.5, 1.0, -1.0, 2.0, 0.0]])
 
+# 40 episodes with a kept half-word at entry. A step takes at least one word,
+# so 40 episodes of 3 steps take more than the first block's 96 words less
+# the last episode's 6: the words are drawn again at least once. The drawn
+# cases, at most 12 episodes, stay in their first block.
+KEPT_HALF_REFILL = example_case(
+    (3, 2, 2), 4, 1, 3,
+    LearningConfig(max_episodes=40, max_steps=3, epsilon=0.9, epsilon_decay=0.95),
+    pre_draws=1)
+
+# On a 2x1x1 grid only +x from state 0 and -x from state 1 move; every other
+# action clamps, with reward 0.0. With no discount, a first visit of a clamp
+# set to -1.0 makes it -1.0 + (0.0 - -1.0) == 0.0, which ties the row's
+# maximum, -0.0 or 0.0 at index 3, at a lower index: the greedy index moves
+# there (np.argmax's first maximum), and the next greedy step takes it.
+TIED_MAXIMUM = example_case(
+    (2, 1, 1), 0, 0, 2,
+    LearningConfig(max_episodes=6, max_steps=5, gamma=0.0, epsilon=0.5,
+                   epsilon_decay=1.0),
+    rows=[[-1.0, -1.0, -1.0, -0.0, -1.0, 0.0], [-1.0, -1.0, -1.0, 0.0, -1.0, -0.0]])
+
+
+def assert_learns_as_reference(start, snap, q, q_ref, cfg, grid, rng, rng_ref):
+    """learn_placement and reference_learn give the same pick, rewards,
+    greedy QoS, Q-table and generator state; returns the pick."""
+    res = learn_placement(start, snap, q, cfg, grid, rng)
+    best, rewards, episode_qos = reference_learn(start, snap, q_ref, cfg, grid, rng_ref)
+    assert res.rewards.tolist() == rewards.tolist()
+    assert res.episode_greedy_qos.tolist() == episode_qos.tolist()
+    assert res.best_state == best
+    assert q.values.tolist() == q_ref.values.tolist()
+    assert q.visit_counts.tolist() == q_ref.visit_counts.tolist()
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    return best
+
 
 class TestFlatLearnerMatchesReference:
     @settings(max_examples=80, deadline=None)
     @given(case=learning_cases(), learn_seed=st.integers(0, 2**32 - 1))
     @example(case=NEGATIVE_REWARDS, learn_seed=0)
     @example(case=LOWERED_MAXIMUM, learn_seed=0)
+    @example(case=KEPT_HALF_REFILL, learn_seed=0)
+    @example(case=TIED_MAXIMUM, learn_seed=0)
     def test_bit_identical_to_single_step_loop(self, case, learn_seed):
         grid, q, cfg, start, snap_seed, n_users, fortran, pre_draws = case
         q, q_ref = copy.deepcopy(q), copy.deepcopy(q)  # an explicit example's q is shared
@@ -397,17 +433,9 @@ class TestFlatLearnerMatchesReference:
         # them, as run_scenario's table and rng_learn do.
         for trigger in range(2):
             snap, _ = make_snapshot(snap_seed + trigger, grid.area, n_users=n_users)
-            res = learn_placement(start, snap, q, cfg, grid, rng)
-            best, rewards, episode_qos = reference_learn(start, snap, q_ref, cfg,
-                                                         grid, rng_ref)
-            assert res.rewards.tolist() == rewards.tolist()
-            assert res.episode_greedy_qos.tolist() == episode_qos.tolist()
-            assert res.best_state == best
+            start = assert_learns_as_reference(start, snap, q, q_ref, cfg, grid,
+                                               rng, rng_ref)
             assert id(q.values) == values_id
-            assert q.values.tolist() == q_ref.values.tolist()
-            assert q.visit_counts.tolist() == q_ref.visit_counts.tolist()
-            assert rng.bit_generator.state == rng_ref.bit_generator.state
-            start = best
 
     @settings(deadline=None)
     @given(dims=grid_dims)
@@ -432,10 +460,10 @@ class TestFlatLearnerMatchesReference:
         assert q.values.tolist() == q_ref.values.tolist()
 
     def test_negative_rewards_rescan_the_row_maximum(self):
-        # Only a rescan lets vmax[13] follow the row below 0: a stale 0 would
-        # match no value in the row when the rollout looks it up. Each of the
-        # 30 one-episode calls starts at state 13 on the same table and
-        # generator.
+        # Only a rescan lets vmax[13] and its greedy index follow the row
+        # below 0: a stale pair would point at a value that is no longer the
+        # row's maximum. Each of the 30 one-episode calls starts at state 13
+        # on the same table and generator.
         grid, q, cfg, start, snap_seed, n_users, _, _ = NEGATIVE_REWARDS
         snap, _ = make_snapshot(snap_seed, grid.area, n_users=n_users)
         q, q_ref = copy.deepcopy(q), copy.deepcopy(q)
@@ -449,12 +477,6 @@ class TestFlatLearnerMatchesReference:
         assert (q.values[13] < 0).all()
         assert q.values.tolist() == q_ref.values.tolist()
         assert rng.bit_generator.state == rng_ref.bit_generator.state
-
-
-def scalar_draws(rng, epsilon, n):
-    """select_action's draws for n steps: the explored action, or -1 for greedy."""
-    return [int(rng.integers(N_ACTIONS)) if rng.random() < epsilon else -1
-            for _ in range(n)]
 
 
 def crafted_generator(word, position, kept_half=None):
@@ -475,8 +497,18 @@ def crafted_generator(word, position, kept_half=None):
     return np.random.Generator(bitgen)
 
 
+def learn_both(rng, rng_ref, cfg, calls=1, dims=(3, 2, 2)):
+    """calls learning triggers from state 0, each held to reference_learn."""
+    grid = PlacementGrid(DEFAULTS.service_area(), *dims)
+    snap, _ = make_snapshot(0, grid.area, n_users=4)
+    q, q_ref = QTable.zeros(grid.n_states), QTable.zeros(grid.n_states)
+    for _ in range(calls):
+        assert_learns_as_reference(0, snap, q, q_ref, cfg, grid, rng, rng_ref)
+
+
 class TestPcg64Draws:
-    """The block decoder is held to numpy's Generator.random() and integers(6)."""
+    """The learner's draws, decoded from raw PCG64 words, are held to
+    numpy's Generator.random() and integers(6), which reference_learn calls."""
 
     @pytest.mark.parametrize("kept_half", [False, True])
     def test_matches_numpy_scalar_calls(self, kept_half):
@@ -484,19 +516,12 @@ class TestPcg64Draws:
         if kept_half:  # one integers(6) draw keeps the high half of its word
             rng.integers(N_ACTIONS)
             rng_ref.integers(N_ACTIONS)
-        meta = np.random.default_rng(7)
-        # A block below 2 * n for some episodes: refills of either size.
-        draws = _Pcg64Draws(rng, block=97)
-        steps = 0
-        for episode in range(3000):
-            # Squared, epsilon is not always a multiple of 2**-53.
-            epsilon = (0.0, 1.0, meta.random() ** 2)[episode % 3]
-            n = int(meta.integers(1, 67))
-            assert draws.episode(epsilon, n) == scalar_draws(rng_ref, epsilon, n)
-            steps += n
-        assert steps > 90_000
-        draws.restore()
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        # 10^5 steps of 1 or 2 words: the 1280-word block is drawn again
+        # after every 15 to 31 episodes. Decayed, epsilon is not always a
+        # multiple of 2**-53.
+        cfg = LearningConfig(max_episodes=2500, max_steps=40, epsilon=1.0,
+                             epsilon_decay=0.998, epsilon_floor=0.02)
+        learn_both(rng, rng_ref, cfg, dims=(4, 4, 3))
         assert rng.random() == rng_ref.random()
 
     @pytest.mark.parametrize("word", [
@@ -509,12 +534,10 @@ class TestPcg64Draws:
         assert (word & 0xFFFFFFFF) * N_ACTIONS % 2**32 < 4  # numpy redraws
         # The second word: the first is the explore test's.
         rng, rng_ref = (crafted_generator(word, 2, kept_half) for _ in range(2))
-        # One-step episodes on a 2-word block: a redraw's word is beyond it.
-        draws = _Pcg64Draws(rng, block=2)
-        assert [draws.episode(1.0, 1) for _ in range(5)] == \
-            [scalar_draws(rng_ref, 1.0, 1) for _ in range(5)]
-        draws.restore()
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        # One-step episodes at epsilon 1, one a call: each call draws a
+        # 2-word block, so a redraw's word is beyond it.
+        cfg = LearningConfig(max_episodes=1, max_steps=1, epsilon=1.0)
+        learn_both(rng, rng_ref, cfg, calls=5)
 
     @pytest.mark.parametrize("epsilon", [0.3, 0.02, 1 / 3, 0.75])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -523,10 +546,8 @@ class TestPcg64Draws:
         # lowest word whose random() is not below epsilon.
         word = (math.ceil(epsilon * 2**53) << 11) + offset
         rng, rng_ref = (crafted_generator(word, 1) for _ in range(2))
-        draws = _Pcg64Draws(rng, block=8)
-        assert draws.episode(epsilon, 3) == scalar_draws(rng_ref, epsilon, 3)
-        draws.restore()
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        learn_both(rng, rng_ref, LearningConfig(max_episodes=1, max_steps=3,
+                                                epsilon=epsilon))
 
     @pytest.mark.parametrize("bitgen", [np.random.PCG64DXSM, np.random.MT19937,
                                         np.random.Philox, np.random.SFC64])
