@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import math
-import os
-import zipfile
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,12 +16,6 @@ from .geometry import ConfigurationError
 from .radio import NetworkState, aggregate_qos, qos_map  # noqa: F401
 
 N_ACTIONS = 6
-
-QTABLE_FORMAT_VERSION = 2  # 2: bound to its grid's counts and area
-# A loaded visit count must lie below this. One trigger adds at most
-# max_episodes * max_steps visits, as many as its reward array holds, so
-# counts stay far below int64's maximum.
-MAX_VISIT_COUNT = 2**62
 
 
 class Action(IntEnum):
@@ -50,6 +41,8 @@ _ACTION_DELTAS = {
 
 @dataclass
 class QTable:
+    """The learned table: it lives for one run and is carried from trigger to trigger."""
+
     values: np.ndarray        # (n_states, 6)
     visit_counts: np.ndarray  # (n_states, 6), int64
 
@@ -292,81 +285,3 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     q.visit_counts[...] = np.reshape(visits, q.visit_counts.shape)
     best = _rollout(vmax, kmax, nxt, b0, rollout_steps) // N_ACTIONS
     return LearnResult(best_state=best, rewards=rewards, episode_greedy_qos=episode_qos)
-
-
-def _grid_record(grid: PlacementGrid):
-    """The grid a Q-table belongs to: its counts and its area box."""
-    a = grid.area
-    return (np.array([grid.n_x, grid.n_y, grid.n_h]),
-            np.array([a.x_min, a.x_max, a.y_min, a.y_max, a.h_min, a.h_max]))
-
-
-def save_qtable(path, q: QTable, grid: PlacementGrid) -> None:
-    """Persist a Q-table learned on grid (versioned .npz) for warm starts.
-
-    The file is written at exactly ``path``; np.savez given a name would
-    append ``.npz`` to one without that suffix, where no warm start looks.
-    It is written to a temporary file beside ``path`` and then moved over
-    it, so a failed write leaves any previous table whole.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    counts, box = _grid_record(grid)
-    try:
-        with open(tmp, "wb") as f:
-            np.savez(f, format_version=QTABLE_FORMAT_VERSION, grid_counts=counts,
-                     grid_area=box, values=q.values, visit_counts=q.visit_counts)
-        os.replace(tmp, path)
-    except OSError as e:  # its text would name the temporary file
-        raise OSError(f"cannot write Q-table {path}: {e.strerror or e}") from e
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def load_qtable(path, grid: PlacementGrid) -> QTable:
-    """Load a Q-table saved by save_qtable; it must have been learned on grid.
-
-    The values are held as float64 and the visit counts as int64. Other keys
-    in the file are ignored.
-    """
-    try:
-        # np.load(path) would leave its own handle open when the archive is
-        # rejected; this one closes either way.
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as f:
-            d = dict(f)
-        version = d["format_version"]
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as e:
-        raise ConfigurationError(f"cannot read Q-table {path}: {e!r}") from e
-    if version.shape or version.dtype.kind not in "iu" or version != QTABLE_FORMAT_VERSION:
-        raise ConfigurationError(f"Q-table {path} has format version {version.tolist()!r}, "
-                                 f"expected {QTABLE_FORMAT_VERSION}")
-    try:
-        grid_counts, grid_area, values, visits = (
-            d[k] for k in ("grid_counts", "grid_area", "values", "visit_counts"))
-    except KeyError as e:
-        raise ConfigurationError(f"cannot read Q-table {path}: {e!r}") from e
-    counts, box = _grid_record(grid)
-    if grid_counts.shape != counts.shape or grid_area.shape != box.shape:
-        raise ConfigurationError(
-            f"Q-table {path} has a grid record of shapes {grid_counts.shape} and "
-            f"{grid_area.shape}, expected {counts.shape} and {box.shape}")
-    if not (np.array_equal(grid_counts, counts) and np.array_equal(grid_area, box)):
-        got = "x".join(map(str, grid_counts.tolist()))
-        raise ConfigurationError(
-            f"Q-table {path} was learned on a {got} grid over area "
-            f"{grid_area.tolist()}, not this run's "
-            f"{grid.n_x}x{grid.n_y}x{grid.n_h} grid over {box.tolist()}")
-    if values.dtype.kind == "f":
-        with np.errstate(over="ignore"):  # beyond float64's range: inf, rejected below
-            values = values.astype(np.float64)
-    shape = (grid.n_states, N_ACTIONS)
-    if values.shape != shape or visits.shape != shape:
-        problem = (f"has values of shape {values.shape} and visit counts of "
-                   f"shape {visits.shape}, expected {shape}")
-    elif values.dtype.kind != "f" or not np.isfinite(values).all():
-        problem = "has values that are not all finite floats"
-    elif visits.dtype.kind not in "iu" or ((visits < 0) | (visits >= MAX_VISIT_COUNT)).any():
-        problem = "has visit counts that are not all non-negative integers below 2**62"
-    else:
-        return QTable(values=values, visit_counts=visits.astype(np.int64))
-    raise ConfigurationError(f"Q-table {path} {problem}")

@@ -19,8 +19,7 @@ from .deployment import (PlacementGrid, drop_users_ppp, grid_index_to_position,
                          hex_cell_count, hex_layout)
 from .geometry import ConfigurationError, Position3D, ServiceArea, square_area
 from .mobility import TIME_TOL, MobilityParams, init_users, step
-from .placement import (LearningConfig, QTable, learn_placement, load_qtable,
-                        save_qtable)
+from .placement import LearningConfig, QTable, learn_placement
 # aggregate_qos is not called here; bench/tracing.py patches it as an attribute.
 from .radio import NetworkState, aggregate_qos, link_report  # noqa: F401
 
@@ -65,7 +64,6 @@ class ScenarioConfig:
     sim_duration: float = 300.0
     baseline_mode: str = BASELINE_AERIAL
     disabled_bs: int = 0               # the site the aerial replaces (0: the center)
-    qtable_path: str = ""              # warm-start persistence across runs ("": none)
 
     def __post_init__(self):
         if self.seed < 0:
@@ -216,14 +214,8 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
         aerial_state = grid.center_state()
         net = replace(disable_site(net, cfg),
                       aerial_pos=grid_index_to_position(grid, aerial_state))
-        # The table is saved after the last slot; a missing directory fails first.
-        if cfg.qtable_path and not Path(cfg.qtable_path).parent.is_dir():
-            raise ConfigurationError(f"qtable_path {cfg.qtable_path!r} is not in an "
-                                     "existing directory")
-        if cfg.qtable_path and Path(cfg.qtable_path).exists():
-            qtable = load_qtable(cfg.qtable_path, grid)
-        else:
-            qtable = QTable.zeros(grid.n_states)
+        # One table for the run, carried from trigger to trigger.
+        qtable = QTable.zeros(grid.n_states)
 
     users = net.users
     for k in range(1, slot_count(cfg.sim_duration, cfg.t_min) + 1):
@@ -245,9 +237,6 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
             qos=qos_now, qos_th=qos_th,
             aerial_pos=state.aerial_pos, user_sinr=sinr_now,
             learning_triggered=triggered))
-
-    if aerial_mode and cfg.qtable_path:
-        save_qtable(cfg.qtable_path, qtable, grid)
     return ScenarioRun(records=records, reward_traces=traces)
 
 
@@ -256,9 +245,6 @@ def compare_seed(cfg: ScenarioConfig) -> dict:
     lags at a ground-only QoS below qos_th; the aerial wins it at a QoS no lower."""
     if not cfg.n_users:  # the median SINRs below need a user
         raise ConfigurationError("compare needs at least one user, got n_users 0")
-    if cfg.qtable_path:  # each row must learn from a fresh table
-        raise ConfigurationError("compare cannot share a Q-table file between runs; "
-                                 f"unset qtable_path (got {cfg.qtable_path!r})")
     rb = run_scenario(replace(cfg, baseline_mode=BASELINE_GROUND))
     ra = run_scenario(replace(cfg, baseline_mode=BASELINE_AERIAL))
     lag = [k for k, r in enumerate(rb.records) if r.qos < r.qos_th]

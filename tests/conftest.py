@@ -5,8 +5,10 @@ import pytest
 
 from aerialsim.channel import AtgEnvironment, RadioParams
 from aerialsim.deployment import PlacementGrid
+from aerialsim import scenario
 from aerialsim.mobility import Users
-from aerialsim.scenario import ScenarioConfig, build_network, disable_site
+from aerialsim.placement import learn_placement
+from aerialsim.scenario import ScenarioConfig, build_network, disable_site, run_scenario
 
 # Model values for networks built by hand: the config's defaults.
 DEFAULTS = ScenarioConfig()
@@ -61,3 +63,16 @@ def episodes_to_reach(result, qos_target):
     qos_target, or None."""
     hits = np.nonzero(result.episode_greedy_qos >= qos_target)[0]
     return int(hits[0]) + 1 if hits.size else None
+
+
+def trigger_tables(monkeypatch, cfg):
+    """Runs cfg; gives (table, its visit sum) as handed to the learner at each trigger."""
+    entries = []
+
+    def spy(initial_state, snapshot, q, *args):
+        entries.append((q, int(q.visit_counts.sum())))
+        return learn_placement(initial_state, snapshot, q, *args)
+
+    monkeypatch.setattr(scenario, "learn_placement", spy)
+    run_scenario(cfg)
+    return entries

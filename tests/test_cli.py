@@ -10,7 +10,6 @@ from dataclasses import replace
 from datetime import timedelta
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 import aerialsim
 from aerialsim import cli, scenario
 from aerialsim.cli import main
-from aerialsim.placement import QTable, save_qtable
 from aerialsim.radio import qos_map
 from aerialsim.scenario import (ScenarioConfig, build_config, build_network,
                                 disable_site)
@@ -157,15 +155,15 @@ def serial_pool(monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_compare_rejects_a_qtable_path(tmp_path, capsys, serial_pool, jobs):
-    # Every aerial run would load and save the one file, so a row would
-    # depend on the seeds that ran before it.
+    # The learned table lives for one run; no config key names a file for it.
     cfg = tmp_path / "q.yaml"
     cfg.write_text(f"qtable_path: {tmp_path / 'q.npz'}\n")
     rc = main(["compare", "--preset", "desk", "--config", str(cfg), "--n-seeds", "2",
                "--jobs", jobs, "--out-dir", str(tmp_path / "o")])
     assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: compare cannot share a Q-table")
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown config keys: ['qtable_path']"]
+    assert serial_pool == []
     assert not (tmp_path / "o").exists()
     assert not (tmp_path / "q.npz").exists()
 
@@ -308,23 +306,14 @@ def test_out_dir_defaults_to_out(tmp_path, fast_config, monkeypatch, command, wr
 def test_qtable_path_in_a_missing_directory_fails_before_any_slot(tmp_path, capsys,
                                                                   monkeypatch):
     monkeypatch.setattr(scenario, "step", None)  # any slot would fail
-    qtable = tmp_path / "nodir" / "q.npz"
     cfg = tmp_path / "q.yaml"
-    cfg.write_text(f"sim_duration: 20.0\nqtable_path: {qtable}\n")
+    cfg.write_text(f"sim_duration: 20.0\nqtable_path: {tmp_path / 'nodir' / 'q.npz'}\n")
     rc = main(["run", "--preset", "desk", "--config", str(cfg),
                "--out-dir", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [
-        f"error: qtable_path {str(qtable)!r} is not in an existing directory"]
+        "error: unknown config keys: ['qtable_path']"]
     assert not (tmp_path / "o").exists()
-
-
-def test_failed_qtable_write_names_the_target(tmp_path):
-    grid = build_config(preset="desk").placement_grid()
-    target = tmp_path / "nodir" / "q.npz"
-    with pytest.raises(OSError) as e:
-        save_qtable(target, QTable.zeros(grid.n_states), grid)
-    assert str(e.value) == f"cannot write Q-table {target}: No such file or directory"
 
 
 @pytest.mark.parametrize("line", ["sim_duration: 1e3", "learning: 5"])
@@ -337,70 +326,6 @@ def test_mistyped_config_value_exits_nonzero(tmp_path, capsys, line):
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: config key ")
-
-
-def test_qtable_from_another_grid_rejected(tmp_path, capsys):
-    qtable = tmp_path / "q.npz"
-    outs = []
-    for grid in ("{n_x: 5, n_y: 5, n_h: 3}", "{n_x: 3, n_y: 5, n_h: 5}"):
-        cfg = tmp_path / "grid.yaml"
-        cfg.write_text(f"sim_duration: 20.0\nqtable_path: {qtable}\ngrid: {grid}\n")
-        outs.append(main(["run", "--preset", "desk", "--config", str(cfg),
-                          "--out-dir", str(tmp_path / "o")]))
-    assert outs == [0, 1]
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err[-1].startswith(f"error: Q-table {qtable} was learned on a 5x5x3 grid")
-
-
-@pytest.mark.parametrize("field, bad, message", [
-    ("values", np.zeros((3, 6)), "has values of shape (3, 6)"),
-    ("values", np.full((75, 6), np.nan), "has values that are not all finite"),
-    ("format_version", np.array([2, 2]), "has format version [2, 2], expected 2"),
-    ("format_version", 2.5, "has format version 2.5, expected 2"),
-    ("grid_counts", np.array(5), "has a grid record of shapes () and (6,)"),
-    ("grid_area", np.zeros(5), "has a grid record of shapes (3,) and (5,)"),
-    ("visit_counts", np.full((75, 6), np.iinfo(np.int64).max),
-     "has visit counts that are not all non-negative integers below 2**62"),
-    # Finite as a long double, beyond float64's range.
-    ("values", np.full((75, 6), np.longdouble("1e400")),
-     "has values that are not all finite floats"),
-])
-def test_malformed_qtable_exits_nonzero(tmp_path, capsys, field, bad, message):
-    # The grid record matches the desk grid; only the table itself is bad.
-    qtable = tmp_path / "q.npz"
-    grid = build_config(preset="desk").placement_grid()
-    save_qtable(qtable, QTable.zeros(grid.n_states), grid)
-    with np.load(qtable) as f:
-        d = dict(f)
-    d[field] = bad
-    with open(qtable, "wb") as f:
-        np.savez(f, **d)
-    cfg = tmp_path / "warm.yaml"
-    cfg.write_text(f"sim_duration: 20.0\nqtable_path: {qtable}\n")
-    rc = main(["run", "--preset", "desk", "--config", str(cfg),
-               "--out-dir", str(tmp_path / "o")])
-    assert rc == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: Q-table {qtable} {message}")
-
-
-def test_float16_qtable_is_saved_back_as_float64(tmp_path):
-    # The learner writes into the loaded table, which used to keep the file's dtype.
-    qtable = tmp_path / "q.npz"
-    cfg = tmp_path / "warm.yaml"
-    cfg.write_text(f"sim_duration: 40.0\nqtable_path: {qtable}\n")
-    argv = ["run", "--preset", "desk", "--seed", "7", "--config", str(cfg),
-            "--out-dir", str(tmp_path / "o")]
-    assert main(argv) == 0
-    with np.load(qtable) as f:
-        d = dict(f)
-    d["values"] = d["values"].astype(np.float16)
-    with open(qtable, "wb") as f:
-        np.savez(f, **d)
-    assert main(argv) == 0
-    with np.load(qtable) as f:
-        assert f["values"].dtype == np.float64
-        assert f["visit_counts"].sum() > d["visit_counts"].sum()
 
 
 @pytest.mark.parametrize("mode", ["ground19", "aerial18plus1"])
@@ -441,17 +366,16 @@ def test_gamma_or_epsilon_out_of_range_exits_nonzero(tmp_path, capsys, line, mes
 @pytest.mark.parametrize("preset, seed, config", [
     ("desk", 7, {}),
     ("paper", 0, {"sim_duration": 20.0, "learning": {"max_episodes": 20}}),
-    ("desk", 3, {"sim_duration": 30.0, "qtable_path": "q.npz",
+    ("desk", 3, {"sim_duration": 30.0, "baseline_mode": "ground19", "disabled_bs": 3,
                  "learning": {"gamma": 0.5, "epsilon": 0.25}}),
 ])
 def test_summary_config_reads_back_as_the_run_config(tmp_path, monkeypatch, preset,
                                                     seed, config):
-    monkeypatch.chdir(tmp_path)  # the Q-table path is relative
+    monkeypatch.chdir(tmp_path)
     Path("cfg.yaml").write_text(yaml.safe_dump(config))
     want = build_config(preset=preset, config_file="cfg.yaml", overrides={"seed": seed})
-    for _ in range(2 if want.qtable_path else 1):  # the second run warm-starts
-        assert main(["run", "--preset", preset, "--config", "cfg.yaml",
-                     "--seed", str(seed), "--out-dir", "o"]) == 0
+    assert main(["run", "--preset", preset, "--config", "cfg.yaml",
+                 "--seed", str(seed), "--out-dir", "o"]) == 0
     summary = yaml.safe_load(Path("o/summary.yaml").read_text())
     assert {"gamma", "epsilon"} <= set(summary["config"]["learning"])
     assert build_config(overrides=summary["config"]) == want
@@ -647,7 +571,6 @@ _VALID = {
     "sim_duration": st.floats(1.0, 60.0),
     "baseline_mode": st.sampled_from(["ground19", "aerial18plus1"]),
     "disabled_bs": st.integers(0, 20),
-    "qtable_path": st.sampled_from(["", "q.npz"]),
     "grid": {"n_x": st.integers(1, 4), "n_y": st.integers(1, 4), "n_h": st.integers(1, 4)},
     "env": {"kappa": st.floats(0.1, 20.0), "zeta": st.floats(0.01, 1.0),
             "eta_los": st.floats(0.0, 5.0), "eta_nlos": st.floats(0.0, 40.0)},
@@ -701,8 +624,6 @@ def config_mappings(draw):
 @given(config_mappings(), st.sampled_from(["run", "oracle", "compare"]))
 def test_any_config_exits_cleanly(config, command):
     with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err:
-        if config.get("qtable_path") and isinstance(config["qtable_path"], str):
-            config["qtable_path"] = str(Path(tmp) / config["qtable_path"])
         path = Path(tmp) / "cfg.yaml"
         path.write_text(yaml.safe_dump(config, sort_keys=False))  # keys may be mixed
         extra = ["--n-seeds", "1"] if command == "compare" else []

@@ -4,11 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aerialsim.deployment import PlacementGrid, grid_index_to_position
 from aerialsim.geometry import Position2D
+from aerialsim.mobility import Users
 from aerialsim.oracle import exhaustive_search, export_qos_csv
-from aerialsim.radio import NetworkState, aggregate_qos
+from aerialsim.radio import NetworkState, aggregate_qos, link_report, qos_map
 from tests.conftest import DEFAULTS, make_snapshot, users_at
 
 
@@ -94,3 +97,40 @@ def test_csv_bytes_match_csv_writer(tmp_path, desk_area):
         w.writerow((s, repr(p.x), repr(p.y), repr(p.h), repr(float(qos[s]))))
     written = (tmp_path / "qos.csv").read_bytes()
     assert written == expected.getvalue().encode("utf-8")
+
+
+# The signs (x, y) of the mirrors: in x, in y, and in both (a half turn).
+MIRRORS = [(-1, 1), (1, -1), (-1, -1)]
+
+
+# The service area, its hex layout with every site on, and a grid of two or
+# more points per axis are each symmetric about the area's centre lines, so
+# mirroring the users mirrors every result. These checks mirror the inputs
+# and compare outputs only; they share no formula with the code. A grid axis
+# of one point is not symmetric: the point sits on the area's low edge.
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 60),
+       n_rings=st.integers(0, 2), counts=st.tuples(*[st.integers(2, 8)] * 3),
+       data=st.data())
+def test_mirrored_users_mirror_the_results(seed, n_users, n_rings, counts, data):
+    area = DEFAULTS.service_area()
+    grid = PlacementGrid(area, *counts)
+    snap, _ = make_snapshot(seed, area, n_users=n_users, n_rings=n_rings, disabled=None)
+    qos = qos_map(snap, grid)
+    best, _ = exhaustive_search(snap, grid)
+    s = data.draw(st.integers(0, grid.n_states - 1), label="aerial state")
+    tput = link_report(replace(snap, aerial_pos=grid_index_to_position(grid, s)))[1]
+    u = snap.users
+    for sx, sy in MIRRORS:
+        mirrored = replace(snap, users=Users(sx * u.x, sy * u.y, u.vx, u.vy, u.hold))
+        flipped = [axis for axis, sign in enumerate((sx, sy)) if sign < 0]
+        np.testing.assert_allclose(qos_map(mirrored, grid).reshape(counts),
+                                   np.flip(qos.reshape(counts), flipped), rtol=1e-12)
+        best_m, qos_m = exhaustive_search(mirrored, grid)
+        np.testing.assert_allclose(qos_m[best_m], qos[best], rtol=1e-12)
+        ix, iy, ih = grid.unravel(s)
+        s_m = grid.ravel(grid.n_x - 1 - ix if sx < 0 else ix,
+                         grid.n_y - 1 - iy if sy < 0 else iy, ih)
+        tput_m = link_report(replace(mirrored,
+                                     aerial_pos=grid_index_to_position(grid, s_m)))[1]
+        np.testing.assert_allclose(tput_m, tput, rtol=1e-12, atol=1e-12)

@@ -8,13 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aerialsim.deployment import PlacementGrid
-from aerialsim.geometry import ConfigurationError, square_area
+from aerialsim.geometry import ConfigurationError
 from aerialsim.oracle import exhaustive_search
-from aerialsim.placement import (MAX_VISIT_COUNT, N_ACTIONS, Action,
-                                 LearningConfig, QTable, greedy_rollout,
-                                 learn_placement, load_qtable, make_qos_table,
-                                 next_state_table, save_qtable)
-from tests.conftest import DEFAULTS, episodes_to_reach, make_snapshot
+from aerialsim.placement import (N_ACTIONS, Action, LearningConfig, QTable,
+                                 greedy_rollout, learn_placement, make_qos_table,
+                                 next_state_table)
+from aerialsim.scenario import GridSpec, build_config
+from tests.conftest import DEFAULTS, episodes_to_reach, make_snapshot, trigger_tables
 from tests.reference import (apply_action, q_update, reference_learn, reward,
                              select_action)
 from tests.reference import greedy_rollout as reference_rollout
@@ -191,79 +191,23 @@ class TestLearnPlacement:
         assert e_warm <= e_cold
 
 
+
 class TestQTableIO:
-    def test_round_trip(self, tmp_path):
-        q = QTable.zeros(30)
-        rng = np.random.default_rng(0)
-        q.values[:] = rng.normal(size=q.values.shape)
-        q.visit_counts[:] = rng.integers(0, 50, size=q.visit_counts.shape)
-        grid = PlacementGrid(DEFAULTS.service_area(), 5, 3, 2)
-        path = tmp_path / "qtable.npz"
-        save_qtable(path, q, grid)
-        with np.load(path) as f:
-            assert sorted(f) == ["format_version", "grid_area", "grid_counts",
-                                 "values", "visit_counts"]
-        loaded = load_qtable(path, grid)
-        assert np.array_equal(loaded.values, q.values)
-        assert np.array_equal(loaded.visit_counts, q.visit_counts)
+    """The table a run hands to the learner at each trigger and reads back."""
 
-    @pytest.mark.parametrize("other", [
-        PlacementGrid(DEFAULTS.service_area(), 3, 5, 2),  # same n_states
-        # same counts
-        PlacementGrid(square_area(1500.0, DEFAULTS.h_min, DEFAULTS.h_max), 5, 3, 2),
-        PlacementGrid(square_area(2000.0, DEFAULTS.h_min, 500.0), 5, 3, 2),
-    ])
-    def test_bound_to_its_grid(self, tmp_path, other):
-        path = tmp_path / "qtable.npz"
-        save_qtable(path, QTable.zeros(30), PlacementGrid(DEFAULTS.service_area(), 5, 3, 2))
-        with pytest.raises(ConfigurationError, match="was learned on a 5x3x2 grid"):
-            load_qtable(path, other)
-
-    def test_version_1_file_rejected(self, tmp_path):
-        q = QTable.zeros(30)
-        path = tmp_path / "qtable.npz"
-        with open(path, "wb") as f:  # the version-1 layout: no grid record
-            np.savez(f, format_version=1, values=q.values,
-                     visit_counts=q.visit_counts, gamma=0.9, epsilon=0.9)
-        with pytest.raises(ConfigurationError, match="format version 1, expected 2"):
-            load_qtable(path, PlacementGrid(DEFAULTS.service_area(), 5, 3, 2))
-
-    def test_other_keys_ignored(self, tmp_path):
-        # Files from before the learning values moved to LearningConfig carry
-        # them beside the table; they load to the same table.
-        grid = PlacementGrid(DEFAULTS.service_area(), 5, 3, 2)
-        path = tmp_path / "qtable.npz"
-        _write_qtable_file(path, grid, values=np.full((30, 6), 0.25),
-                           visit_counts=np.full((30, 6), 3, dtype=np.int32),
-                           gamma=1.5, epsilon=-1.0, note="x")
-        q = load_qtable(path, grid)
-        assert q.values.tolist() == np.full((30, 6), 0.25).tolist()
-        assert q.visit_counts.dtype == np.int64
-        assert q.visit_counts.tolist() == np.full((30, 6), 3).tolist()
-
-    def test_unreadable_file_rejected(self, tmp_path):
-        path = tmp_path / "qtable.npz"
-        path.write_bytes(b"PK\x03\x04 not a zip archive")
-        with pytest.raises(ConfigurationError, match="cannot read Q-table"):
-            load_qtable(path, PlacementGrid(DEFAULTS.service_area(), 5, 3, 2))
-
-    def test_failed_write_keeps_the_previous_table(self, tmp_path, monkeypatch):
-        grid = PlacementGrid(DEFAULTS.service_area(), 5, 3, 2)
-        path = tmp_path / "qtable.npz"
-        kept = QTable.zeros(30)
-        kept.values[:] = 0.5
-        save_qtable(path, kept, grid)
-
-        def broken_savez(f, **arrays):
-            f.write(b"partial")
-            raise OSError("disk full")
-
-        monkeypatch.setattr(np, "savez", broken_savez)
-        with pytest.raises(OSError, match="disk full"):
-            save_qtable(path, QTable.zeros(30), grid)
-        monkeypatch.undo()
-        assert load_qtable(path, grid).values.tolist() == kept.values.tolist()
-        assert [p.name for p in tmp_path.iterdir()] == ["qtable.npz"]
+    @pytest.mark.parametrize("other", [GridSpec(5, 3, 2), GridSpec(3, 5, 2),
+                                       GridSpec(2, 2, 4)])
+    def test_bound_to_its_grid(self, monkeypatch, other):
+        # Each run starts from an empty table of its own grid: no table
+        # outlives its run.
+        cfg = build_config(preset="desk", overrides={
+            "seed": 2, "grid": other, "mobility": {"c_max": 40.0, "hold_time": 3.0}})
+        runs = [trigger_tables(monkeypatch, cfg)[0] for _ in range(2)]
+        assert runs[0][0] is not runs[1][0]
+        for table, visits in runs:
+            n_states = other.n_x * other.n_y * other.n_h
+            assert table.values.shape == table.visit_counts.shape == (n_states, N_ACTIONS)
+            assert visits == 0
 
 
 grid_dims = st.tuples(*[st.integers(1, 4)] * 3)
@@ -559,75 +503,6 @@ class TestPcg64Draws:
             learn_placement(0, snap, QTable.zeros(grid.n_states),
                             LearningConfig(max_episodes=2, max_steps=3), grid, rng)
         assert rng.random() == np.random.Generator(bitgen(0)).random()  # no draw
-
-
-def _write_qtable_file(path, grid, **fields):
-    """A version-2 Q-table file for grid, with fields overriding save_qtable's."""
-    save_qtable(path, QTable.zeros(grid.n_states), grid)
-    with np.load(path) as f:
-        d = dict(f)
-    d.update(fields)
-    with open(path, "wb") as f:
-        np.savez(f, **d)
-
-
-class TestMalformedQTableRejected:
-    GRID = PlacementGrid(DEFAULTS.service_area(), 5, 3, 2)
-
-    @pytest.mark.parametrize("fields, message", [
-        ({"values": np.zeros((3, 6))}, r"values of shape \(3, 6\)"),
-        ({"values": np.zeros(30 * 6)}, r"values of shape \(180,\)"),
-        ({"visit_counts": np.zeros((30, 5), dtype=np.int64)},
-         r"visit counts of shape \(30, 5\)"),
-        ({"values": np.full((30, 6), np.nan)}, "not all finite floats"),
-        ({"values": np.full((30, 6), np.inf)}, "not all finite floats"),
-        ({"values": np.full((30, 6), "x")}, "not all finite floats"),
-        ({"visit_counts": np.full((30, 6), -1)}, "not all non-negative integers"),
-        ({"visit_counts": np.full((30, 6), 0.5)}, "not all non-negative integers"),
-        ({"format_version": np.array([2, 2])}, r"format version \[2, 2\], expected 2$"),
-        ({"format_version": 2.5}, "format version 2.5, expected 2$"),
-        ({"format_version": 2.0}, "format version 2.0, expected 2$"),
-        ({"format_version": "2"}, "format version '2', expected 2$"),
-        ({"grid_counts": np.array(5)},
-         r"grid record of shapes \(\) and \(6,\), expected \(3,\) and \(6,\)$"),
-        ({"grid_area": np.zeros((2, 3))},
-         r"grid record of shapes \(3,\) and \(2, 3\), expected \(3,\) and \(6,\)$"),
-        ({"visit_counts": np.full((30, 6), MAX_VISIT_COUNT)}, r"integers below 2\*\*62$"),
-        ({"visit_counts": np.full((30, 6), np.iinfo(np.int64).max)},
-         r"integers below 2\*\*62$"),
-        ({"visit_counts": np.full((30, 6), 2**63, dtype=np.uint64)},
-         r"integers below 2\*\*62$"),
-        ({"visit_counts": np.full((30, 6), True)}, r"integers below 2\*\*62$"),
-    ])
-    def test_rejected_with_reason(self, tmp_path, fields, message):
-        path = tmp_path / "q.npz"
-        _write_qtable_file(path, self.GRID, **fields)
-        with pytest.raises(ConfigurationError, match=message):
-            load_qtable(path, self.GRID)
-
-    @pytest.mark.parametrize("key", ["values", "visit_counts", "format_version",
-                                     "grid_counts", "grid_area"])
-    def test_missing_field_rejected(self, tmp_path, key):
-        path = tmp_path / "q.npz"
-        _write_qtable_file(path, self.GRID)
-        with np.load(path) as f:
-            d = {k: v for k, v in f.items() if k != key}
-        with open(path, "wb") as f:
-            np.savez(f, **d)
-        with pytest.raises(ConfigurationError, match=f"cannot read Q-table .*'{key}'"):
-            load_qtable(path, self.GRID)
-
-    @pytest.mark.parametrize("fields", [
-        {"visit_counts": np.full((30, 6), MAX_VISIT_COUNT - 1)},
-        {"format_version": np.uint8(2), "visit_counts": np.full((30, 6), 5, dtype=np.uint16)},
-        {"visit_counts": np.full((30, 6), 7, dtype=np.int32)},
-    ])
-    def test_edge_values_accepted(self, tmp_path, fields):
-        path = tmp_path / "q.npz"
-        _write_qtable_file(path, self.GRID, **fields)
-        q = load_qtable(path, self.GRID)
-        assert q.visit_counts.dtype == np.int64
-        assert q.visit_counts.tolist() == fields["visit_counts"].tolist()
 
 
 class TestLearningConfigBounds:

@@ -12,12 +12,13 @@ import yaml
 from aerialsim import scenario
 from aerialsim.geometry import ConfigurationError
 from aerialsim.mobility import MobilityParams
-from aerialsim.placement import LearningConfig, load_qtable
+from aerialsim.placement import LearningConfig
 from aerialsim.radio import aggregate_qos, throughput
 from aerialsim.scenario import (PRESETS, GridSpec, ScenarioConfig, TimeSlotRecord,
                                 aerial_helps, build_config, build_network,
                                 compare_seed, emit_outputs, run_scenario,
                                 sinr_cdf, slot_count)
+from tests.conftest import trigger_tables
 from tests.test_mobility import ref_walk
 
 
@@ -103,23 +104,15 @@ class TestRunScenario:
                 assert r.aerial_pos == prev
             prev = r.aerial_pos
 
-    def test_warm_start_persistence_roundtrip(self, tmp_path):
-        path = tmp_path / "q.npz"
-        cfg = desk_config(sim_duration=60.0, qtable_path=str(path), seed=5)
-        run_scenario(cfg)
-        assert path.exists()
-        run2 = run_scenario(cfg)  # loads the persisted table
-        assert len(run2.records) == 7
-
-    def test_warm_start_from_path_without_npz_suffix(self, tmp_path):
-        path = tmp_path / "qt"
-        cfg = desk_config(sim_duration=60.0, qtable_path=str(path), seed=5)
-        run_scenario(cfg)
-        assert path.exists() and not (tmp_path / "qt.npz").exists()
-        n_first = load_qtable(path, cfg.placement_grid()).visit_counts.sum()
-        assert n_first > 0
-        run_scenario(cfg)  # must continue from the persisted table
-        assert load_qtable(path, cfg.placement_grid()).visit_counts.sum() > n_first
+    def test_warm_start_persistence_roundtrip(self, monkeypatch):
+        # The learner writes into the table in place, and the run hands that
+        # same table to the next trigger: each learns on from the visits before it.
+        cfg = build_config(preset="desk", overrides={
+            "seed": 2, "mobility": {"c_max": 40.0, "hold_time": 3.0}})
+        entries = trigger_tables(monkeypatch, cfg)
+        steps = cfg.learning.max_episodes * cfg.learning.max_steps
+        assert len({id(table) for table, _ in entries}) == 1
+        assert [visits for _, visits in entries] == [0, steps]
 
     def test_invalid_disabled_bs(self):
         # One ring: ground sites 0 to 6, whether or not the aerial flies.
@@ -174,8 +167,7 @@ class TestCompareSeed:
         assert compare_seed(replace(cfg, baseline_mode="ground19")) == row
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"n_users": 0}, "compare needs at least one user, got n_users 0"),
-        ({"qtable_path": "q.npz"}, "compare cannot share a Q-table file")])
+        ({"n_users": 0}, "compare needs at least one user, got n_users 0")])
     def test_rejected_before_any_run(self, monkeypatch, overrides, message):
         monkeypatch.setattr(scenario, "run_scenario", None)  # any run would fail
         with pytest.raises(ConfigurationError, match=message):
@@ -313,8 +305,8 @@ class TestConfigPlumbing:
          r"unknown config keys: \['mobility.boundary_policy'\]"),
         # The aerial always replaces one ground site; there is no "none".
         ({"disabled_bs": None}, "config key disabled_bs must be an integer, got None"),
-        # "" is the one way to write "no Q-table".
-        ({"qtable_path": None}, "config key qtable_path must be a string, got None"),
+        # The learned table lives for one run; no config key names a file for it.
+        ({"qtable_path": "q.npz"}, r"unknown config keys: \['qtable_path'\]"),
     ])
     def test_mistyped_values_rejected(self, d, message):
         with pytest.raises(ConfigurationError, match=message):
@@ -328,10 +320,10 @@ class TestConfigPlumbing:
 
     def test_typed_values_accepted(self):
         cfg = build_config(overrides={"sim_duration": 1000, "disabled_bs": 3,
-                                      "qtable_path": "", "grid": GridSpec(3, 3, 2),
+                                      "grid": GridSpec(3, 3, 2),
                                       "mobility": {"c_max": 40, "hold_time": 3}})
         assert cfg.sim_duration == 1000 and cfg.grid == GridSpec(3, 3, 2)
-        assert (cfg.disabled_bs, cfg.qtable_path) == (3, "")
+        assert cfg.disabled_bs == 3
         assert cfg.mobility == MobilityParams(c_max=40, hold_time=3)
 
     def test_float_keys_hold_floats(self):
