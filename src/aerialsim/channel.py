@@ -64,11 +64,6 @@ class RadioParams:
             raise ConfigurationError("ground path-loss exponent must be positive")
 
 
-def elevation_angle(h, l, out=None):
-    """Elevation angle arctan(h/l) in radians; pi/2 when directly overhead."""
-    return np.arctan2(h, l, out=out)
-
-
 def p_los(theta, env: AtgEnvironment, out=None):
     """LoS probability 1 / (1 + kappa * exp(-zeta * (theta_deg - kappa))), theta in rad."""
     t = np.degrees(theta, out=out)
@@ -95,7 +90,7 @@ def atg_pathloss_hl(h, l, env: AtgEnvironment, radio: RadioParams, out=None, wor
     if np.any(d <= 0):
         raise DegenerateGeometryError("air-to-ground distance must be positive")
     w_p, w_t = work or (None, None)
-    p = p_los(elevation_angle(h, l, out=w_p), env, out=w_p)
+    p = p_los(np.arctan2(h, l, out=w_p), env, out=w_p)  # elevation angle, pi/2 overhead
     pl = free_space_pathloss(d, radio.carrier_freq, out=out)
     pl += np.multiply(p, env.eta_los, out=w_t)
     p = np.subtract(1.0, p, out=w_p)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -73,13 +73,14 @@ def hex_layout(n_rings: int, area: ServiceArea, antenna_height: float,
     return bss
 
 
-def drop_users_ppp(count: int, area: ServiceArea, rng: np.random.Generator) -> np.ndarray:
-    """Fixed-count PPP conditioning: i.i.d. uniform (x, y) over the area, as (count, 2)."""
+def drop_users_ppp(count: int, area: ServiceArea,
+                   rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+    """Fixed-count PPP conditioning: i.i.d. uniform positions over the area, as (xs, ys)."""
     if count < 0:
         raise ConfigurationError("user count must be >= 0")
     xs = rng.uniform(area.x_min, area.x_max, size=count)
     ys = rng.uniform(area.y_min, area.y_max, size=count)
-    return np.column_stack((xs, ys))
+    return xs, ys
 
 
 @dataclass(frozen=True)

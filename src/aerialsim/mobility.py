@@ -53,11 +53,6 @@ class Users:
     def __len__(self) -> int:
         return self.x.size
 
-    @property
-    def xy(self) -> np.ndarray:
-        """Positions, shape (n, 2)."""
-        return np.column_stack((self.x, self.y))
-
     def __getitem__(self, i: int) -> User:
         i = range(len(self))[i]  # IndexError out of range; negatives count back
         return User(id=i, pos=Position2D(float(self.x[i]), float(self.y[i])),
@@ -82,10 +77,10 @@ def _draw_vxy(params: MobilityParams, rng: np.random.Generator,
     return speed * np.cos(direction), speed * np.sin(direction)
 
 
-def init_users(xy: np.ndarray, params: MobilityParams,
+def init_users(xy: Tuple[np.ndarray, np.ndarray], params: MobilityParams,
                rng: np.random.Generator) -> Users:
-    """Users at the dropped (n, 2) positions xy, each with a random velocity, and a full hold."""
-    x, y = np.ascontiguousarray(xy.T, dtype=float)
+    """Users at the dropped positions xy = (x, y), each with a random velocity, and a full hold."""
+    x, y = xy
     return Users(x, y, *_draw_vxy(params, rng, x.size), float(params.hold_time))
 
 

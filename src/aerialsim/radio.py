@@ -26,7 +26,7 @@ class NetworkState:
     aerial_pos: Optional[Position3D] = None
 
 
-def _ground_power(state: NetworkState, xy: np.ndarray) -> np.ndarray:
+def _ground_power(state: NetworkState, users: Users) -> np.ndarray:
     """Linear received power (mW) from each active ground BS, (n_active, n_users).
 
     One sites x users broadcast, so the path loss is a single call and the
@@ -36,11 +36,11 @@ def _ground_power(state: NetworkState, xy: np.ndarray) -> np.ndarray:
     """
     site = np.array([(bs.pos.x, bs.pos.y, bs.pos.h ** 2, bs.tx_power)
                      for bs in state.ground_bs if bs.active]).reshape(-1, 4)[:, :, None]
-    d = np.sqrt((site[:, 0] - xy[:, 0]) ** 2 + (site[:, 1] - xy[:, 1]) ** 2 + site[:, 2])
+    d = np.sqrt((site[:, 0] - users.x) ** 2 + (site[:, 1] - users.y) ** 2 + site[:, 2])
     return dbm_to_mw(site[:, 3] - ground_pathloss_d(d, state.radio))
 
 
-def _ground_totals(state: NetworkState, xy: np.ndarray):
+def _ground_totals(state: NetworkState, users: Users):
     """Each user's summed and strongest ground power (mW); strongest 0.0 with no site.
 
     The sum runs over the rows of a C-contiguous users x sites copy: numpy
@@ -48,13 +48,8 @@ def _ground_totals(state: NetworkState, xy: np.ndarray):
     sums are held to. A maximum is exact in any order, so it reads the
     site-major powers directly.
     """
-    p = _ground_power(state, xy)
+    p = _ground_power(state, users)
     return np.ascontiguousarray(p.T).sum(axis=1), p.max(axis=0, initial=0.0)
-
-
-def _horizontal_distance(xy: np.ndarray, x, y) -> np.ndarray:
-    """Horizontal distance from each user to (x, y); scalars or (n, 1) arrays."""
-    return np.hypot(xy[:, 0] - x, xy[:, 1] - y)
 
 
 def _aerial_power(state: NetworkState, h, l, out=None, work=None) -> np.ndarray:
@@ -86,11 +81,11 @@ def throughput(sinr_linear, out=None):
 
 def link_report(state: NetworkState) -> Tuple[np.ndarray, np.ndarray]:
     """Each user's linear SINR and throughput (bits/s/Hz) under max-SINR association."""
-    xy = state.users.xy
-    ground_sum, ground_max = _ground_totals(state, xy)
+    users = state.users
+    ground_sum, ground_max = _ground_totals(state, users)
     if state.aerial_pos is not None:
         ap = state.aerial_pos
-        aerial = _aerial_power(state, ap.h, _horizontal_distance(xy, ap.x, ap.y))
+        aerial = _aerial_power(state, ap.h, np.hypot(users.x - ap.x, users.y - ap.y))
     elif any(bs.active for bs in state.ground_bs):
         aerial = 0.0
     else:
@@ -129,12 +124,12 @@ def qos_map(snapshot: NetworkState, grid: PlacementGrid) -> np.ndarray:
     columns, and the horizontal user distance is computed once per column
     and shared by its heights. Chunks are computed in three working arrays.
     """
-    xy = snapshot.users.xy
-    n_users = xy.shape[0]
+    users = snapshot.users
+    n_users = len(users)
     qos = np.zeros(grid.n_states)
     if n_users == 0:
         return qos
-    ground_sum, ground_max = _ground_totals(snapshot, xy)  # max 0: the aerial wins
+    ground_sum, ground_max = _ground_totals(snapshot, users)  # max 0: the aerial wins
     noise_mw = dbm_to_mw(snapshot.radio.noise_power)
     n_cols, n_h = grid.n_x * grid.n_y, grid.n_h
     ix, iy = np.unravel_index(np.arange(n_cols), (grid.n_x, grid.n_y))
@@ -146,7 +141,7 @@ def qos_map(snapshot: NetworkState, grid: PlacementGrid) -> np.ndarray:
     for lo in range(0, n_cols, cols_per_chunk):
         hi = min(lo + cols_per_chunk, n_cols)
         a, b, c = work[:, :hi - lo]
-        l = _horizontal_distance(xy, xs[lo:hi], ys[lo:hi])
+        l = np.hypot(users.x - xs[lo:hi], users.y - ys[lo:hi])
         _aerial_power(snapshot, hs, l[:, None, :], out=a, work=(b, c))
         s = _strongest_sinr(noise_mw, ground_sum, ground_max, a, out=b, work=c)
         throughput(s, out=s).sum(axis=-1, out=qos[lo * n_h:hi * n_h].reshape(hi - lo, n_h))

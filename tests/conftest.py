@@ -53,9 +53,10 @@ def make_snapshot(seed, area, n_users=50, n_rings=1, disabled=0):
 
 def users_at(points) -> Users:
     """Users standing still at the given points (each with .x and .y), in order."""
-    xy = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
-    zero = np.zeros(len(xy))
-    return Users(xy[:, 0], xy[:, 1], zero, zero, DEFAULTS.mobility.hold_time)
+    x = np.array([p.x for p in points], dtype=float)
+    y = np.array([p.y for p in points], dtype=float)
+    zero = np.zeros(x.size)
+    return Users(x, y, zero, zero, DEFAULTS.mobility.hold_time)
 
 
 def episodes_to_reach(result, qos_target):

@@ -22,8 +22,8 @@ import numpy as np
 from aerialsim.channel import dbm_to_mw, ground_pathloss_d
 from aerialsim.deployment import PlacementGrid
 from aerialsim.placement import N_ACTIONS, Action, QTable, make_qos_table
-from aerialsim.radio import (NetworkState, _aerial_power, _horizontal_distance,
-                             throughput)
+from aerialsim.mobility import Users
+from aerialsim.radio import NetworkState, _aerial_power, throughput
 from tests.conftest import users_at
 
 AERIAL_ID = -1  # BS identifier reserved for the aerial station
@@ -43,17 +43,17 @@ def active_bs_ids(state: NetworkState) -> List[int]:
     return ids
 
 
-def ground_power(state: NetworkState, xy: np.ndarray) -> np.ndarray:
+def ground_power(state: NetworkState, users: Users) -> np.ndarray:
     """Linear received power (mW) from each active ground BS, one site at a time."""
     cols = []
     for bs in state.ground_bs:
         if not bs.active:
             continue
-        d = np.sqrt((xy[:, 0] - bs.pos.x) ** 2 + (xy[:, 1] - bs.pos.y) ** 2
+        d = np.sqrt((users.x - bs.pos.x) ** 2 + (users.y - bs.pos.y) ** 2
                     + bs.pos.h ** 2)
         cols.append(dbm_to_mw(bs.tx_power - ground_pathloss_d(d, state.radio)))
     if not cols:
-        return np.empty((xy.shape[0], 0))
+        return np.empty((len(users), 0))
     return np.column_stack(cols)
 
 
@@ -64,12 +64,12 @@ def sinr_matrix(state: NetworkState) -> np.ndarray:
     last. A user's total received power is the sum of its ground columns,
     then plus its aerial column.
     """
-    xy = state.users.xy
-    p = ground_power(state, xy)
+    users = state.users
+    p = ground_power(state, users)
     total = p.sum(axis=1)
     if state.aerial_pos is not None:
         ap = state.aerial_pos
-        a = _aerial_power(state, ap.h, _horizontal_distance(xy, ap.x, ap.y))
+        a = _aerial_power(state, ap.h, np.hypot(users.x - ap.x, users.y - ap.y))
         total = total + a
         p = np.column_stack([p, a])
     if p.shape[1] == 0:

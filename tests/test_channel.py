@@ -4,24 +4,12 @@ import numpy as np
 import pytest
 
 from aerialsim.channel import (AtgEnvironment, RadioParams, atg_pathloss_hl, dbm_to_mw,
-                               elevation_angle, free_space_pathloss, ground_pathloss_d,
-                               p_los)
+                               free_space_pathloss, ground_pathloss_d, p_los)
 from aerialsim.deployment import GroundBS
 from aerialsim.geometry import DegenerateGeometryError, Position2D, Position3D
 from aerialsim.radio import (NetworkState, _aerial_power, _ground_power, _strongest_sinr,
                              throughput)
 from tests.conftest import DEFAULTS, users_at
-
-
-class TestElevationAngle:
-    def test_45_degrees(self):
-        assert elevation_angle(100.0, 100.0) == pytest.approx(math.pi / 4)
-
-    def test_overhead(self):
-        assert elevation_angle(100.0, 0.0) == pytest.approx(math.pi / 2)
-
-    def test_30_degrees(self):
-        assert elevation_angle(100.0, 100.0 * math.sqrt(3)) == pytest.approx(math.pi / 6)
 
 
 class TestPLos:
@@ -130,7 +118,7 @@ class TestGroundPathloss:
         state = NetworkState(ground_bs=[bs], users=users_at([Position2D(40.0, 0.0)]),
                              env=urban, radio=radio,
                              aerial_tx_power=DEFAULTS.aerial_tx_power)
-        assert _ground_power(state, state.users.xy)[0, 0] == pytest.approx(
+        assert _ground_power(state, state.users)[0, 0] == pytest.approx(
             dbm_to_mw(bs.tx_power - ground_pathloss_d(50.0, radio)), rel=1e-12)
 
     def test_zero_distance_rejected(self, radio):
@@ -162,7 +150,6 @@ def _formula_calls(env, radio=RadioParams()):
                          aerial_tx_power=DEFAULTS.aerial_tx_power)
     work2 = (np.empty(_SHAPE), np.empty(_SHAPE))
     return {
-        "elevation_angle": (elevation_angle, (_H, _L), (100.0, 30.0), {}),
         "p_los": (p_los, (_X, env), (0.3, env), {}),
         "free_space_pathloss": (free_space_pathloss, (_X, radio.carrier_freq),
                                 (120.0, radio.carrier_freq), {}),

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -454,6 +455,41 @@ def run_cli(args, timeout=60):
     proc = subprocess.run([sys.executable, "-m", "aerialsim.cli", *map(str, args)],
                           cwd=src, capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stderr.strip().splitlines()
+
+
+def dispatched_cpu_features():
+    """The SIMD features numpy dispatches to on this host: the found list of
+    np.show_runtime()."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_a_run_holds_without_the_dispatched_simd_features(tmp_path, seed):
+    # NPY_DISABLE_CPU_FEATURES acts only in the child interpreter. Without
+    # those code paths a float may round differently in its last place, so
+    # the bytes may differ, but the triggers and the aerial positions stay
+    # and the QoS values stay within 1e-12 relative.
+    found = dispatched_cpu_features()
+    if not found:
+        pytest.skip("numpy dispatches to no SIMD feature on this host")
+    src = Path(aerialsim.__file__).resolve().parent.parent
+
+    def timeslots(name, env):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "aerialsim.cli", "run", "--preset", "desk",
+                        "--seed", str(seed), "--out-dir", str(out)],
+                       cwd=src, env=env, check=True, capture_output=True, timeout=120)
+        with open(out / "timeslots.csv", newline="", encoding="utf-8") as f:
+            return list(csv.DictReader(f))
+
+    usual = timeslots("usual", dict(os.environ))
+    plain = timeslots("plain", {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(found)})
+    placed = ("t", "triggered", "aerial_x", "aerial_y", "aerial_h")
+    assert [[r[k] for k in placed] for r in plain] == [[r[k] for k in placed] for r in usual]
+    for key in ("qos", "qos_th"):
+        assert [float(r[key]) for r in plain] == pytest.approx(
+            [float(r[key]) for r in usual], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("config, message", [

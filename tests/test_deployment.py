@@ -67,33 +67,33 @@ class TestHexLayout:
 
 class TestDropUsers:
     def test_zero_count(self, desk_area):
-        xy = drop_users_ppp(0, desk_area, np.random.default_rng(0))
-        assert xy.shape == (0, 2) and xy.dtype == float
+        xs, ys = drop_users_ppp(0, desk_area, np.random.default_rng(0))
+        assert xs.shape == ys.shape == (0,) and xs.dtype == ys.dtype == float
 
     def test_count_and_bounds(self, desk_area):
-        xy = drop_users_ppp(150, desk_area, np.random.default_rng(1))
-        assert xy.shape == (150, 2) and xy.dtype == float
-        assert np.all((desk_area.x_min <= xy[:, 0]) & (xy[:, 0] <= desk_area.x_max))
-        assert np.all((desk_area.y_min <= xy[:, 1]) & (xy[:, 1] <= desk_area.y_max))
+        xs, ys = drop_users_ppp(150, desk_area, np.random.default_rng(1))
+        assert xs.shape == ys.shape == (150,) and xs.dtype == ys.dtype == float
+        assert np.all((desk_area.x_min <= xs) & (xs <= desk_area.x_max))
+        assert np.all((desk_area.y_min <= ys) & (ys <= desk_area.y_max))
 
     def test_the_two_uniform_draws(self, desk_area):
-        xy = drop_users_ppp(64, desk_area, np.random.default_rng(5))
+        xs, ys = drop_users_ppp(64, desk_area, np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        assert xy[:, 0].tolist() == rng.uniform(desk_area.x_min, desk_area.x_max, 64).tolist()
-        assert xy[:, 1].tolist() == rng.uniform(desk_area.y_min, desk_area.y_max, 64).tolist()
+        assert xs.tolist() == rng.uniform(desk_area.x_min, desk_area.x_max, 64).tolist()
+        assert ys.tolist() == rng.uniform(desk_area.y_min, desk_area.y_max, 64).tolist()
 
     def test_quadrant_uniformity_chi_square(self, desk_area):
-        xy = drop_users_ppp(10_000, desk_area, np.random.default_rng(42))
+        xs, ys = drop_users_ppp(10_000, desk_area, np.random.default_rng(42))
         counts = [0, 0, 0, 0]
-        for x, y in xy.tolist():
+        for x, y in zip(xs.tolist(), ys.tolist()):
             counts[(x >= 0) * 2 + (y >= 0)] += 1
         _, p = stats.chisquare(counts)
         assert p > 0.01
 
     def test_seeded_reproducibility(self, desk_area):
-        u1 = drop_users_ppp(64, desk_area, np.random.default_rng(9))
-        u2 = drop_users_ppp(64, desk_area, np.random.default_rng(9))
-        assert np.array_equal(u1, u2)
+        x1, y1 = drop_users_ppp(64, desk_area, np.random.default_rng(9))
+        x2, y2 = drop_users_ppp(64, desk_area, np.random.default_rng(9))
+        assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
 
 
 class TestPlacementGrid:

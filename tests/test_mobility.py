@@ -173,11 +173,11 @@ class TestStepMatchesScalarReference:
 
     def test_init_users_draws_like_the_scalar_reference(self, desk_area):
         params = MobilityParams()
-        positions = drop_users_ppp(50, desk_area, np.random.default_rng(0))
-        users = init_users(positions, params, np.random.default_rng(1))
+        xs, ys = drop_users_ppp(50, desk_area, np.random.default_rng(0))
+        users = init_users((xs, ys), params, np.random.default_rng(1))
         ref_rng = np.random.default_rng(1)
         assert users.hold == params.hold_time
-        for i, ((x, y), u) in enumerate(zip(positions.tolist(), users)):
+        for i, (x, y, u) in enumerate(zip(xs.tolist(), ys.tolist(), users)):
             assert (u.id, u.pos) == (i, Position2D(x, y))
             assert (u.vx, u.vy) == ref_velocity(params, ref_rng)
 
@@ -206,10 +206,42 @@ def test_the_walk_is_split_invariant(seed, hold_time, hold, t1, t2):
     whole = step(users, (t1 + t2) / 100, params, area, rng)
     split = step(step(users, t1 / 100, params, area, split_rng), t2 / 100,
                  params, area, split_rng)
-    np.testing.assert_allclose(split.xy, whole.xy, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(split.x, whole.x, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(split.y, whole.y, rtol=0, atol=1e-9)
     assert (split.vx.tobytes(), split.vy.tobytes()) == (whole.vx.tobytes(), whole.vy.tobytes())
     assert split.hold == pytest.approx(whole.hold, abs=1e-9)
     assert split_rng.bit_generator.state == rng.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(side=st.floats(1.0, 2000.0, **finite), duration=st.floats(0.01, 30.0, **finite),
+       n_steps=st.integers(1, 3), data=st.data())
+def test_mirrored_users_walk_to_the_mirrored_positions(side, duration, n_steps, data):
+    # A square centred on the origin has borders at -side/2 and side/2, and
+    # negation is exact, so a user mirrored in x (x, vx -> -x, -vx), in y or
+    # in both walks to exactly the mirror of where the user walks. The hold
+    # outlasts every step (no redraw), and a speed reaches the one-mirror
+    # bound, the side over the stretch.
+    area = square_area(side, DEFAULTS.h_min, DEFAULTS.h_max)
+    params = MobilityParams(c_max=side / duration, hold_time=(n_steps + 1) * duration)
+    n = data.draw(st.integers(1, 8))
+    coord = st.floats(-0.5, 0.5, **finite).map(lambda u: u * side)
+    speed = st.floats(0.0, params.c_max, **finite)
+    direction = st.floats(0.0, 2 * math.pi, exclude_max=True, **finite)
+    x, y, s, d = (np.array(data.draw(st.lists(e, min_size=n, max_size=n)))
+                  for e in (coord, coord, speed, direction))
+    users = Users(x, y, s * np.cos(d), s * np.sin(d), params.hold_time)
+    for sx, sy in ((-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)):
+        walked = users
+        mirrored = Users(sx * x, sy * y, sx * users.vx, sy * users.vy, params.hold_time)
+        for _ in range(n_steps):
+            walked = step(walked, duration, params, area, np.random.default_rng(0))
+            mirrored = step(mirrored, duration, params, area, np.random.default_rng(0))
+        assert walked.hold == mirrored.hold
+        assert (sx * walked.x).tolist() == mirrored.x.tolist()
+        assert (sy * walked.y).tolist() == mirrored.y.tolist()
+        assert (sx * walked.vx).tolist() == mirrored.vx.tolist()
+        assert (sy * walked.vy).tolist() == mirrored.vy.tolist()
 
 
 class TestUsers:
@@ -217,8 +249,7 @@ class TestUsers:
         users = make_users(x=[1.0, 2.0, 3.0], y=[4.0, 5.0, 6.0],
                            vx=[0.1, 0.2, 0.3], vy=[-0.1, -0.2, -0.3], hold=7.0)
         assert len(users) == 3
-        assert users.xy.shape == (3, 2)
-        assert users.xy.tolist() == [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]]
+        assert (users.x.tolist(), users.y.tolist()) == ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
         assert users[1] == User(id=1, pos=Position2D(2.0, 5.0), vx=0.2, vy=-0.2)
         assert users[-1].id == 2
         assert [u.id for u in users] == [0, 1, 2]
@@ -227,9 +258,9 @@ class TestUsers:
 
     def test_no_users(self, desk_area):
         rng = np.random.default_rng(0)
-        users = init_users(np.empty((0, 2)), MobilityParams(), rng)
+        users = init_users((np.empty(0), np.empty(0)), MobilityParams(), rng)
         assert len(users) == 0 and not users
-        assert users.xy.shape == (0, 2)
+        assert users.x.shape == users.y.shape == (0,)
         assert list(users) == []
         state = rng.bit_generator.state
         assert len(step(users, 1.0, MobilityParams(), desk_area, rng)) == 0
@@ -254,7 +285,7 @@ class TestStep:
     def test_mirror_at_the_border(self, desk_area):
         u = make_users(x=[990.0, 0.0], y=[0.0, -995.0], vx=[20.0, 0.0], vy=[0.0, -10.0])
         out = step(u, 1.0, MobilityParams(), desk_area, np.random.default_rng(0))
-        assert out.xy.tolist() == [[990.0, 0.0], [0.0, -995.0]]
+        assert (out.x.tolist(), out.y.tolist()) == ([990.0, 0.0], [0.0, -995.0])
         assert (out.vx.tolist(), out.vy.tolist()) == ([-20.0, 0.0], [0.0, 10.0])
 
     def test_hold_countdown_and_redraw(self, desk_area):

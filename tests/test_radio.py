@@ -139,8 +139,8 @@ class TestLinkReport:
 
     @staticmethod
     def assert_matches_reference(state):
-        xy = state.users.xy
-        assert np.array_equal(_ground_power(state, xy).T, ground_power(state, xy))
+        assert np.array_equal(_ground_power(state, state.users).T,
+                              ground_power(state, state.users))
         n_servers = sum(b.active for b in state.ground_bs) + (state.aerial_pos is not None)
         if n_servers == 0:
             with pytest.raises(ValueError, match="no active base station"):
