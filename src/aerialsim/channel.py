@@ -58,8 +58,6 @@ class RadioParams:
                 f"carrier frequency {self.carrier_freq!r} Hz must keep 4*pi*f*d/c a "
                 f"positive finite float for every link distance d from "
                 f"{LINK_DISTANCE_RANGE[0]!r} to {LINK_DISTANCE_RANGE[1]:g} m")
-        if not math.isfinite(self.noise_power):
-            raise ConfigurationError("noise power must be finite")
         if not self.ground_pathloss_exponent > 0:
             raise ConfigurationError("ground path-loss exponent must be positive")
 
@@ -82,13 +80,11 @@ def free_space_pathloss(d, carrier_freq, out=None):
 
 
 def atg_pathloss_hl(h, l, env: AtgEnvironment, radio: RadioParams, out=None, work=None):
-    """Air-to-ground path loss (dB) from altitude h and horizontal distance l.
+    """Air-to-ground path loss (dB) from altitude h > 0 and horizontal distance l.
 
     work, if given, holds two more arrays of out's shape.
     """
     d = np.hypot(h, l, out=out)
-    if np.any(d <= 0):
-        raise DegenerateGeometryError("air-to-ground distance must be positive")
     w_p, w_t = work or (None, None)
     p = p_los(np.arctan2(h, l, out=w_p), env, out=w_p)  # elevation angle, pi/2 overhead
     pl = free_space_pathloss(d, radio.carrier_freq, out=out)

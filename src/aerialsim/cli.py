@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ConfigurationError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # a ConfigurationError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError as e:  # e.g. numpy cannot allocate a table the config asks for

@@ -41,8 +41,6 @@ def _axial_to_xy(q: int, r: int, isd: float):
 def hex_layout(n_rings: int, area: ServiceArea, antenna_height: float,
                tx_power: float) -> List[GroundBS]:
     """Center site plus n_rings concentric hexagonal rings, centered in the area."""
-    if n_rings < 0:
-        raise ConfigurationError("n_rings must be >= 0")
     if not 0 < antenna_height <= MAX_LENGTH:
         raise ConfigurationError(f"antenna height must be positive and at most {MAX_LENGTH:g} m")
 
@@ -76,11 +74,14 @@ def hex_layout(n_rings: int, area: ServiceArea, antenna_height: float,
 def drop_users_ppp(count: int, area: ServiceArea,
                    rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed-count PPP conditioning: i.i.d. uniform positions over the area, as (xs, ys)."""
-    if count < 0:
-        raise ConfigurationError("user count must be >= 0")
     xs = rng.uniform(area.x_min, area.x_max, size=count)
     ys = rng.uniform(area.y_min, area.y_max, size=count)
     return xs, ys
+
+
+def _axis(lo: float, hi: float, n: int) -> np.ndarray:
+    """n evenly spaced points from lo to hi; a lone point sits at the middle."""
+    return np.linspace(lo, hi, n) if n > 1 else np.array([(lo + hi) / 2.0])
 
 
 @dataclass(frozen=True)
@@ -102,15 +103,15 @@ class PlacementGrid:
 
     @property
     def xs(self) -> np.ndarray:
-        return np.linspace(self.area.x_min, self.area.x_max, self.n_x)
+        return _axis(self.area.x_min, self.area.x_max, self.n_x)
 
     @property
     def ys(self) -> np.ndarray:
-        return np.linspace(self.area.y_min, self.area.y_max, self.n_y)
+        return _axis(self.area.y_min, self.area.y_max, self.n_y)
 
     @property
     def hs(self) -> np.ndarray:
-        return np.linspace(self.area.h_min, self.area.h_max, self.n_h)
+        return _axis(self.area.h_min, self.area.h_max, self.n_h)
 
     def unravel(self, s: int):
         if not 0 <= s < self.n_states:

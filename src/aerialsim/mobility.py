@@ -101,11 +101,10 @@ def step(users: Users, duration: float, params: MobilityParams,
     runs out. Over a stretch of t seconds a user moves by (vx * t, vy * t);
     on an axis it has left, it is mirrored once across that border and its
     velocity there negated. A config keeps c_max * t within the area's side,
-    so one mirror brings a user that started inside back inside. Where the
-    hold runs out, every user redraws its velocity, in id order, from rng.
+    so one mirror brings a user that started inside back inside, and keeps
+    duration above TIME_TOL. Where the hold runs out, every user redraws its
+    velocity, in id order, from rng.
     """
-    if not duration > TIME_TOL:
-        raise ConfigurationError(f"duration must be above {TIME_TOL!r} s, got {duration!r}")
     x, y, vx, vy, hold, left = users.x, users.y, users.vx, users.vy, users.hold, duration
     while left > TIME_TOL:
         t = min(hold, left)

@@ -13,8 +13,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import yaml
 
-from .channel import (AtgEnvironment, RadioParams, dbm_to_mw,
-                      free_space_pathloss, ground_pathloss_d)
+from .channel import (AtgEnvironment, RadioParams, atg_pathloss_hl, dbm_to_mw,
+                      ground_pathloss_d)
 from .deployment import (PlacementGrid, drop_users_ppp, grid_index_to_position,
                          hex_cell_count, hex_layout)
 from .geometry import ConfigurationError, Position3D, ServiceArea, square_area
@@ -79,16 +79,19 @@ class ScenarioConfig:
                 f"mobility stretches; at most {MAX_MOBILITY_STRETCHES} are allowed")
         if self.n_users < 0:
             raise ConfigurationError("n_users must be >= 0")
-        # Before the SINR bound below, which takes the site count as a float.
+        # The layout below takes n_rings >= 0, and the SINR bound a site count a float holds.
         if self.n_rings < 0:
             raise ConfigurationError("n_rings must be >= 0")
         if hex_cell_count(self.n_rings) > MAX_GROUND_SITES:
             raise ConfigurationError(
                 f"n_rings gives 1 + 3 * n_rings * (n_rings + 1) ground sites; at most "
                 f"{MAX_GROUND_SITES} are allowed")
+        # Checks the antenna height, the site spacing and that every site fits.
+        hex_layout(self.n_rings, self.service_area(), self.antenna_height,
+                   self.ground_tx_power)
         if not 0 <= self.disabled_bs < hex_cell_count(self.n_rings):
             raise ConfigurationError(f"disabled_bs {self.disabled_bs} is not a ground BS id")
-        n_states = self.placement_grid().n_states  # checks the area and the grid counts
+        n_states = self.placement_grid().n_states  # checks the grid counts
         if n_states > MAX_GRID_STATES:
             raise ConfigurationError(
                 f"grid has {n_states} states; at most {MAX_GRID_STATES} are allowed")
@@ -111,23 +114,19 @@ class ScenarioConfig:
             # receives is below 2**52 times the noise, noise + total rounds
             # above total, so the denominator stays positive. Bound that
             # total from above: every site at the distance of its antenna
-            # height, the aerial overhead at h_min in line of sight.
-            # The service area above has a positive h_min; a non-positive
-            # antenna height is rejected where the layout is built.
-            if self.antenna_height > 0:
-                peak = (hex_cell_count(self.n_rings) * dbm_to_mw(
-                            self.ground_tx_power
-                            - ground_pathloss_d(self.antenna_height, self.radio))
-                        + dbm_to_mw(self.aerial_tx_power - self.env.eta_los
-                                    - free_space_pathloss(self.h_min,
-                                                          self.radio.carrier_freq)))
-                ratio = peak / noise_mw
-                if not ratio < 2.0 ** 52:
-                    level = (f"reach {10 * np.log10(ratio):.1f} dB over the noise power"
-                             if np.isfinite(ratio) else "over the noise power overflow a float")
-                    raise ConfigurationError(
-                        f"transmit powers {level}; a finite SINR needs less than "
-                        f"{10 * np.log10(2.0 ** 52):.1f} dB")
+            # height, the aerial overhead at h_min.
+            peak = (hex_cell_count(self.n_rings) * dbm_to_mw(
+                        self.ground_tx_power
+                        - ground_pathloss_d(self.antenna_height, self.radio))
+                    + dbm_to_mw(self.aerial_tx_power
+                                - atg_pathloss_hl(self.h_min, 0.0, self.env, self.radio)))
+            ratio = peak / noise_mw
+            if not ratio < 2.0 ** 52:
+                level = (f"reach {10 * np.log10(ratio):.1f} dB over the noise power"
+                         if np.isfinite(ratio) else "over the noise power overflow a float")
+                raise ConfigurationError(
+                    f"transmit powers {level}; a finite SINR needs less than "
+                    f"{10 * np.log10(2.0 ** 52):.1f} dB")
         # A stretch of the walk then moves a user at most one area width, so
         # a single mirror brings it back inside.
         stretch = min(self.t_min, self.mobility.hold_time)

@@ -67,10 +67,6 @@ class TestAtgPathloss:
             assert pl == pytest.approx(free_space_pathloss(d, radio.carrier_freq) + 5.0,
                                        rel=1e-12)
 
-    def test_zero_distance_rejected(self, urban, radio):
-        with pytest.raises(DegenerateGeometryError):
-            atg_pathloss_hl(0.0, 0.0, urban, radio)
-
     def test_bounded_by_los_and_nlos_fspl(self, urban, radio):
         rng = np.random.default_rng(7)
         h = rng.uniform(25, 525, 200)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import aerialsim
 from aerialsim import cli, scenario
 from aerialsim.cli import main
+from aerialsim.geometry import ConfigurationError
 from aerialsim.radio import qos_map
 from aerialsim.scenario import (ScenarioConfig, build_config, build_network,
                                 disable_site)
@@ -154,16 +155,24 @@ def serial_pool(monkeypatch):
     return started
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_compare_rejects_a_qtable_path(tmp_path, capsys, serial_pool, jobs):
+@pytest.mark.parametrize("line, message", [
     # The learned table lives for one run; no config key names a file for it.
-    cfg = tmp_path / "q.yaml"
-    cfg.write_text(f"qtable_path: {tmp_path / 'q.npz'}\n")
+    ("qtable_path: {tmp_path}/q.npz", "unknown config keys: ['qtable_path']"),
+    # The config builds the ground layout, so its faults end compare before
+    # the pool starts.
+    ("n_rings: 3", "hex layout with 3 rings does not fit the service area (site 25 at "
+                   "(1059.9, 0.0) is outside)"),
+    ("antenna_height: 0.0", "antenna height must be positive and at most 1e+06 m"),
+], ids=["qtable_path", "n_rings", "antenna_height"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_compare_rejects_a_bad_config_before_any_pool(tmp_path, capsys, serial_pool,
+                                                       jobs, line, message):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(line.format(tmp_path=tmp_path) + "\n")
     rc = main(["compare", "--preset", "desk", "--config", str(cfg), "--n-seeds", "2",
                "--jobs", jobs, "--out-dir", str(tmp_path / "o")])
     assert rc == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "error: unknown config keys: ['qtable_path']"]
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert serial_pool == []
     assert not (tmp_path / "o").exists()
     assert not (tmp_path / "q.npz").exists()
@@ -596,7 +605,7 @@ def test_unbounded_run_exits_nonzero(tmp_path, config, message):
 _VALID = {
     "seed": st.integers(0, 2**64),
     "n_users": st.integers(0, 30),
-    "n_rings": st.integers(0, 2),
+    "n_rings": st.integers(0, 3),
     "area_side": st.floats(1.0, 4000.0),
     "h_min": st.floats(1.0, 100.0),
     "h_max": st.floats(50.0, 600.0),
@@ -665,7 +674,19 @@ def test_any_config_exits_cleanly(config, command):
         extra = ["--n-seeds", "1"] if command == "compare" else []
         rc = main([command, "--config", str(path), "--out-dir", str(Path(tmp) / "o"),
                    *extra])
+        try:
+            accepted = build_config(preset="desk", config_file=path)
+        except ConfigurationError:
+            accepted = None
     lines = err.getvalue().splitlines()
     assert rc in (0, 1)
     if rc == 1:
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    if rc == 1 and accepted is not None:
+        # The config is the whole gate: past it, only these documented
+        # faults end a command.
+        if command == "compare" and accepted.n_users == 0:
+            assert lines == ["error: compare needs at least one user, got n_users 0"]
+        else:
+            assert command == "run" and lines[0].endswith(
+                "the SINR CDF needs finite values"), lines

@@ -18,6 +18,11 @@ section's dataclass, which is how scenario._from_mapping finds it.
 Settings: src/aerialsim reads no environment variable (no os.environ,
 os.environb or os.getenv), so a setting comes only from the config and the
 command line.
+
+Config gate: outside cli.py, src/aerialsim raises ConfigurationError only
+in a __post_init__ (the config and the values it is built from) and in the
+few functions that build or load a config (CONFIG_CHECKERS), so a rule the
+config applies is not checked again below it.
 """
 
 import ast
@@ -228,4 +233,55 @@ def test_environment_reads_are_found():
 def test_src_reads_no_environment_variable():
     found = {p.name: environment_reads(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+# The functions, besides every __post_init__, that may raise ConfigurationError:
+# the ground layout the config builds, the config loader, and compare's one
+# rule on a config.
+CONFIG_CHECKERS = {"__post_init__", "hex_layout", "_from_mapping", "build_config",
+                   "compare_seed"}
+
+
+def misplaced_config_raises(source: str) -> list:
+    """(line, function) of each raise of ConfigurationError whose innermost
+    function is not in CONFIG_CHECKERS (None at module level)."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "ConfigurationError" \
+                        and func not in CONFIG_CHECKERS:
+                    found.append((child.lineno, func))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda f: f[0])
+
+
+def test_misplaced_config_raises_are_found():
+    source = ("class A:\n"
+              "    def __post_init__(self):\n"
+              "        raise ConfigurationError('ok')\n"
+              "    def check(self):\n"
+              "        if self:\n"
+              "            raise ConfigurationError('late')\n"
+              "def hex_layout():\n"
+              "    def inner():\n"
+              "        raise ConfigurationError\n"
+              "    raise ConfigurationError('ok')\n"
+              "def step():\n"
+              "    raise ValueError('other')\n"
+              "raise ConfigurationError('module')\n")
+    assert misplaced_config_raises(source) == [(6, "check"), (9, "inner"), (13, None)]
+
+
+def test_config_rules_are_raised_only_at_the_gate():
+    found = {p.name: misplaced_config_raises(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"}
     assert {k: v for k, v in found.items() if v} == {}

@@ -344,12 +344,6 @@ class TestStep:
 
         assert run() == run()
 
-    def test_bad_duration_rejected(self, desk_area):
-        for duration in (0.0, -1.0, 1e-10, math.nan):
-            with pytest.raises(ConfigurationError, match="duration must be above 1e-09 s"):
-                step(make_users(), duration, MobilityParams(), desk_area,
-                     np.random.default_rng(0))
-
 
 class TestRedrawDistributions:
     def test_speed_and_direction_uniform(self):

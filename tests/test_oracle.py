@@ -103,14 +103,14 @@ def test_csv_bytes_match_csv_writer(tmp_path, desk_area):
 MIRRORS = [(-1, 1), (1, -1), (-1, -1)]
 
 
-# The service area, its hex layout with every site on, and a grid of two or
-# more points per axis are each symmetric about the area's centre lines, so
-# mirroring the users mirrors every result. These checks mirror the inputs
-# and compare outputs only; they share no formula with the code. A grid axis
-# of one point is not symmetric: the point sits on the area's low edge.
+# The service area, its hex layout with every site on, and the grid (a lone
+# point on an axis sits at its middle) are each symmetric about the area's
+# centre lines, so mirroring the users mirrors every result. These checks
+# mirror the inputs and compare outputs only; they share no formula with the
+# code.
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_users=st.integers(1, 60),
-       n_rings=st.integers(0, 2), counts=st.tuples(*[st.integers(2, 8)] * 3),
+       n_rings=st.integers(0, 2), counts=st.tuples(*[st.integers(1, 8)] * 3),
        data=st.data())
 def test_mirrored_users_mirror_the_results(seed, n_users, n_rings, counts, data):
     area = DEFAULTS.service_area()

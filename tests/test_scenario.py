@@ -128,6 +128,12 @@ class TestRunScenario:
             desk_config(sim_duration=5.0)  # < t_min
         with pytest.raises(ConfigurationError):
             desk_config(baseline_mode="hybrid")
+        # The config builds the ground layout; no square area holds a third ring.
+        with pytest.raises(ConfigurationError, match="hex layout with 3 rings does not fit"):
+            ScenarioConfig(n_rings=3)
+        for height in (0.0, -1.0, 1e300):
+            with pytest.raises(ConfigurationError, match="antenna height must be positive"):
+                ScenarioConfig(antenna_height=height)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -328,12 +334,13 @@ class TestConfigPlumbing:
 
     def test_float_keys_hold_floats(self):
         # A YAML integer too large for int64 used to reach numpy as an object
-        # (np.log10 raised TypeError on antenna_height: 10**30).
-        cfg = build_config(overrides={"t_min": 10, "antenna_height": 10**30,
+        # (np.log10 raised TypeError on antenna_height: 10**30). The ground
+        # reference loss is a float key whose range admits such a value.
+        cfg = build_config(overrides={"t_min": 10, "radio": {"ground_ref_loss": 10**30},
                                       "mobility": {"c_max": 40}})
-        assert [type(v) for v in (cfg.t_min, cfg.antenna_height, cfg.mobility.c_max)] == \
-            [float] * 3
-        assert cfg.antenna_height == 1e30
+        assert [type(v) for v in (cfg.t_min, cfg.radio.ground_ref_loss,
+                                  cfg.mobility.c_max)] == [float] * 3
+        assert cfg.radio.ground_ref_loss == 1e30
 
     def test_readme_example_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
