@@ -28,7 +28,7 @@ def hex_cell_count(n_rings: int) -> int:
 
 def inter_site_distance(area: ServiceArea, n_cells: int) -> float:
     """ISD such that n_cells hexagons tessellate the 2D area."""
-    area_per_cell = area.area / n_cells
+    area_per_cell = area.side * area.side / n_cells
     return math.sqrt(2.0 * area_per_cell / math.sqrt(3.0))
 
 
@@ -40,7 +40,14 @@ def _axial_to_xy(q: int, r: int, isd: float):
 
 def hex_layout(n_rings: int, area: ServiceArea, antenna_height: float,
                tx_power: float) -> List[GroundBS]:
-    """Center site plus n_rings concentric hexagonal rings, centered in the area."""
+    """Center site plus n_rings concentric hexagonal rings, centered in the area.
+
+    Ring k's site at axial (k, 0) lies k * isd = k * side * sqrt(2 / (sqrt(3) *
+    (3k^2 + 3k + 1))) from the centre: 0.493 * side for k = 2, and at least
+    0.530 * side, outside the area, for every k >= 3.
+    """
+    if not 0 <= n_rings <= 2:
+        raise ConfigurationError("n_rings must be 0, 1 or 2: no square area holds a third ring")
     if not 0 < antenna_height <= MAX_LENGTH:
         raise ConfigurationError(f"antenna height must be positive and at most {MAX_LENGTH:g} m")
 
@@ -49,7 +56,6 @@ def hex_layout(n_rings: int, area: ServiceArea, antenna_height: float,
     if isd <= 0:
         raise ConfigurationError("area too small for a positive inter-site distance")
 
-    cx, cy = area.center.x, area.center.y
     coords = [(0, 0)]
     for k in range(1, n_rings + 1):
         q, r = 0, -k  # ring start: k steps along direction 4 from center
@@ -59,23 +65,16 @@ def hex_layout(n_rings: int, area: ServiceArea, antenna_height: float,
                 coords.append((q, r))
                 q, r = q + dq, r + dr
 
-    bss = []
-    for i, (q, r) in enumerate(coords):
-        x, y = _axial_to_xy(q, r, isd)
-        pos = Position3D(cx + x, cy + y, antenna_height)
-        if not area.contains_2d(pos):
-            raise ConfigurationError(
-                f"hex layout with {n_rings} rings does not fit the service area "
-                f"(site {i} at ({pos.x:.1f}, {pos.y:.1f}) is outside)")
-        bss.append(GroundBS(id=i, pos=pos, tx_power=tx_power))
-    return bss
+    return [GroundBS(id=i, pos=Position3D(*_axial_to_xy(q, r, isd), antenna_height),
+                     tx_power=tx_power)
+            for i, (q, r) in enumerate(coords)]
 
 
 def drop_users_ppp(count: int, area: ServiceArea,
                    rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed-count PPP conditioning: i.i.d. uniform positions over the area, as (xs, ys)."""
-    xs = rng.uniform(area.x_min, area.x_max, size=count)
-    ys = rng.uniform(area.y_min, area.y_max, size=count)
+    xs = rng.uniform(-area.half, area.half, size=count)
+    ys = rng.uniform(-area.half, area.half, size=count)
     return xs, ys
 
 
@@ -103,11 +102,11 @@ class PlacementGrid:
 
     @property
     def xs(self) -> np.ndarray:
-        return _axis(self.area.x_min, self.area.x_max, self.n_x)
+        return _axis(-self.area.half, self.area.half, self.n_x)
 
     @property
     def ys(self) -> np.ndarray:
-        return _axis(self.area.y_min, self.area.y_max, self.n_y)
+        return _axis(-self.area.half, self.area.half, self.n_y)
 
     @property
     def hs(self) -> np.ndarray:

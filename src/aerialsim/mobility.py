@@ -106,10 +106,11 @@ def step(users: Users, duration: float, params: MobilityParams,
     velocity, in id order, from rng.
     """
     x, y, vx, vy, hold, left = users.x, users.y, users.vx, users.vy, users.hold, duration
+    lo, hi = -area.half, area.half
     while left > TIME_TOL:
         t = min(hold, left)
-        x, vx = _mirror(x + vx * t, vx, area.x_min, area.x_max)
-        y, vy = _mirror(y + vy * t, vy, area.y_min, area.y_max)
+        x, vx = _mirror(x + vx * t, vx, lo, hi)
+        y, vy = _mirror(y + vy * t, vy, lo, hi)
         hold, left = hold - t, left - t
         if hold <= TIME_TOL:  # rng.random((0, 2)) draws nothing
             vx, vy = _draw_vxy(params, rng, x.size)

@@ -17,7 +17,7 @@ from .channel import (AtgEnvironment, RadioParams, atg_pathloss_hl, dbm_to_mw,
                       ground_pathloss_d)
 from .deployment import (PlacementGrid, drop_users_ppp, grid_index_to_position,
                          hex_cell_count, hex_layout)
-from .geometry import ConfigurationError, Position3D, ServiceArea, square_area
+from .geometry import ConfigurationError, Position3D, ServiceArea
 from .mobility import TIME_TOL, MobilityParams, init_users, step
 from .placement import LearningConfig, QTable, learn_placement
 # aggregate_qos is not called here; bench/tracing.py patches it as an attribute.
@@ -31,9 +31,8 @@ BASELINE_AERIAL = "aerial18plus1"
 # 44100004.9 / 4.9 at 9000000.999999998, a few units in the last place low.
 SLOT_COUNT_RTOL = 1e-12
 # Limits on the work one run may ask for: mobility stretches
-# (sim_duration / min(t_min, mobility.hold_time)), ground sites and grid states.
+# (sim_duration / min(t_min, mobility.hold_time)) and grid states.
 MAX_MOBILITY_STRETCHES = 10**7
-MAX_GROUND_SITES = 10**4
 MAX_GRID_STATES = 200_000
 
 
@@ -79,14 +78,7 @@ class ScenarioConfig:
                 f"mobility stretches; at most {MAX_MOBILITY_STRETCHES} are allowed")
         if self.n_users < 0:
             raise ConfigurationError("n_users must be >= 0")
-        # The layout below takes n_rings >= 0, and the SINR bound a site count a float holds.
-        if self.n_rings < 0:
-            raise ConfigurationError("n_rings must be >= 0")
-        if hex_cell_count(self.n_rings) > MAX_GROUND_SITES:
-            raise ConfigurationError(
-                f"n_rings gives 1 + 3 * n_rings * (n_rings + 1) ground sites; at most "
-                f"{MAX_GROUND_SITES} are allowed")
-        # Checks the antenna height, the site spacing and that every site fits.
+        # Checks the ring count, the antenna height and the site spacing.
         hex_layout(self.n_rings, self.service_area(), self.antenna_height,
                    self.ground_tx_power)
         if not 0 <= self.disabled_bs < hex_cell_count(self.n_rings):
@@ -136,7 +128,7 @@ class ScenarioConfig:
                 f"m/s * {stretch!r} s) exceeds area_side ({self.area_side!r} m)")
 
     def service_area(self) -> ServiceArea:
-        return square_area(self.area_side, self.h_min, self.h_max)
+        return ServiceArea(self.area_side, self.h_min, self.h_max)
 
     def placement_grid(self) -> PlacementGrid:
         return PlacementGrid(self.service_area(), self.grid.n_x, self.grid.n_y,

@@ -43,7 +43,7 @@ def make_snapshot(seed, area, n_users=50, n_rings=1, disabled=0):
     learning generator being the one such a run would learn with.
     """
     cfg = ScenarioConfig(seed=seed, n_users=n_users, n_rings=n_rings,
-                         area_side=area.width, h_min=area.h_min, h_max=area.h_max)
+                         area_side=area.side, h_min=area.h_min, h_max=area.h_max)
     assert cfg.service_area() == area
     snap, _, rng_learn = build_network(cfg)
     if disabled is not None:

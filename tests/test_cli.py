@@ -24,6 +24,9 @@ from aerialsim.radio import qos_map
 from aerialsim.scenario import (ScenarioConfig, build_config, build_network,
                                 disable_site)
 
+# hex_layout's one ring rule: the error line of every n_rings outside 0-2.
+RING_RULE = "n_rings must be 0, 1 or 2: no square area holds a third ring"
+
 
 @pytest.fixture
 def fast_config(tmp_path):
@@ -72,12 +75,15 @@ def test_oracle_qos_is_the_map_of_the_built_network(tmp_path, seed):
     assert qos == qos_map(snapshot, cfg.placement_grid()).tolist()
 
 
-def test_oracle_grid_guard(tmp_path):
+def test_oracle_grid_guard(tmp_path, capsys):
     cfg = tmp_path / "big.yaml"
     cfg.write_text("grid:\n  n_x: 100\n  n_y: 100\n  n_h: 100\n")
     rc = main(["oracle", "--preset", "desk", "--config", str(cfg),
                "--out-dir", str(tmp_path / "o")])
     assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: grid has 1000000 states; at most 200000 are allowed"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "oracle", "compare"])
@@ -160,8 +166,7 @@ def serial_pool(monkeypatch):
     ("qtable_path: {tmp_path}/q.npz", "unknown config keys: ['qtable_path']"),
     # The config builds the ground layout, so its faults end compare before
     # the pool starts.
-    ("n_rings: 3", "hex layout with 3 rings does not fit the service area (site 25 at "
-                   "(1059.9, 0.0) is outside)"),
+    ("n_rings: 3", RING_RULE),
     ("antenna_height: 0.0", "antenna height must be positive and at most 1e+06 m"),
 ], ids=["qtable_path", "n_rings", "antenna_height"])
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -313,8 +318,7 @@ def test_out_dir_defaults_to_out(tmp_path, fast_config, monkeypatch, command, wr
     assert (tmp_path / "out" / written).exists()
 
 
-def test_qtable_path_in_a_missing_directory_fails_before_any_slot(tmp_path, capsys,
-                                                                  monkeypatch):
+def test_qtable_path_is_an_unknown_key_before_any_slot(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(scenario, "step", None)  # any slot would fail
     cfg = tmp_path / "q.yaml"
     cfg.write_text(f"sim_duration: 20.0\nqtable_path: {tmp_path / 'nodir' / 'q.npz'}\n")
@@ -563,11 +567,12 @@ def test_malformed_yaml_exits_nonzero(tmp_path, capsys):
     ("mobility: {hold_time: 1.0e-5}", "sim_duration / min(t_min, mobility.hold_time) is "
                                       "3e+07 mobility stretches; at most 10000000 are allowed"),
     # Too large for a float, and billions of sites.
-    ("n_rings: 1" + "0" * 200, "n_rings gives 1 + 3 * n_rings * (n_rings + 1) ground "
-                               "sites; at most 10000 are allowed"),
-    ("n_rings: 100000", "n_rings gives 1 + 3 * n_rings * (n_rings + 1) ground "
-                        "sites; at most 10000 are allowed"),
-    ("n_rings: -1", "n_rings must be >= 0"),
+    ("n_rings: 1" + "0" * 200, RING_RULE),
+    ("n_rings: 100000", RING_RULE),
+    ("n_rings: -1", RING_RULE),
+    # Ten rings on a 1 nm side: every site lies within 1e-9 m of the area,
+    # yet no square area holds a third ring, however small it is.
+    ("{area_side: 1.0e-9, n_rings: 10, mobility: {c_max: 0.0}}", RING_RULE),
     # A Q-table of 10**16 states x 6 actions of float64, 480 PB.
     ("grid: {n_x: 1000000, n_y: 1000000, n_h: 10000}",
      "grid has 10000000000000000 states; at most 200000 are allowed"),

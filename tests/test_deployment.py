@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from aerialsim.deployment import (PlacementGrid, drop_users_ppp,
-                                  grid_index_to_position, hex_layout,
+                                  grid_index_to_position, hex_cell_count, hex_layout,
                                   inter_site_distance, position_to_grid_index)
 from aerialsim.geometry import ConfigurationError, ServiceArea
 from tests.conftest import DEFAULTS
 
 SITE = (DEFAULTS.antenna_height, DEFAULTS.ground_tx_power)  # hex_layout's site values
+RING_RULE = "^n_rings must be 0, 1 or 2: no square area holds a third ring$"
 
 
 class TestHexLayout:
@@ -39,7 +42,7 @@ class TestHexLayout:
     def test_all_sites_inside_area(self, desk_area):
         for n_rings in (0, 1, 2):
             for bs in hex_layout(n_rings, desk_area, *SITE):
-                assert desk_area.contains_2d(bs.pos)
+                assert max(abs(bs.pos.x), abs(bs.pos.y)) <= desk_area.half
 
     def test_sixfold_rotational_symmetry(self, desk_area):
         bss = hex_layout(2, desk_area, *SITE)
@@ -49,11 +52,11 @@ class TestHexLayout:
                           round(s * b.pos.x + c * b.pos.y, 6)) for b in bss)
         assert pts == rotated
 
-    def test_too_small_area_rejected(self):
-        # Tall thin strip: outer ring cannot fit inside the box.
-        area = ServiceArea(-50.0, 50.0, -40000.0, 40000.0, DEFAULTS.h_min, DEFAULTS.h_max)
-        with pytest.raises(ConfigurationError):
-            hex_layout(2, area, *SITE)
+    def test_too_small_area_rejected(self, desk_area):
+        # Every square area is too small for a third ring, whatever its side.
+        for n_rings in (-1, 3, 57, 10**6):
+            with pytest.raises(ConfigurationError, match=RING_RULE):
+                hex_layout(n_rings, desk_area, *SITE)
 
     @pytest.mark.parametrize("height", [0.0, -1.0, 1.0e6 * (1 + 1e-15), 1.0e300])
     def test_antenna_height_outside_its_range_rejected(self, desk_area, height):
@@ -69,14 +72,14 @@ class TestDropUsers:
     def test_count_and_bounds(self, desk_area):
         xs, ys = drop_users_ppp(150, desk_area, np.random.default_rng(1))
         assert xs.shape == ys.shape == (150,) and xs.dtype == ys.dtype == float
-        assert np.all((desk_area.x_min <= xs) & (xs <= desk_area.x_max))
-        assert np.all((desk_area.y_min <= ys) & (ys <= desk_area.y_max))
+        assert np.all((-desk_area.half <= xs) & (xs <= desk_area.half))
+        assert np.all((-desk_area.half <= ys) & (ys <= desk_area.half))
 
     def test_the_two_uniform_draws(self, desk_area):
         xs, ys = drop_users_ppp(64, desk_area, np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        assert xs.tolist() == rng.uniform(desk_area.x_min, desk_area.x_max, 64).tolist()
-        assert ys.tolist() == rng.uniform(desk_area.y_min, desk_area.y_max, 64).tolist()
+        assert xs.tolist() == rng.uniform(-desk_area.half, desk_area.half, 64).tolist()
+        assert ys.tolist() == rng.uniform(-desk_area.half, desk_area.half, 64).tolist()
 
     def test_quadrant_uniformity_chi_square(self, desk_area):
         xs, ys = drop_users_ppp(10_000, desk_area, np.random.default_rng(42))
@@ -96,11 +99,11 @@ class TestPlacementGrid:
     def test_state_zero_is_min_corner(self, desk_area):
         grid = PlacementGrid(desk_area, 4, 5, 3)
         p = grid_index_to_position(grid, 0)
-        assert (p.x, p.y, p.h) == (desk_area.x_min, desk_area.y_min, desk_area.h_min)
+        assert (p.x, p.y, p.h) == (-desk_area.half, -desk_area.half, desk_area.h_min)
 
     def test_one_count_axis_is_its_middle(self, desk_area):
         grid = PlacementGrid(desk_area, 3, 1, 1)
-        assert grid.xs.tolist() == [desk_area.x_min, 0.0, desk_area.x_max]
+        assert grid.xs.tolist() == [-desk_area.half, 0.0, desk_area.half]
         assert grid.ys.tolist() == [0.0]
         assert grid.hs.tolist() == [(desk_area.h_min + desk_area.h_max) / 2]
         # Two or more points are np.linspace's, bit for bit.
@@ -112,7 +115,7 @@ class TestPlacementGrid:
     def test_last_state_of_2x2x2_is_max_corner(self, desk_area):
         grid = PlacementGrid(desk_area, 2, 2, 2)
         p = grid_index_to_position(grid, 7)
-        assert (p.x, p.y, p.h) == (desk_area.x_max, desk_area.y_max, desk_area.h_max)
+        assert (p.x, p.y, p.h) == (desk_area.half, desk_area.half, desk_area.h_max)
 
     def test_round_trip_bijection(self, desk_area):
         grid = PlacementGrid(desk_area, 4, 3, 5)
@@ -123,7 +126,7 @@ class TestPlacementGrid:
         grid = PlacementGrid(desk_area, 5, 5, 3)
         for s in range(grid.n_states):
             p = grid_index_to_position(grid, s)
-            assert desk_area.contains_2d(p)
+            assert max(abs(p.x), abs(p.y)) <= desk_area.half
             assert desk_area.h_min <= p.h <= desk_area.h_max
 
     def test_out_of_range_index(self, desk_grid):
@@ -138,12 +141,30 @@ class TestPlacementGrid:
 
 
 def test_service_area_validation():
+    for side in (0.0, -1.0, 5e-324):  # 5e-324 / 2 rounds to 0
+        with pytest.raises(ConfigurationError, match="must have positive extent"):
+            ServiceArea(side, 25.0, 525.0)
     with pytest.raises(ConfigurationError):
-        ServiceArea(0, 0, -1, 1, 25.0, 525.0)
-    with pytest.raises(ConfigurationError):
-        ServiceArea(-1, 1, -1, 1, h_min=100.0, h_max=50.0)
-    for box in [(-2e6, 1, -1, 1, 25.0, 525.0), (5e5, 1.5e6, -1, 1, 25.0, 525.0),
-                (-1, 1, -1, 1e300, 25.0, 525.0), (-1, 1, -1, 1, 25.0, 1e300)]:
+        ServiceArea(2.0, h_min=100.0, h_max=50.0)
+    for box in [(2e6 * (1 + 1e-15), 25.0, 525.0), (1e300, 25.0, 525.0), (2.0, 25.0, 1e300)]:
         with pytest.raises(ConfigurationError, match="must lie within 1e"):
             ServiceArea(*box)
-    assert ServiceArea(-1e6, 1e6, -1e6, 1e6, 25.0, 1e6).width == 2e6
+    assert ServiceArea(2e6, 25.0, 1e6).half == 1e6
+
+
+# Sides log-uniform over [1e-150, 2e6] m, where side * side is a normal float.
+_SIDES = st.floats(math.log(1e-150), math.log(2e6)).map(lambda t: min(math.exp(t), 2e6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(side=_SIDES)
+def test_two_rings_fit_every_square_and_a_third_never_does(side):
+    # The geometry behind hex_layout's ring rule: the site at axial (k, 0)
+    # lies k * isd from the centre, inside the area for k <= 2 and beyond
+    # its edge for every k >= 3.
+    area = ServiceArea(side, DEFAULTS.h_min, DEFAULTS.h_max)
+    for n_rings in (0, 1, 2):
+        for bs in hex_layout(n_rings, area, *SITE):
+            assert max(abs(bs.pos.x), abs(bs.pos.y)) <= area.half
+    for k in range(3, 61):
+        assert k * inter_site_distance(area, hex_cell_count(k)) > area.half

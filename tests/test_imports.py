@@ -135,8 +135,7 @@ def test_every_definition_is_named_elsewhere():
 # value computed from one (Users.vx and .vy, from the drawn velocities, and
 # .hold, from hold_time).
 REQUIRED_BELOW_THE_CONFIG = {
-    ("geometry", "square_area"): ("h_min", "h_max"),
-    ("geometry", "ServiceArea"): ("h_min", "h_max"),
+    ("geometry", "ServiceArea"): ("side", "h_min", "h_max"),
     ("deployment", "hex_layout"): ("antenna_height", "tx_power"),
     ("deployment", "GroundBS"): ("tx_power",),
     ("radio", "NetworkState"): ("aerial_tx_power",),

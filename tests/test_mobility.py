@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from aerialsim.deployment import drop_users_ppp
-from aerialsim.geometry import ConfigurationError, Position2D, square_area
+from aerialsim.geometry import ConfigurationError, Position2D, ServiceArea
 from aerialsim.mobility import (TIME_TOL, MobilityParams, User, Users,
                                 draw_velocities, init_users, step)
 from tests.conftest import DEFAULTS
@@ -60,8 +60,8 @@ def ref_walk(users, duration, params, area, rng):
         t = min(hold, left)
         moved = []
         for x, y, vx, vy in walkers:
-            x, vx = ref_mirror(x + vx * t, vx, area.x_min, area.x_max)
-            y, vy = ref_mirror(y + vy * t, vy, area.y_min, area.y_max)
+            x, vx = ref_mirror(x + vx * t, vx, -area.half, area.half)
+            y, vy = ref_mirror(y + vy * t, vy, -area.half, area.half)
             moved.append((x, y, vx, vy))
         walkers = moved
         hold -= t
@@ -91,7 +91,7 @@ def walks(draw):
     twice the area, so some start outside.
     """
     side = draw(st.floats(1.0, 2000.0, **finite))
-    area = square_area(side, DEFAULTS.h_min, DEFAULTS.h_max)
+    area = ServiceArea(side, DEFAULTS.h_min, DEFAULTS.h_max)
     hold_time = draw(st.floats(0.05, 20.0, **finite))
     duration = draw(st.floats(0.01, 30.0, **finite))
     top = side / min(hold_time, duration)  # the fastest speed one mirror allows
@@ -155,7 +155,7 @@ class TestStepMatchesScalarReference:
         out = step(users, 3.0, params, desk_area, np.random.default_rng(0))
         ref = ref_walk(users, 3.0, params, desk_area, np.random.default_rng(0))
         assert as_tuples(out) == as_tuples(ref)
-        assert desk_area.contains_2d(out[0].pos)
+        assert max(abs(out[0].pos.x), abs(out[0].pos.y)) <= desk_area.half
         assert (out[0].vx, out[0].vy) == (users[0].vx, users[0].vy)
 
     def test_seeded_drop_over_many_steps(self, desk_area):
@@ -197,7 +197,7 @@ def test_the_walk_is_split_invariant(seed, hold_time, hold, t1, t2):
     # Times in hundredths of a second, so a hold runs out inside either part
     # or on its end, never within the time tolerance of a part's end.
     area = DEFAULTS.service_area()
-    params = MobilityParams(c_max=area.width / (hold_time / 100), hold_time=hold_time / 100)
+    params = MobilityParams(c_max=area.side / (hold_time / 100), hold_time=hold_time / 100)
     rng = np.random.default_rng(seed)
     users = init_users(drop_users_ppp(20, area, rng), params, rng)
     users = replace(users, hold=min(hold, hold_time) / 100)
@@ -222,7 +222,7 @@ def test_mirrored_users_walk_to_the_mirrored_positions(side, duration, n_steps, 
     # in both walks to exactly the mirror of where the user walks. The hold
     # outlasts every step (no redraw), and a speed reaches the one-mirror
     # bound, the side over the stretch.
-    area = square_area(side, DEFAULTS.h_min, DEFAULTS.h_max)
+    area = ServiceArea(side, DEFAULTS.h_min, DEFAULTS.h_max)
     params = MobilityParams(c_max=side / duration, hold_time=(n_steps + 1) * duration)
     n = data.draw(st.integers(1, 8))
     coord = st.floats(-0.5, 0.5, **finite).map(lambda u: u * side)
@@ -320,7 +320,7 @@ class TestStep:
         users = init_users(drop_users_ppp(100, desk_area, rng), params, rng)
         for _ in range(10):
             users = step(users, 10.0, params, desk_area, rng)
-            assert all(desk_area.contains_2d(u.pos) for u in users)
+            assert max(np.abs(users.x).max(), np.abs(users.y).max()) <= desk_area.half
 
     def test_straight_line_within_hold(self, desk_area):
         params = MobilityParams(hold_time=10.0)

@@ -192,7 +192,7 @@ class TestLearnPlacement:
 
 
 
-class TestQTableIO:
+class TestRunTable:
     """The table a run hands to the learner at each trigger and reads back."""
 
     @pytest.mark.parametrize("other", [GridSpec(5, 3, 2), GridSpec(3, 5, 2),

@@ -129,8 +129,11 @@ class TestRunScenario:
         with pytest.raises(ConfigurationError):
             desk_config(baseline_mode="hybrid")
         # The config builds the ground layout; no square area holds a third ring.
-        with pytest.raises(ConfigurationError, match="hex layout with 3 rings does not fit"):
-            ScenarioConfig(n_rings=3)
+        for n_rings in (-1, 3, 10**6):
+            with pytest.raises(ConfigurationError,
+                               match="^n_rings must be 0, 1 or 2: no square area holds a "
+                                     "third ring$"):
+                ScenarioConfig(n_rings=n_rings)
         for height in (0.0, -1.0, 1e300):
             with pytest.raises(ConfigurationError, match="antenna height must be positive"):
                 ScenarioConfig(antenna_height=height)
