@@ -39,7 +39,7 @@ _ACTION_DELTAS = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class QTable:
     """The learned table: it lives for one run and is carried from trigger to trigger."""
 
@@ -153,7 +153,7 @@ def make_qos_table(snapshot: NetworkState, grid: PlacementGrid) -> Callable[[int
     return qos_map(snapshot, grid).tolist().__getitem__
 
 
-@dataclass
+@dataclass(eq=False)
 class LearnResult:
     best_state: int
     rewards: np.ndarray            # one entry per learning step (Fig.-7 style trace)

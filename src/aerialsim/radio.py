@@ -14,7 +14,7 @@ from .geometry import Position3D
 from .mobility import Users
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkState:
     """One instant of the network: sites, users, and radio parameters."""
 

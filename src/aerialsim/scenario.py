@@ -135,7 +135,7 @@ class ScenarioConfig:
                              self.grid.n_h)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSlotRecord:
     qos: float
     qos_th: float
@@ -144,7 +144,7 @@ class TimeSlotRecord:
     learning_triggered: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioRun:
     records: List[TimeSlotRecord]
     reward_traces: List[np.ndarray]
@@ -291,7 +291,7 @@ def sinr_cdf(records: Sequence[TimeSlotRecord]) -> Tuple[np.ndarray, np.ndarray]
 # Output files
 
 
-# Rows of reward_trace.csv formatted and written per write call.
+# Lines of reward_trace.csv joined and written per write call.
 TRACE_BLOCK_ROWS = 1024
 
 
@@ -336,24 +336,19 @@ def emit_outputs(records: Sequence[TimeSlotRecord],
 
         p = out / "reward_trace.csv"
         with open(p, "wb") as f:
-            # The rows csv.writer would write (no field needs quoting), as
+            # One reward per line in step order across triggers, so a data
+            # line's number is its step: the lines csv.writer would write, as
             # ASCII bytes. Each distinct float64 bit pattern (-0.0 apart from
-            # 0.0) is repr'd once. Rows go out in blocks, each one %-format
-            # of its rows' numbers and texts; a list of the whole trace would
-            # raise peak memory.
-            f.write(b"iteration,reward\n")
-            i = 0
+            # 0.0) is repr'd once. Lines go out in blocks; one join over the
+            # whole trace would raise peak memory.
+            f.write(b"reward\n")
             for trace in reward_traces:
                 bits = np.ascontiguousarray(trace, dtype=float).view(np.uint64)
                 uniq, inv = np.unique(bits, return_inverse=True)
-                text = [repr(r).encode() for r in uniq.view(float).tolist()]
+                text = [(repr(r) + "\n").encode() for r in uniq.view(float).tolist()]
                 for lo in range(0, inv.size, TRACE_BLOCK_ROWS):
-                    block = inv[lo:lo + TRACE_BLOCK_ROWS].tolist()
-                    row = [None] * (2 * len(block))
-                    row[0::2] = range(i + lo, i + lo + len(block))
-                    row[1::2] = map(text.__getitem__, block)
-                    f.write((b"%d,%b\n" * len(block)) % tuple(row))
-                i += inv.size
+                    f.write(b"".join(map(text.__getitem__,
+                                         inv[lo:lo + TRACE_BLOCK_ROWS].tolist())))
         paths.append(p)
 
         p = out / "summary.yaml"

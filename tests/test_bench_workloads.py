@@ -3,12 +3,14 @@
 bench/workloads.py imports aerialsim's modules inside its functions and runs
 outside this suite (bench/test_smoke.py is not in testpaths). These tests
 keep what it reads working: its imports, its inputs, set-up and reference
-values, and its own QoS map, which must agree with aerialsim's.
+values, its own QoS map, which must agree with aerialsim's, and its output
+checks, which each workload's small run must pass.
 """
 
 import ast
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,17 @@ def test_inputs_setup_and_reference(workloads, name):
         assert ref["map"].shape == (cfg.placement_grid().n_states,)
     if "optimum" in ref:
         assert ref["optimum"] > 0
+
+
+@pytest.mark.parametrize("name", ["learn_static", "oracle_paper", "walk_ground"])
+def test_small_run_passes_the_workload_check(workloads, name, tmp_path):
+    workload = workloads.WORKLOADS[name](small=True)
+    inputs = workload.make_inputs(0)
+    ref = workload.reference(inputs)
+    out = tmp_path / "out"
+    result = workload.run(inputs, out)
+    assert workload.check(inputs, ref, result, out) == []
+    assert math.isfinite(workload.qos_vs_oracle(ref, result))
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -23,6 +23,11 @@ Config gate: outside cli.py, src/aerialsim raises ConfigurationError only
 in a __post_init__ (the config and the values it is built from) and in the
 few functions that build or load a config (CONFIG_CHECKERS), so a rule the
 config applies is not checked again below it.
+
+Records: every dataclass of src/aerialsim with a field annotated
+np.ndarray, List[...] or Sequence[...] passes eq=False. The generated ==
+would compare arrays, which raises ValueError, and leave a mutable or
+frozen record unhashable; with eq=False a record equals only itself.
 """
 
 import ast
@@ -283,4 +288,63 @@ def test_misplaced_config_raises_are_found():
 def test_config_rules_are_raised_only_at_the_gate():
     found = {p.name: misplaced_config_raises(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.glob("*.py")) if p.name != "cli.py"}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+# An annotation that holds an array or a list somewhere in it.
+ARRAY_ANNOTATION = re.compile(r"\bnp\.ndarray\b|\b(List|Sequence)\[")
+
+
+def array_records_with_eq(source: str) -> list:
+    """(line, class) of each @dataclass with a field annotated np.ndarray,
+    List[...] or Sequence[...] that does not pass eq=False."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            target = ast.unparse(call.func if call else deco)
+            if target not in ("dataclass", "dataclasses.dataclass"):
+                continue
+            eq_off = call is not None and any(
+                k.arg == "eq" and isinstance(k.value, ast.Constant) and k.value.value is False
+                for k in call.keywords)
+            holds_array = any(isinstance(f, ast.AnnAssign)
+                              and ARRAY_ANNOTATION.search(ast.unparse(f.annotation))
+                              for f in node.body)
+            if holds_array and not eq_off:
+                found.append((node.lineno, node.name))
+    return found
+
+
+def test_array_records_with_eq_are_found():
+    source = ("@dataclass(frozen=True)\n"
+              "class A:\n"
+              "    x: np.ndarray\n"
+              "@dataclasses.dataclass\n"
+              "class B:\n"
+              "    y: List[int]\n"
+              "@dataclass(eq=False)\n"
+              "class C:\n"
+              "    z: Sequence[float]\n"
+              "@dataclass\n"
+              "class D:\n"
+              "    w: int = 0\n"
+              "    v: Optional[np.ndarray] = None\n"
+              "@dataclass(frozen=True, eq=True)\n"
+              "class E:\n"
+              "    u: Sequence[int]\n"
+              "@dataclass\n"
+              "class F:\n"
+              "    t: Tuple[int, int]\n"
+              "    ndarray: int = 0\n"
+              "class G:\n"
+              "    s: np.ndarray\n")
+    assert array_records_with_eq(source) == [(2, "A"), (5, "B"), (11, "D"), (15, "E")]
+
+
+def test_records_of_arrays_and_lists_pass_eq_false():
+    found = {p.name: array_records_with_eq(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}

@@ -12,7 +12,7 @@ import yaml
 from aerialsim import scenario
 from aerialsim.geometry import ConfigurationError
 from aerialsim.mobility import MobilityParams
-from aerialsim.placement import LearningConfig
+from aerialsim.placement import LearningConfig, LearnResult, QTable
 from aerialsim.radio import aggregate_qos, throughput
 from aerialsim.scenario import (PRESETS, GridSpec, ScenarioConfig, TimeSlotRecord,
                                 aerial_helps, build_config, build_network,
@@ -164,6 +164,21 @@ def test_run_matches_a_walk_of_one_substep_at_a_time(cfg, monkeypatch):
         [t.tobytes() for t in ref.reward_traces]
 
 
+def test_records_of_arrays_compare_by_identity_and_hash():
+    # Field-wise == would compare arrays (ValueError) and leave these records
+    # unhashable; each equals only itself.
+    cfg = desk_config(sim_duration=20.0)
+    run = run_scenario(cfg)
+    net, _, _ = build_network(cfg)
+    for rec in (run.records[-1], net, QTable.zeros(4),
+                LearnResult(best_state=0, rewards=np.zeros(3),
+                            episode_greedy_qos=np.zeros(1)), run):
+        twin = replace(rec)
+        assert rec == rec and rec != twin and not rec == twin
+        assert hash(rec) == hash(rec) != hash(twin)
+        assert len({rec, twin}) == 2
+
+
 class TestCompareSeed:
     def test_row(self):
         cfg = desk_config(sim_duration=40.0, n_users=25)
@@ -275,12 +290,25 @@ class TestEmitOutputs:
         emit_outputs([record(1.0, [1.0])], traces, tmp_path, config=ScenarioConfig())
         expected = io.StringIO(newline="")
         w = csv.writer(expected, lineterminator="\n")
-        w.writerow(["iteration", "reward"])
-        rows = [r for trace in traces for r in trace]
-        w.writerows([i, repr(float(r))] for i, r in enumerate(rows))
+        w.writerow(["reward"])
+        w.writerows([repr(float(r))] for trace in traces for r in trace)
         written = (tmp_path / "reward_trace.csv").read_bytes()
         assert written == expected.getvalue().encode("utf-8")
-        assert b"3,-0.0\n" in written
+        assert written.startswith(b"reward\n1.5\n-2.25\n0.0\n-0.0\n")
+
+    def test_reward_trace_reads_back_every_learner_step(self, tmp_path):
+        # One line per step, in step order across triggers: the data line's
+        # number is the step, and each line reads back to the reward's bits.
+        cfg = build_config(preset="desk", overrides={
+            "seed": 2, "mobility": {"c_max": 40.0, "hold_time": 3.0}})  # two triggers
+        run = run_scenario(cfg)
+        emit_outputs(run.records, run.reward_traces, tmp_path, config=cfg)
+        header, *lines = (tmp_path / "reward_trace.csv").read_text().split("\n")[:-1]
+        steps = cfg.learning.max_episodes * cfg.learning.max_steps
+        assert header == "reward" and len(run.reward_traces) >= 2
+        assert len(lines) == len(run.reward_traces) * steps
+        assert np.array([float(line) for line in lines]).tobytes() == \
+            np.concatenate(run.reward_traces).tobytes()
 
     def test_unwritable_directory_surfaces_path(self, tmp_path):
         target = tmp_path / "file"
