@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MAX_LENGTH, ConfigurationError, DegenerateGeometryError
+from .geometry import MAX_LENGTH, ConfigurationError
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # The shortest and longest link distances an area can hold: any positive
@@ -96,9 +96,7 @@ def atg_pathloss_hl(h, l, env: AtgEnvironment, radio: RadioParams, out=None, wor
 
 
 def ground_pathloss_d(d, radio: RadioParams):
-    """Log-distance terrestrial path loss (dB) at 3D distance d meters."""
-    if np.any(d <= 0):
-        raise DegenerateGeometryError("link distance must be positive")
+    """Log-distance terrestrial path loss (dB) at 3D distance d > 0 meters."""
     return radio.ground_ref_loss + 10.0 * radio.ground_pathloss_exponent * np.log10(d)
 
 

@@ -10,6 +10,9 @@ import numpy as np
 
 from .geometry import MAX_LENGTH, ConfigurationError, Position3D, ServiceArea
 
+# The least antenna height whose square is a positive float, so that a site's
+# link distance sqrt(dx ** 2 + dy ** 2 + h ** 2) is positive for every user.
+MIN_ANTENNA_HEIGHT = 1.5717277847026288e-162  # m
 # Axial-coordinate unit steps around a hex ring.
 _HEX_DIRECTIONS = [(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)]
 
@@ -50,6 +53,9 @@ def hex_layout(n_rings: int, area: ServiceArea, antenna_height: float,
         raise ConfigurationError("n_rings must be 0, 1 or 2: no square area holds a third ring")
     if not 0 < antenna_height <= MAX_LENGTH:
         raise ConfigurationError(f"antenna height must be positive and at most {MAX_LENGTH:g} m")
+    if not antenna_height ** 2 > 0:  # the square radio._ground_power takes
+        raise ConfigurationError(f"antenna height {antenna_height!r} m squares to 0.0; it "
+                                 f"must be at least {MIN_ANTENNA_HEIGHT!r} m")
 
     n_cells = hex_cell_count(n_rings)
     isd = inter_site_distance(area, n_cells)

@@ -11,10 +11,6 @@ class ConfigurationError(ValueError):
     """Raised for invalid scenario / layout configuration."""
 
 
-class DegenerateGeometryError(ValueError):
-    """Raised when a link distance collapses to zero."""
-
-
 @dataclass(frozen=True)
 class Position2D:
     x: float

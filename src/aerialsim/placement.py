@@ -125,13 +125,12 @@ def _rollout(vmax: list, kmax: list, nxt: list, b: int, max_steps: int) -> int:
 
 def greedy_rollout(q: QTable, s: int, grid: PlacementGrid,
                    max_steps: Optional[int] = None) -> int:
-    """Follow the greedy policy from s; stops on a clamp or a revisit.
+    """Follow the greedy policy from state s of grid; stops on a clamp or a revisit.
 
     On a revisit (greedy cycle) the cycle member with the higher greedy value
     is returned, so the rollout terminal is well defined. max_steps defaults
     to n_x + n_y + n_h.
     """
-    grid.unravel(s)  # validates
     if max_steps is None:
         max_steps = grid.n_x + grid.n_y + grid.n_h
     nxt, vmax, kmax = _row_tables(q.values, grid)
@@ -195,7 +194,6 @@ def learn_placement(initial_state: int, snapshot: NetworkState, q: QTable,
     sum for either, because r, a difference of QoS values >= +0.0, is never
     -0.0.
     """
-    grid.unravel(initial_state)  # validates
     bitgen = rng.bit_generator
     if type(bitgen) is not np.random.PCG64:
         raise TypeError(f"learn_placement decodes PCG64 words; rng runs on "

@@ -80,16 +80,15 @@ def throughput(sinr_linear, out=None):
 
 
 def link_report(state: NetworkState) -> Tuple[np.ndarray, np.ndarray]:
-    """Each user's linear SINR and throughput (bits/s/Hz) under max-SINR association."""
+    """Each user's linear SINR (0 with no server) and throughput (bits/s/Hz) under
+    max-SINR association."""
     users = state.users
     ground_sum, ground_max = _ground_totals(state, users)
     if state.aerial_pos is not None:
         ap = state.aerial_pos
         aerial = _aerial_power(state, ap.h, np.hypot(users.x - ap.x, users.y - ap.y))
-    elif any(bs.active for bs in state.ground_bs):
-        aerial = 0.0
     else:
-        raise ValueError("network has no active base station")
+        aerial = 0.0
     s = _strongest_sinr(dbm_to_mw(state.radio.noise_power), ground_sum, ground_max,
                         aerial)
     return s, throughput(s)

@@ -261,18 +261,13 @@ def aerial_helps(row: dict) -> bool:
 
 def per_user_mean_sinr_db(records: Sequence[TimeSlotRecord]) -> np.ndarray:
     """Time-averaged linear SINR per user, in dB."""
-    slots = [r.user_sinr for r in records if r.user_sinr.size]
-    if not slots:
-        return np.empty(0)
-    mean_lin = np.mean(np.vstack(slots), axis=0)
+    mean_lin = np.mean(np.vstack([r.user_sinr for r in records]), axis=0)
     with np.errstate(divide="ignore"):  # a mean SINR of 0 is -inf dB
         return 10.0 * np.log10(mean_lin)
 
 
 def sinr_cdf(records: Sequence[TimeSlotRecord]) -> Tuple[np.ndarray, np.ndarray]:
     """Empirical CDF of per-user time-averaged SINR on a 0.1 dB grid."""
-    if not records:
-        raise ValueError("no records")
     vals = np.sort(per_user_mean_sinr_db(records))
     if vals.size == 0:
         return np.empty(0), np.empty(0)
@@ -465,6 +460,9 @@ def build_config(preset: Optional[str] = None, config_file=None,
             except yaml.YAMLError as e:
                 raise ConfigurationError(f"config file {config_file} is not valid "
                                          f"YAML: {' '.join(str(e).split())}") from e
+            except RecursionError:  # PyYAML composes nested nodes recursively
+                raise ConfigurationError(
+                    f"config file {config_file} nests too deeply to load") from None
         if not isinstance(loaded, dict):
             raise ConfigurationError("config file must be a mapping")
         d = _merge(d, loaded)

@@ -9,7 +9,8 @@ aerialsim.placement runs the learner on flat tables of Python scalars. This
 module keeps it as single steps on the QTable: an epsilon-greedy choice, a
 clamped move on the grid, the QoS difference as reward, one
 temporal-difference backup, and the greedy rollout; reference_learn loops
-them into learn_placement.
+them into learn_placement. q_star gives the table the learner aims at, by
+value iteration, with no code of the learner.
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ def sinr_matrix(state: NetworkState) -> np.ndarray:
         a = _aerial_power(state, ap.h, np.hypot(users.x - ap.x, users.y - ap.y))
         total = total + a
         p = np.column_stack([p, a])
-    if p.shape[1] == 0:
-        raise ValueError("network has no active base station")
     noise_mw = dbm_to_mw(state.radio.noise_power)
     return p / (noise_mw + total[:, None] - p)
 
@@ -208,3 +207,24 @@ def reference_learn(initial_state, snapshot, q, cfg, grid, rng):
         epsilon = max(cfg.epsilon_floor, epsilon * cfg.epsilon_decay)
         episode_qos[ep] = qos(greedy_rollout(q, initial_state, grid))
     return greedy_rollout(q, initial_state, grid), np.array(rewards), episode_qos
+
+
+# Value iterations q_star makes at most before it gives up on a fixed point.
+Q_STAR_MAX_ITERATIONS = 100_000
+
+
+def q_star(qos: np.ndarray, nxt: np.ndarray, gamma: float) -> np.ndarray:
+    """The optimal Q-values of one frozen snapshot, by value iteration.
+
+    qos[s] is the QoS at state s and nxt[s, a] the state action a moves s
+    to. From a zero table, Q(s, a) = (qos[s'] - qos[s]) + gamma * max Q(s', .),
+    s' = nxt[s, a], is iterated until an iteration changes no bit.
+    """
+    r = qos[nxt] - qos[:, None]
+    q = np.zeros(nxt.shape)
+    for _ in range(Q_STAR_MAX_ITERATIONS):
+        q_next = r + gamma * q.max(axis=1)[nxt]
+        if np.array_equal(q_next, q):
+            return q
+        q = q_next
+    raise AssertionError(f"no fixed point in {Q_STAR_MAX_ITERATIONS} iterations")

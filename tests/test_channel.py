@@ -6,7 +6,7 @@ import pytest
 from aerialsim.channel import (AtgEnvironment, RadioParams, atg_pathloss_hl, dbm_to_mw,
                                free_space_pathloss, ground_pathloss_d, p_los)
 from aerialsim.deployment import GroundBS
-from aerialsim.geometry import DegenerateGeometryError, Position2D, Position3D
+from aerialsim.geometry import Position2D, Position3D
 from aerialsim.radio import (NetworkState, _aerial_power, _ground_power, _strongest_sinr,
                              throughput)
 from tests.conftest import DEFAULTS, users_at
@@ -116,10 +116,6 @@ class TestGroundPathloss:
                              aerial_tx_power=DEFAULTS.aerial_tx_power)
         assert _ground_power(state, state.users)[0, 0] == pytest.approx(
             dbm_to_mw(bs.tx_power - ground_pathloss_d(50.0, radio)), rel=1e-12)
-
-    def test_zero_distance_rejected(self, radio):
-        with pytest.raises(DegenerateGeometryError):
-            ground_pathloss_d(0.0, radio)
 
 
 def test_environment_validation():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import aerialsim
 from aerialsim import cli, scenario
 from aerialsim.cli import main
+from aerialsim.deployment import MIN_ANTENNA_HEIGHT
 from aerialsim.geometry import ConfigurationError
 from aerialsim.radio import qos_map
 from aerialsim.scenario import (ScenarioConfig, build_config, build_network,
@@ -557,6 +558,20 @@ def test_malformed_yaml_exits_nonzero(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "oracle", "compare"])
+def test_deeply_nested_config_exits_nonzero(tmp_path, capsys, command):
+    # PyYAML composes nested nodes recursively: about 600 levels raised a
+    # RecursionError traceback.
+    cfg = tmp_path / "deep.yaml"
+    cfg.write_text("a: " + "[" * 1000 + "]" * 1000 + "\n")
+    rc = main([command, "--preset", "desk", "--config", str(cfg),
+               "--out-dir", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config file {cfg} nests too deeply to load"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("config, message", [
     # 3e12 slots; any t_min at or below the time tolerance would also
     # leave the users standing.
@@ -581,6 +596,11 @@ def test_malformed_yaml_exits_nonzero(tmp_path, capsys):
     # Lengths whose squares overflow: an OverflowError traceback from the
     # antenna height's square, overflow warnings from heights and distances.
     ("antenna_height: 1.0e+300", "antenna height must be positive and at most 1e+06 m"),
+    # A height whose square is 0.0 puts a user at a site's foot at link
+    # distance 0; the tiny exponent keeps the SINR bound from rejecting it.
+    ("{antenna_height: 1.0e-200, radio: {ground_pathloss_exponent: 1.0e-6}}",
+     "antenna height 1e-200 m squares to 0.0; it must be at least "
+     "1.5717277847026288e-162 m"),
     ("h_max: 1.0e+300", "service area must lie within 1e+06 m of 0"),
     ("area_side: 1.0e+160", "service area must lie within 1e+06 m of 0"),
     # The free-space ratio 4*pi*f*d/c overflows (an overflow warning, then a
@@ -614,7 +634,9 @@ _VALID = {
     "area_side": st.floats(1.0, 4000.0),
     "h_min": st.floats(1.0, 100.0),
     "h_max": st.floats(50.0, 600.0),
-    "antenna_height": st.floats(0.0, 60.0),
+    # At and just below the least height with a positive square too.
+    "antenna_height": st.floats(0.0, 60.0) | st.sampled_from(
+        [MIN_ANTENNA_HEIGHT, math.nextafter(MIN_ANTENNA_HEIGHT, 0.0)]),
     "ground_tx_power": st.floats(-20.0, 60.0),
     "aerial_tx_power": st.floats(-20.0, 60.0),
     "t_min": st.floats(1.0, 20.0),
@@ -625,7 +647,8 @@ _VALID = {
     "env": {"kappa": st.floats(0.1, 20.0), "zeta": st.floats(0.01, 1.0),
             "eta_los": st.floats(0.0, 5.0), "eta_nlos": st.floats(0.0, 40.0)},
     "radio": {"carrier_freq": st.floats(1e8, 1e10), "noise_power": st.floats(-130.0, -60.0),
-              "ground_pathloss_exponent": st.floats(1.0, 6.0),
+              # A tiny exponent lets the SINR bound accept the least height.
+              "ground_pathloss_exponent": st.floats(1.0, 6.0) | st.just(1.0e-6),
               "ground_ref_loss": st.floats(0.0, 60.0)},
     "mobility": {"c_max": st.floats(0.0, 50.0), "hold_time": st.floats(0.1, 20.0)},
     "learning": {"max_episodes": st.integers(1, 20), "max_steps": st.integers(1, 10),

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from aerialsim.deployment import (PlacementGrid, drop_users_ppp,
+from aerialsim.deployment import (MIN_ANTENNA_HEIGHT, PlacementGrid, drop_users_ppp,
                                   grid_index_to_position, hex_cell_count, hex_layout,
                                   inter_site_distance, position_to_grid_index)
 from aerialsim.geometry import ConfigurationError, ServiceArea
@@ -62,6 +63,15 @@ class TestHexLayout:
     def test_antenna_height_outside_its_range_rejected(self, desk_area, height):
         with pytest.raises(ConfigurationError, match="antenna height must be positive"):
             hex_layout(1, desk_area, height, DEFAULTS.ground_tx_power)
+
+    def test_antenna_height_floor_is_the_least_with_a_positive_square(self, desk_area):
+        below = math.nextafter(MIN_ANTENNA_HEIGHT, 0.0)
+        assert MIN_ANTENNA_HEIGHT ** 2 > 0.0 and below ** 2 == 0.0
+        assert hex_layout(1, desk_area, MIN_ANTENNA_HEIGHT, DEFAULTS.ground_tx_power)
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"antenna height {below!r} m squares to 0.0; it must be at least "
+                f"{MIN_ANTENNA_HEIGHT!r} m")):
+            hex_layout(1, desk_area, below, DEFAULTS.ground_tx_power)
 
 
 class TestDropUsers:

@@ -15,7 +15,8 @@ from aerialsim.placement import (N_ACTIONS, Action, LearningConfig, QTable,
                                  next_state_table)
 from aerialsim.scenario import GridSpec, build_config
 from tests.conftest import DEFAULTS, episodes_to_reach, make_snapshot, trigger_tables
-from tests.reference import (apply_action, q_update, reference_learn, reward,
+from aerialsim.radio import qos_map
+from tests.reference import (apply_action, q_star, q_update, reference_learn, reward,
                              select_action)
 from tests.reference import greedy_rollout as reference_rollout
 
@@ -265,13 +266,6 @@ class TestGreedyRollout:
         q.values[0, Action.PLUS_X] = 0.25  # now state 1's maximum is the higher
         assert greedy_rollout(q, start, grid, max_steps) == 1
 
-    @pytest.mark.parametrize("start", [-1, 30])
-    @pytest.mark.parametrize("max_steps", [None, 0])
-    def test_out_of_range_start_rejected(self, start, max_steps):
-        grid = PlacementGrid(DEFAULTS.service_area(), 5, 3, 2)
-        with pytest.raises(IndexError, match="out of range"):
-            greedy_rollout(QTable.zeros(grid.n_states), start, grid, max_steps)
-
 
 @st.composite
 def learning_cases(draw):
@@ -503,6 +497,56 @@ class TestPcg64Draws:
             learn_placement(0, snap, QTable.zeros(grid.n_states),
                             LearningConfig(max_episodes=2, max_steps=3), grid, rng)
         assert rng.random() == np.random.Generator(bitgen(0)).random()  # no draw
+
+
+def next_states(grid):
+    """(n_states, 6) array of apply_action at every state and action."""
+    return np.array([[apply_action(s, a, grid) for a in Action]
+                     for s in range(grid.n_states)])
+
+
+class TestQStar:
+    def test_hand_values_on_a_line(self):
+        # QoS 0, 2, 1 along x; every other move clamps. The peak's value is 0
+        # (staying earns 0), state 2 steps onto it (1 + 0.5 * 0) and state 0
+        # too (2 + 0.5 * 0); a clamp earns 0.5 times its own state's value.
+        grid = PlacementGrid(DEFAULTS.service_area(), 3, 1, 1)
+        q = q_star(np.array([0.0, 2.0, 1.0]), next_states(grid), 0.5)
+        assert q.tolist() == [[2.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                              [-0.5, -1.0, 0.0, 0.0, 0.0, 0.0],
+                              [0.5, 1.0, 0.5, 0.5, 0.5, 0.5]]
+
+    @settings(max_examples=25, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3)).filter(
+               lambda d: d[0] != d[1]),
+           snap_seed=st.integers(0, 50), n_users=st.integers(1, 12),
+           gamma=st.sampled_from([0.0, 0.5, 0.9]), learn_seed=st.integers(0, 2**32 - 1),
+           epsilon=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_is_a_fixed_point_of_learn_placement(self, dims, snap_seed, n_users, gamma,
+                                                 learn_seed, epsilon):
+        # Every backup of the learner's rule from Q* has a target equal to
+        # the value it updates, wherever the episodes go.
+        grid = PlacementGrid(DEFAULTS.service_area(), *dims)
+        snap, _ = make_snapshot(snap_seed, DEFAULTS.service_area(), n_users=n_users)
+        want = q_star(qos_map(snap, grid), next_states(grid), gamma)
+        q = QTable.zeros(grid.n_states)
+        q.values[:] = want
+        cfg = LearningConfig(max_episodes=20, max_steps=10, gamma=gamma, epsilon=epsilon)
+        learn_placement(grid.center_state(), snap, q, cfg, grid,
+                        np.random.default_rng(learn_seed))
+        assert q.visit_counts.sum() == cfg.max_episodes * cfg.max_steps
+        np.testing.assert_allclose(q.values, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_desk_discount_ceiling_is_zero(self, desk_area, desk_grid, seed):
+        # On the acceptance battery's snapshots, the discounted objective's
+        # own greedy pick from the centre is the oracle's optimum, so the
+        # discount costs criterion 2 nothing.
+        snap, _ = make_snapshot(seed, desk_area, n_users=50)
+        best, qos = exhaustive_search(snap, desk_grid)
+        q = QTable.zeros(desk_grid.n_states)
+        q.values[:] = q_star(qos, next_states(desk_grid), LearningConfig().gamma)
+        assert qos[reference_rollout(q, desk_grid.center_state(), desk_grid)] == qos[best]
 
 
 class TestLearningConfigBounds:

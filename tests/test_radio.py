@@ -9,12 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aerialsim.channel import AtgEnvironment, RadioParams
-from aerialsim.deployment import (GroundBS, PlacementGrid,
+from aerialsim.deployment import (MIN_ANTENNA_HEIGHT, GroundBS, PlacementGrid,
                                   grid_index_to_position)
 from aerialsim.geometry import Position2D, Position3D
 from aerialsim.radio import (QOS_MAP_CHUNK_BYTES, NetworkState, _ground_power,
                              aggregate_qos, link_report, qos_map, qos_map_chunk,
                              throughput)
+from aerialsim.scenario import ScenarioConfig, build_network
 from tests.conftest import DEFAULTS, make_snapshot, users_at
 from tests.reference import (AERIAL_ID, associate_max_sinr, ground_power,
                              served_sinr, sinr, sinr_matrix)
@@ -132,6 +133,17 @@ class TestLinkReport:
             assert associate_max_sinr(got) == associate_max_sinr(want)
             assert link_report(got)[0].tolist() == link_report(want)[0].tolist()
 
+    def test_user_at_a_site_foot_at_the_least_antenna_height(self):
+        # The config's floor keeps every site's link distance positive, so a
+        # user standing on a site's (x, y) gets a finite SINR from it. The
+        # tiny exponent lets the config's SINR bound accept the height.
+        cfg = ScenarioConfig(antenna_height=MIN_ANTENNA_HEIGHT,
+                             radio=RadioParams(ground_pathloss_exponent=1.0e-6))
+        net = build_network(cfg)[0]
+        on_sites = users_at([b.pos for b in net.ground_bs])
+        user_sinr, _ = link_report(replace(net, users=on_sites))
+        assert np.all((0.0 < user_sinr) & (user_sinr < np.inf))
+
     def test_zero_users(self, urban, radio):
         state = make_state([bs_at(0, 0, 0)], [], urban, radio)
         user_sinr, tput = link_report(state)
@@ -141,14 +153,10 @@ class TestLinkReport:
     def assert_matches_reference(state):
         assert np.array_equal(_ground_power(state, state.users).T,
                               ground_power(state, state.users))
-        n_servers = sum(b.active for b in state.ground_bs) + (state.aerial_pos is not None)
-        if n_servers == 0:
-            with pytest.raises(ValueError, match="no active base station"):
-                link_report(state)
-            with pytest.raises(ValueError, match="no active base station"):
-                served_sinr(state)
-            return
         user_sinr, tput = link_report(state)
+        if not any(b.active for b in state.ground_bs) and state.aerial_pos is None:
+            assert not user_sinr.any() and not tput.any()  # no server: SINR 0
+            return
         want = served_sinr(state)
         assert user_sinr.tolist() == want.tolist()
         assert tput.tolist() == throughput(want).tolist()

@@ -235,10 +235,6 @@ class TestSinrCdf:
         med2 = xs2[np.searchsorted(c2, 0.5)]
         assert med2 - med1 == pytest.approx(3.0, abs=0.15)
 
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
-            sinr_cdf([])
-
 
 class TestEmitOutputs:
     def test_row_count_matches_slots(self, tmp_path):
