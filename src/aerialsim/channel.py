@@ -3,6 +3,8 @@
 All functions accept scalars or numpy arrays and return matching shapes, so
 the single-link operations and the vectorized network evaluation share one
 code path. Given ``out``, they compute into that array by the same operations.
+Given ``work``, they keep their intermediates in its arrays; dbm_to_mw keeps
+the base of its power there.
 """
 
 from __future__ import annotations
@@ -95,10 +97,26 @@ def atg_pathloss_hl(h, l, env: AtgEnvironment, radio: RadioParams, out=None, wor
     return pl
 
 
-def ground_pathloss_d(d, radio: RadioParams):
+def ground_pathloss_d(d, radio: RadioParams, out=None):
     """Log-distance terrestrial path loss (dB) at 3D distance d > 0 meters."""
-    return radio.ground_ref_loss + 10.0 * radio.ground_pathloss_exponent * np.log10(d)
+    pl = np.log10(d, out=out)
+    pl *= 10.0 * radio.ground_pathloss_exponent
+    pl += radio.ground_ref_loss
+    return pl
 
 
-def dbm_to_mw(dbm, out=None):
-    return np.power(10.0, np.divide(np.asarray(dbm, dtype=float), 10.0, out=out), out=out)
+def dbm_to_mw(dbm, out=None, work=None):
+    """10 ** (dbm / 10) mW.
+
+    work, if given, is an array of dbm's shape that shares no memory with dbm
+    or out; it is filled with 10.0 and is the base of the power. numpy's SIMD
+    power loop gives the scalar base's bits on an array base at about half
+    the cost (a scalar reaches it as a stride-0 operand), provided work and
+    out step through memory the same way: with one forwards and one
+    backwards, that loop does not run.
+    """
+    x = np.divide(np.asarray(dbm, dtype=float), 10.0, out=out)
+    if work is None:
+        return np.power(10.0, x, out=out)
+    work.fill(10.0)
+    return np.power(work, x, out=out)

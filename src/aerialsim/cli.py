@@ -14,7 +14,8 @@ from .deployment import grid_index_to_position
 from .geometry import ConfigurationError
 from .oracle import exhaustive_search, export_qos_csv
 from .scenario import (PRESETS, aerial_helps, build_config, build_network,
-                       compare_seed, disable_site, emit_outputs, run_scenario)
+                       check_compare_config, compare_seed, disable_site, emit_outputs,
+                       run_scenario)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,6 +61,7 @@ def cmd_compare(args) -> int:
         if n < 1:
             raise ConfigurationError(f"{flag} must be at least 1, got {n}")
     cfg = _config_from_args(args)
+    check_compare_config(cfg)  # in this process, before any worker starts
     cfgs = [replace(cfg, seed=cfg.seed + k) for k in range(args.n_seeds)]
     jobs = min(args.jobs, len(cfgs))  # a pool may start all its workers at once
     if jobs > 1:

@@ -32,12 +32,20 @@ def _ground_power(state: NetworkState, users: Users) -> np.ndarray:
     One sites x users broadcast, so the path loss is a single call and the
     long user axis is the inner one. Each site's h ** 2 is a scalar power
     (C pow), as in the per-site form; an array's ** 2 is h * h, which can
-    differ in the last place.
+    differ in the last place. Each step of
+    tx - pl(sqrt((x - ux) ** 2 + (y - uy) ** 2 + h ** 2)) writes into one of
+    two sites x users arrays, by the same operations in the same order; the
+    second is the power's base once it is free.
     """
     site = np.array([(bs.pos.x, bs.pos.y, bs.pos.h ** 2, bs.tx_power)
                      for bs in state.ground_bs if bs.active]).reshape(-1, 4)[:, :, None]
-    d = np.sqrt((site[:, 0] - users.x) ** 2 + (site[:, 1] - users.y) ** 2 + site[:, 2])
-    return dbm_to_mw(site[:, 3] - ground_pathloss_d(d, state.radio))
+    d = np.subtract(site[:, 0], users.x)
+    np.square(d, out=d)
+    dy = np.subtract(site[:, 1], users.y)
+    d += np.square(dy, out=dy)
+    d += site[:, 2]
+    pl = ground_pathloss_d(np.sqrt(d, out=d), state.radio, out=d)
+    return dbm_to_mw(np.subtract(site[:, 3], pl, out=pl), out=pl, work=dy)
 
 
 def _ground_totals(state: NetworkState, users: Users):
@@ -55,7 +63,8 @@ def _ground_totals(state: NetworkState, users: Users):
 def _aerial_power(state: NetworkState, h, l, out=None, work=None) -> np.ndarray:
     """Linear received power (mW) from the aerial at altitude h, horizontal distance l."""
     pl = atg_pathloss_hl(h, l, state.env, state.radio, out=out, work=work)
-    return dbm_to_mw(np.subtract(state.aerial_tx_power, pl, out=out), out=out)
+    return dbm_to_mw(np.subtract(state.aerial_tx_power, pl, out=out), out=out,
+                     work=work and work[0])
 
 
 def _strongest_sinr(noise_mw, ground_sum, ground_max, aerial, out=None, work=None):

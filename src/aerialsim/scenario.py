@@ -231,11 +231,16 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioRun:
     return ScenarioRun(records=records, reward_traces=traces)
 
 
+def check_compare_config(cfg: ScenarioConfig) -> None:
+    """compare's one rule on a config; cmd_compare applies it before any pool starts."""
+    if not cfg.n_users:  # compare_seed's median SINRs need a user
+        raise ConfigurationError("compare needs at least one user, got n_users 0")
+
+
 def compare_seed(cfg: ScenarioConfig) -> dict:
     """One compare.csv row: cfg's seed run ground-only and aerial-assisted. A slot
     lags at a ground-only QoS below qos_th; the aerial wins it at a QoS no lower."""
-    if not cfg.n_users:  # the median SINRs below need a user
-        raise ConfigurationError("compare needs at least one user, got n_users 0")
+    check_compare_config(cfg)
     rb = run_scenario(replace(cfg, baseline_mode=BASELINE_GROUND))
     ra = run_scenario(replace(cfg, baseline_mode=BASELINE_AERIAL))
     lag = [k for k, r in enumerate(rb.records) if r.qos < r.qos_th]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aerialsim.channel import (AtgEnvironment, RadioParams, atg_pathloss_hl, dbm_to_mw,
                                free_space_pathloss, ground_pathloss_d, p_los)
@@ -149,7 +151,9 @@ def _formula_calls(env, radio=RadioParams()):
                             (100.0, 30.0, env, radio), {}),
         "atg_pathloss_hl work": (atg_pathloss_hl, (_H, _L, env, radio),
                                  (100.0, 30.0, env, radio), {"work": work2}),
+        "ground_pathloss_d": (ground_pathloss_d, (_X * 1e3, radio), (120.0, radio), {}),
         "dbm_to_mw": (dbm_to_mw, (_DBM,), (-60.0,), {}),
+        "dbm_to_mw work": (dbm_to_mw, (_DBM,), (-60.0,), {"work": np.empty(_SHAPE)}),
         "_aerial_power": (_aerial_power, (state, _H, _L), (state, 100.0, 30.0), {}),
         "_aerial_power work": (_aerial_power, (state, _H, _L), (state, 100.0, 30.0),
                                {"work": work2}),
@@ -183,10 +187,45 @@ def test_out_gives_the_same_bits(name, strided):
 
 @pytest.mark.parametrize("fn, args", [
     (p_los, (AtgEnvironment(),)), (free_space_pathloss, (2.0e9,)), (dbm_to_mw, ()),
-    (throughput, ()),
+    (throughput, ()), (ground_pathloss_d, (RadioParams(),)),
 ])
 def test_out_may_be_the_input(fn, args):
     # qos_map runs these in place on its working arrays.
     x = _X.copy()
     assert fn(x, *args, out=x) is x
     assert x.tobytes() == fn(_X, *args).tobytes()
+
+
+def _view(shape, step):
+    """An array of shape that is every step-th element of a larger one (step < 0:
+    backwards), filled with NaN."""
+    base = np.full(shape[:-1] + (abs(step) * shape[-1],), np.nan)
+    return base[..., ::step]
+
+
+# Sizes 0-70 reach every SIMD tail; -400 to 400 dB is the model's range, and
+# beyond about +-3080 dB the power overflows to inf or falls to subnormals
+# and 0. out and work step the same way through memory: with one forwards
+# and one backwards, numpy's SIMD power loop does not run and an AVX-512
+# host gives C pow's bits, which can differ in the last place.
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(-400.0, 400.0) | st.floats(-3300.0, 3300.0), max_size=70),
+       lead=st.lists(st.integers(1, 3), max_size=2), direction=st.sampled_from([1, -1]),
+       out_step=st.sampled_from([1, 2]), work_step=st.sampled_from([1, 3]))
+@example(values=[3100.0, -3100.0, -3300.0, 0.0, -1e-300], lead=[], direction=-1,
+         out_step=2, work_step=1)
+def test_an_array_base_gives_the_bits_of_the_scalar_base(values, lead, direction,
+                                                         out_step, work_step):
+    # The last axis takes what the leading ones leave of the drawn size.
+    shape = tuple(lead) + (len(values) // int(np.prod(lead)),)
+    dbm = np.array(values[:int(np.prod(shape))], dtype=float).reshape(shape)
+    out, work = _view(shape, direction * out_step), _view(shape, direction * work_step)
+    with np.errstate(over="ignore", under="ignore"):
+        want = dbm_to_mw(dbm)
+        got = dbm_to_mw(dbm, out=out, work=work)
+        scalars = [dbm_to_mw(float(v)) for v in dbm.ravel()[:3]]
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+    # Without work, a scalar keeps the scalar base and gives an np.float64.
+    for value, bits in zip(scalars, want.ravel()):
+        assert type(value) is np.float64 and value.tobytes() == bits.tobytes()

@@ -169,7 +169,9 @@ def serial_pool(monkeypatch):
     # the pool starts.
     ("n_rings: 3", RING_RULE),
     ("antenna_height: 0.0", "antenna height must be positive and at most 1e+06 m"),
-], ids=["qtable_path", "n_rings", "antenna_height"])
+    # compare's own rule on a config is checked in this process too.
+    ("n_users: 0", "compare needs at least one user, got n_users 0"),
+], ids=["qtable_path", "n_rings", "antenna_height", "n_users"])
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_compare_rejects_a_bad_config_before_any_pool(tmp_path, capsys, serial_pool,
                                                        jobs, line, message):

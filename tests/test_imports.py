@@ -25,6 +25,10 @@ few functions that build or load a config (CONFIG_CHECKERS), so a rule the
 config applies is not checked again below it. Its only other raises are the
 ones KEPT_RAISES lists, once each, with the reason each stays.
 
+Power: src calls np.power only in channel.dbm_to_mw, whose work= argument
+gives the power an array base; a scalar base reaches numpy's power loop as a
+stride-0 operand, which costs about twice as much for the same bits.
+
 Records: every dataclass of src/aerialsim with a field annotated
 np.ndarray, List[...] or Sequence[...] passes eq=False. The generated ==
 would compare arrays, which raises ValueError, and leave a mutable or
@@ -245,7 +249,7 @@ def test_src_reads_no_environment_variable():
 # the ground layout the config builds, the config loader, and compare's one
 # rule on a config.
 CONFIG_CHECKERS = {"__post_init__", "hex_layout", "_from_mapping", "build_config",
-                   "compare_seed"}
+                   "check_compare_config"}
 # The other raises src keeps below the config gate, once each, by (function,
 # exception), with the reason each stays.
 KEPT_RAISES = {
@@ -386,3 +390,44 @@ def test_records_of_arrays_and_lists_pass_eq_false():
     found = {p.name: array_records_with_eq(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+# The one function of src that may call np.power.
+POWER_HOME = ("channel.py", "dbm_to_mw")
+
+
+def power_calls(source: str) -> list:
+    """(line, function) of each np.power or numpy.power call; function is the
+    innermost function (None at module level)."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) \
+                    and child.func.attr == "power" and isinstance(child.func.value, ast.Name) \
+                    and child.func.value.id in ("np", "numpy"):
+                found.append((child.lineno, func))
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_power_calls_are_found():
+    source = ("import numpy as np\n"
+              "def dbm_to_mw(x):\n"
+              "    return np.power(10.0, x)\n"
+              "class A:\n"
+              "    def f(self, x):\n"
+              "        return numpy.power(x, 2) + np.square(x) + x.power\n"
+              "y = np.power(10.0, np.power(2.0, 3))\n")
+    assert power_calls(source) == [(3, "dbm_to_mw"), (6, "f"), (7, None), (7, None)]
+
+
+def test_np_power_is_called_only_in_dbm_to_mw():
+    found = {(p.name, func) for p in sorted(PACKAGE.glob("*.py"))
+             for _, func in power_calls(p.read_text(encoding="utf-8"))}
+    assert found == {POWER_HOME}

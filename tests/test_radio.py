@@ -12,9 +12,11 @@ from aerialsim.channel import AtgEnvironment, RadioParams
 from aerialsim.deployment import (MIN_ANTENNA_HEIGHT, GroundBS, PlacementGrid,
                                   grid_index_to_position)
 from aerialsim.geometry import Position2D, Position3D
+from aerialsim.mobility import Users, step
+from aerialsim.placement import LearningConfig, QTable, learn_placement
 from aerialsim.radio import (QOS_MAP_CHUNK_BYTES, NetworkState, _ground_power,
-                             aggregate_qos, link_report, qos_map, qos_map_chunk,
-                             throughput)
+                             _ground_totals, aggregate_qos, link_report, qos_map,
+                             qos_map_chunk, throughput)
 from aerialsim.scenario import ScenarioConfig, build_network
 from tests.conftest import DEFAULTS, make_snapshot, users_at
 from tests.reference import (AERIAL_ID, associate_max_sinr, ground_power,
@@ -143,6 +145,23 @@ class TestLinkReport:
         on_sites = users_at([b.pos for b in net.ground_bs])
         user_sinr, _ = link_report(replace(net, users=on_sites))
         assert np.all((0.0 < user_sinr) & (user_sinr < np.inf))
+
+    def test_ground_totals_in_two_working_arrays(self):
+        # The ground power is computed in place in two sites x users arrays,
+        # and the pairwise sum takes one users x sites copy after the second
+        # is freed; numpy's broadcast buffers stay below 1.5 more.
+        area = DEFAULTS.service_area()
+        snap, _ = make_snapshot(0, area, n_users=600, n_rings=2, disabled=None)
+        n_sites = sum(bs.active for bs in snap.ground_bs)
+        assert n_sites == 19
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _ground_totals(snap, snap.users)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 3.5 * n_sites * 600 * 8
 
     def test_zero_users(self, urban, radio):
         state = make_state([bs_at(0, 0, 0)], [], urban, radio)
@@ -362,3 +381,23 @@ class TestQosMap:
         snap = NetworkState(ground_bs=bss, users=users_at(users), env=AtgEnvironment(),
                             radio=RadioParams(), aerial_tx_power=rng.uniform(20, 40))
         self.assert_equals_reference(snap, PlacementGrid(area, *shape), reference_qos)
+
+
+def test_radio_mobility_and_learner_write_no_user_array(desk_area, desk_grid):
+    # Users promises that no array of it is ever written: the radio computes
+    # in place only in arrays it allocates, and step returns new ones. Only
+    # the learner's QTable is written.
+    snap, rng = make_snapshot(3, desk_area, n_users=60)
+    arrays = [a.copy() for a in (snap.users.x, snap.users.y, snap.users.vx, snap.users.vy)]
+    for a in arrays:
+        a.setflags(write=False)
+    users = Users(*arrays, snap.users.hold)
+    snap = replace(snap, users=users, aerial_pos=grid_index_to_position(desk_grid, 7))
+    link_report(snap)
+    aggregate_qos(snap)
+    qos_map(snap, desk_grid)
+    step(users, DEFAULTS.t_min, DEFAULTS.mobility, desk_area, np.random.default_rng(0))
+    q = QTable.zeros(desk_grid.n_states)
+    learn_placement(desk_grid.center_state(), snap, q,
+                    LearningConfig(max_episodes=5, max_steps=4), desk_grid, rng)
+    assert q.visit_counts.sum() == 5 * 4
